@@ -93,6 +93,12 @@ echo "== durable-execution chaos suite (kill-and-resume, quick scale) =="
 CHAOS_QUICK=1 python -m pytest tests/test_checkpoint.py -x -q
 
 echo
+echo "== benchmark harness tests (perfbench) =="
+# The repo benchmark's own harness tests (named check_*.py, so the
+# tier-1 collection above never picks them up).
+python -m pytest perfbench/tests -q
+
+echo
 echo "== engine benchmarks (smoke) =="
 python -m pytest benchmarks/test_bench_engine.py benchmarks/test_bench_vector.py \
     -x -q --benchmark-disable

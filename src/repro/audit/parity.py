@@ -40,6 +40,7 @@ from repro.data.warm import WarmFactors, get_material
 from repro.engine.vector import params as P
 from repro.engine.vector.columns import ScenarioBatch
 from repro.engine.vector.evaluator import VectorizedEvaluator
+from repro.engine.vector.kernels import KERNEL_RTOL
 from repro.engine.vector.params import COLUMN_NAMES, ParameterBatch, extract_row
 from repro.engine.vector.reducers import (
     MomentsReducer,
@@ -49,9 +50,6 @@ from repro.engine.vector.reducers import (
 from repro.engine.vector.streaming import ArrayChunkSource, run_stream
 from repro.errors import ParameterError
 from repro.manufacturing.yield_model import YieldModel
-
-#: Scalar-vs-kernel tolerance (the kernels' documented contract).
-KERNEL_RTOL = 1e-12
 
 #: Default probe scenario: multi-app, moderate volume, no horizon quirks.
 DEFAULT_SCENARIO = Scenario(num_apps=5, app_lifetime_years=2.0, volume=50_000)

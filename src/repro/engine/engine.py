@@ -571,10 +571,9 @@ class EvaluationEngine:
             comp_f, comp_i = pack_batch_rows(
                 computed, np.arange(unique_rows.size)
             )
-            store_rows = np.array(
-                [r for r in range(unique_rows.size) if r not in computed.fallback],
-                dtype=np.int64,
-            )
+            is_fallback = np.zeros(unique_rows.size, dtype=bool)
+            is_fallback[list(computed.fallback)] = True
+            store_rows = np.nonzero(~is_fallback)[0]
             if store_rows.size:
                 self._store.put_batch(
                     lo[unique_rows[store_rows]],
@@ -587,10 +586,11 @@ class EvaluationEngine:
                 self._store.put_object(key, comparison)
             floats[miss_idx] = comp_f[inverse]
             ints[miss_idx] = comp_i[inverse]
-            for j, m in enumerate(miss_idx):
-                u = int(inverse[j])
-                if u in computed.fallback:
-                    fallback[int(m)] = computed.fallback[u]
+            if computed.fallback:
+                for j in np.nonzero(is_fallback[inverse])[0]:
+                    fallback[int(miss_idx[j])] = computed.fallback[
+                        int(inverse[j])
+                    ]
 
         return self._assemble_batch(batch, floats, ints, fallback)
 

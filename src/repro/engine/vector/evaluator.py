@@ -16,7 +16,7 @@ computes whole batches as array math in two regimes:
   ulp); everything else is exact.
 
 The scenario composition mirrors the scalar models' operation order —
-including the per-application left-fold via :func:`repeat_add` — so the
+including the per-application left-folds via :class:`FoldPlan` — so the
 same-comparator path reproduces the scalar results bit-for-bit, which is
 what lets the engine fast path share its LRU cache with scalar callers.
 """
@@ -39,6 +39,7 @@ from repro.data.reports import DesignHouseReport, get_report
 from repro.data.warm import WarmFactors, get_material
 from repro.engine.vector.columns import ScenarioBatch
 from repro.engine.vector.kernels import (
+    FoldPlan,
     chip_generations,
     design_project_kg,
     eol_per_chip_kg,
@@ -47,7 +48,6 @@ from repro.engine.vector.kernels import (
     operation_per_chip_year_kg,
     packaging_per_chip,
     ratio_kernel,
-    repeat_add,
     winner_kernel,
 )
 from repro.engine.vector import params as P
@@ -498,33 +498,16 @@ def _compose(
     units = np.maximum(1, np.ceil(safe_size / capacity).astype(np.int64))
     n_fpga = np.where(sized, units, 1)
 
-    # FPGA chip generations over the study horizon (Fig. 9 semantics).
-    total_years = repeat_add(lifetime, num_apps)
-    horizon = np.where(
-        np.isnan(batch.evaluation_years), total_years, batch.evaluation_years
-    )
-    fpga_gen = np.where(
-        batch.enforce_chip_lifetime,
-        generations_kernel(horizon, fpga.chip_lifetime_years),
-        1,
-    )
-
     unit_count = volume * n_fpga
     unit_f = unit_count.astype(np.float64)
-    fleet = (unit_count * fpga_gen).astype(np.float64)
-
     zeros = np.zeros(n)
-    f_design = zeros + fpga.design_kg
-    f_mfg = fpga.mfg_per_chip_kg * fleet
-    f_pkg = fpga.pkg_per_chip_kg * fleet
-    f_eol = fpga.eol_per_chip_kg * fleet
+
+    # Per-application terms, folded num_apps times per row through one
+    # shared plan (the scalar models' repeated ``+=``, bit for bit).
     op_app = (lifetime * unit_f) * fpga.op_per_chip_year_kg
-    f_op = repeat_add(op_app, num_apps)
     config_hours = fpga.appdev_config_hours_per_unit * unit_f
     configuration = (fpga.appdev_config_kw * config_hours) * fpga.appdev_intensity
     appdev_app = fpga.appdev_dev_kg + configuration
-    f_appdev = repeat_add(appdev_app, num_apps)
-    fpga_totals = (((f_design + f_mfg) + f_pkg) + f_eol) + (f_op + f_appdev)
 
     asic_gen = generations_kernel(lifetime, asic.chip_lifetime_years)
     chips = (volume * asic_gen).astype(np.float64)
@@ -536,12 +519,32 @@ def _compose(
     a_config_hours = asic.appdev_config_hours_per_unit * vol_f
     a_configuration = (asic.appdev_config_kw * a_config_hours) * asic.appdev_intensity
     a_appdev_app = asic.appdev_dev_kg + a_configuration
-    a_design = repeat_add(a_design_app, num_apps)
-    a_mfg = repeat_add(a_mfg_app, num_apps)
-    a_pkg = repeat_add(a_pkg_app, num_apps)
-    a_eol = repeat_add(a_eol_app, num_apps)
-    a_op = repeat_add(a_op_app, num_apps)
-    a_appdev = repeat_add(a_appdev_app, num_apps)
+
+    (
+        total_years, f_op, f_appdev,
+        a_design, a_mfg, a_pkg, a_eol, a_op, a_appdev,
+    ) = FoldPlan(num_apps).fold(
+        lifetime, op_app, appdev_app,
+        a_design_app, a_mfg_app, a_pkg_app, a_eol_app, a_op_app, a_appdev_app,
+    )
+
+    # FPGA chip generations over the study horizon (Fig. 9 semantics).
+    horizon = np.where(
+        np.isnan(batch.evaluation_years), total_years, batch.evaluation_years
+    )
+    fpga_gen = np.where(
+        batch.enforce_chip_lifetime,
+        generations_kernel(horizon, fpga.chip_lifetime_years),
+        1,
+    )
+    fleet = (unit_count * fpga_gen).astype(np.float64)
+
+    f_design = zeros + fpga.design_kg
+    f_mfg = fpga.mfg_per_chip_kg * fleet
+    f_pkg = fpga.pkg_per_chip_kg * fleet
+    f_eol = fpga.eol_per_chip_kg * fleet
+    fpga_totals = (((f_design + f_mfg) + f_pkg) + f_eol) + (f_op + f_appdev)
+
     asic_totals = (((a_design + a_mfg) + a_pkg) + a_eol) + (a_op + a_appdev)
 
     return BatchResult(

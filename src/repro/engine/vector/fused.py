@@ -64,6 +64,7 @@ from repro.engine.vector import params as P
 from repro.engine.vector.columns import ScenarioBatch
 from repro.engine.vector.kernels import (
     GENERATIONS_EPSILON,
+    KERNEL_RTOL,
     YIELD_MODEL_CODES,
     die_yield_kernel,
     manufacturing_per_die_kg,
@@ -87,6 +88,12 @@ KERNEL_TIER_ENV = "REPRO_KERNEL"
 
 #: Accepted ``REPRO_KERNEL`` / ``kernel_tier=`` spellings.
 KERNEL_TIERS = ("auto", "fused", "numba", "numpy")
+
+#: Largest uniform application count the NumPy fused backend serves:
+#: beyond it the worst-case gap between its ``x * count`` shortcut and
+#: the chain's left fold, ``(count - 1) * 2**-53`` relative, exceeds
+#: :data:`~repro.engine.vector.kernels.KERNEL_RTOL`.
+MAX_UNIFORM_FOLD_COUNT = 1 + int(KERNEL_RTOL / 2.0**-53)
 
 _MURPHY = YIELD_MODEL_CODES[YieldModel.MURPHY]
 _POISSON = YIELD_MODEL_CODES[YieldModel.POISSON]
@@ -515,9 +522,13 @@ def fused_repeat_add(x, counts, *, ctx: _AffineCtx):
     """Twin of :func:`~repro.engine.vector.kernels.repeat_add`.
 
     Uniform counts (the tiled-scenario streaming case) collapse the
-    ``count``-step left fold to a single multiply on the deferred form
-    (``x+x+...+x`` and ``x*count`` agree to a couple of ULPs, inside
-    the tier's parity bound); ragged counts delegate to the chain twin.
+    ``count``-step left fold to a single multiply on the deferred form.
+    The fold's worst-case relative error against the exact product is
+    ``(count - 1) * 2**-53``, so the two agree within the tier's parity
+    bound only up to :data:`MAX_UNIFORM_FOLD_COUNT`;
+    :meth:`FusedKernel.evaluate` yields larger uniform counts to the
+    chain.  Ragged counts delegate to the chain twin, which folds
+    exactly.
     """
     counts = np.asarray(counts)
     if counts.size > 1 and counts.min() != counts.max():
@@ -972,9 +983,12 @@ class FusedKernel:
         """One fused pass over a chunk; ``None`` when the tier must yield.
 
         Returns ``None`` for batches with uncovered scenario rows —
-        those need the chain + scalar fallback path.  Raises the same
-        :class:`~repro.errors.CapacityError` family as the chain for
-        infeasible geometry.
+        those need the chain + scalar fallback path — and, on the NumPy
+        backend, for application counts above
+        :data:`MAX_UNIFORM_FOLD_COUNT`, where its multiply shortcut for
+        the per-application fold would leave the parity bound.  Raises
+        the same :class:`~repro.errors.CapacityError` family as the
+        chain for infeasible geometry.
         """
         if params.size != batch.size:
             raise ParameterError(
@@ -993,6 +1007,10 @@ class FusedKernel:
                 # Any compiled-path failure degrades to the NumPy
                 # backend for this kernel's remaining lifetime.
                 self.backend = "numpy-fused"
+        counts = batch.num_apps
+        top = counts[0] if counts.strides[0] == 0 else counts.max()
+        if top > MAX_UNIFORM_FOLD_COUNT:
+            return None
         return self._evaluate_numpy(params, batch)
 
     # -- buffer-reuse NumPy backend ------------------------------------

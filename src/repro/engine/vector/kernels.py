@@ -13,8 +13,9 @@ Two kinds of kernel live here:
   compute per-chip constants from *model-parameter columns* — one row per
   comparator — enabling multi-comparator batches (Monte-Carlo draws, DSE
   grids) to vectorise the whole lifecycle, not just the scenario axes;
-* **composition helpers** (`repeat_add`, `ratio_kernel`, `winner_kernel`)
-  reproduce the scenario accounting and the degenerate-ratio semantics of
+* **composition helpers** (`FoldPlan`/`repeat_add`, `ratio_kernel`,
+  `winner_kernel`) reproduce the scenario accounting and the
+  per-application folds bit for bit, and the degenerate-ratio semantics of
   :class:`~repro.core.comparison.ComparisonResult` with masks instead of
   branches, raising no floating-point warnings.
 """
@@ -28,6 +29,10 @@ import numpy as np
 from repro.errors import CapacityError
 from repro.manufacturing.yield_model import YieldModel
 from repro.units import HOURS_PER_YEAR, MM2_PER_CM2, RETICLE_LIMIT_MM2
+
+#: Relative tolerance of the kernel tiers against the scalar models
+#: (the documented parity contract; winners must match exactly).
+KERNEL_RTOL = 1e-12
 
 #: Stable integer codes for the statistical yield models, used because
 #: enum members don't belong in float matrices.
@@ -59,24 +64,113 @@ def _into(ufunc, a, b, out):
 # ----------------------------------------------------------------------
 
 
+class FoldPlan:
+    """Shared schedule for row-wise per-application left folds.
+
+    The scalar lifecycle models accumulate per-application terms with
+    repeated ``+=`` over identical addends; ``count * x`` rounds
+    differently for counts >= 4, so bit-parity requires reproducing the
+    fold.  A plan is built once per ``counts`` column: rows are ordered
+    by descending count, so the rows still folding at step ``k`` (those
+    with ``count >= k``) form a prefix.  The plan records that prefix's
+    length at each distinct count, so it stays O(rows) in memory however
+    large the counts are.  :meth:`fold` then folds any number of
+    operands together with one in-place add per step over the active
+    prefix of a stacked tile — ``max(count) - 1`` Python-level steps per
+    tile and ``sum(count - 1)`` element adds per operand.  Every element
+    receives the same additions in the same order as the scalar fold, so
+    results are bit-identical to it.  Uniform counts (including
+    stride-0 :meth:`ScenarioBatch.tile` columns) skip the permutation.
+    """
+
+    __slots__ = ("size", "order", "levels")
+
+    #: Rows per stacked fold tile: bounds the transient scratch to two
+    #: ``operands x TILE_ROWS`` float64 blocks whatever the batch size.
+    TILE_ROWS = 16_384
+
+    def __init__(self, counts: np.ndarray) -> None:
+        counts = np.asarray(counts).reshape(-1)
+        n = counts.shape[0]
+        self.size = n
+        #: ``(count, live)`` pairs, ascending by count, one per distinct
+        #: positive count: ``live`` rows have at least ``count``.
+        self.levels: list[tuple[int, int]] = []
+        if n == 0:
+            self.order = None
+        elif counts.strides[0] == 0 or counts.min() == counts.max():
+            # Identity order: every row folds for every step.
+            self.order = None
+            if counts[0] >= 1:
+                self.levels = [(int(counts[0]), n)]
+        else:
+            self.order = np.argsort(-counts, kind="stable")
+            ascending = counts[self.order][::-1]
+            distinct = np.unique(ascending[ascending >= 1])
+            live = n - np.searchsorted(ascending, distinct)
+            self.levels = list(zip(distinct.tolist(), live.tolist()))
+
+    def fold(self, *operands: np.ndarray) -> np.ndarray:
+        """Fold each operand ``count`` times per row; ``(m, n)`` result.
+
+        Operands are 1-D float columns of the plan's length or of
+        length 1 (broadcast); row ``j`` of the result is the fold of
+        operand ``j``, and rows with ``count < 1`` are ``0.0``.
+        """
+        n = self.size
+        m = len(operands)
+        out = np.zeros((m, n))
+        cols = [
+            np.broadcast_to(np.asarray(x, dtype=np.float64).reshape(-1), (n,))
+            for x in operands
+        ]
+        order = self.order
+        levels = self.levels
+        active = levels[0][1] if levels else 0
+        for t0 in range(0, active, self.TILE_ROWS):
+            t1 = min(t0 + self.TILE_ROWS, active)
+            addend = np.empty((m, t1 - t0))
+            if order is None:
+                for j, col in enumerate(cols):
+                    addend[j] = col[t0:t1]
+                acc = out[:, t0:t1]
+            else:
+                rows = order[t0:t1]
+                for j, col in enumerate(cols):
+                    np.take(col, rows, out=addend[j], mode="clip")
+                acc = np.empty_like(addend)
+            np.copyto(acc, addend)
+            # Addends ``done + 1 .. count`` go to the rows holding at
+            # least ``count``: no distinct count lies in between.
+            done = 1
+            for count, live in levels:
+                live = min(live, t1) - t0
+                if live <= 0:
+                    break
+                head = acc[:, :live]
+                tail = addend[:, :live]
+                for _ in range(done, count):
+                    np.add(head, tail, out=head)
+                done = count
+            if order is not None:
+                out[:, rows] = acc
+        return out
+
+
 def repeat_add(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Row-wise ``x + x + ... + x`` (``counts`` times), left-folded.
 
-    The scalar lifecycle models accumulate per-application terms with
-    repeated ``+=`` over identical addends; ``counts * x`` rounds
-    differently for counts >= 4, so bit-parity requires reproducing the
-    fold.  Iterates ``max(counts)`` times over the whole batch — the
-    paper's application counts are tens, so this stays cheap even for
-    10k-row batches.
+    The one-operand spelling of :meth:`FoldPlan.fold` (bit-identical to
+    the scalar models' repeated ``+=``; ``0.0`` where ``counts < 1``).
+    Costs ``max(counts) - 1`` Python-level steps with ``sum(counts - 1)``
+    element adds; composers folding several operands over one counts
+    column should share a :class:`FoldPlan` instead.
     """
     x = np.asarray(x, dtype=np.float64)
     counts = np.asarray(counts)
-    acc = np.where(counts >= 1, x, 0.0)
-    if counts.size == 0:
-        return acc
-    for k in range(2, int(counts.max()) + 1):
-        acc = np.where(counts >= k, acc + x, acc)
-    return acc
+    shape = np.broadcast_shapes(x.shape, counts.shape)
+    plan = FoldPlan(np.broadcast_to(counts, shape))
+    return plan.fold(np.broadcast_to(x, shape).reshape(-1))[0].reshape(shape)
 
 
 #: Epsilon subtracted before ``ceil`` in chip-generation counts, so a

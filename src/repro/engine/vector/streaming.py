@@ -363,6 +363,9 @@ class MonteCarloChunkSource:
 
     __slots__ = ("n", "base_row", "distributions", "seed", "scenario", "_scratch")
 
+    #: Rows per sampling tile (a 16384 x k float64 slab fits in L2).
+    SAMPLE_TILE_ROWS = 16_384
+
     def __init__(
         self,
         base_row: np.ndarray,
@@ -414,9 +417,17 @@ class MonteCarloChunkSource:
         rng.bit_generator.advance(start * k)
         u, cols = self._buffers(m, k)
         rng.random(out=u)
+        # Row tiles keep each slab of the row-major unit matrix
+        # cache-resident across its k strided column reads; the
+        # transform is elementwise, so values are tile-independent.
+        tile = self.SAMPLE_TILE_ROWS
+        for s in range(0, m, tile):
+            e = min(s + tile, m)
+            for j, dist in enumerate(self.distributions):
+                dist.column_from_uniform(u[s:e, j], out=cols[j][s:e])
         params = ParameterBatch(m, base_row=self.base_row)
-        for j, dist in enumerate(self.distributions):
-            dist.apply_column(params, dist.column_from_uniform(u[:, j], out=cols[j]))
+        for dist, col in zip(self.distributions, cols):
+            dist.apply_column(params, col)
         return params, ScenarioBatch.tile(self.scenario, m)
 
     def checkpoint_token(self) -> str:

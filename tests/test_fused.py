@@ -251,6 +251,36 @@ def test_fused_stream_invariant_and_matches_chain(comparator, chunk):
     np.testing.assert_allclose(f_s, c_s, rtol=RTOL, atol=0.0)
 
 
+def test_fused_large_uniform_num_apps_stays_within_contract(comparator):
+    # x * count drifts from the left fold by up to (count - 1) * 2**-53
+    # relative; at 100k applications that is ~1e-11, so the NumPy fused
+    # backend must yield such batches to the chain.
+    n = 256
+    scenario = Scenario(num_apps=100_000, app_lifetime_years=2.0, volume=1_000)
+    source = MonteCarloChunkSource(
+        np.asarray(extract_row(comparator)), table1_distributions(), 3,
+        scenario, n,
+    )
+    prototype = monte_carlo_reduction(seed=3, quantile_k=n)
+
+    def run(kernel_tier):
+        return run_stream(
+            source, prototype.fresh(), chunk_rows=n, workers=1,
+            kernel_tier=kernel_tier,
+        )
+
+    f_m, f_n, f_w, f_s = _summary_state(run("fused"))
+    c_m, c_n, c_w, c_s = _summary_state(run("numpy"))
+    assert (f_n, f_w) == (c_n, c_w)
+    np.testing.assert_allclose(f_s, c_s, rtol=RTOL, atol=0.0)
+    for key in f_m:
+        np.testing.assert_allclose(f_m[key], c_m[key], rtol=RTOL, atol=0.0)
+
+    params, batch = source.chunk(0, n)
+    assert FusedKernel().evaluate(params, batch) is None
+    assert fused_mod.MAX_UNIFORM_FOLD_COUNT == 9008
+
+
 def test_fused_stream_worker_invariant(comparator):
     n = 4096
     prototype = monte_carlo_reduction(seed=11, quantile_k=n)

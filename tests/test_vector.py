@@ -35,6 +35,9 @@ from repro.engine import (
     VectorizedEvaluator,
 )
 from repro.engine.vector import ratio_kernel, repeat_add, winner_kernel
+from repro.engine.vector.fused import FusedKernel
+from repro.engine.vector.kernels import FoldPlan
+from repro.engine.vector.params import ParameterBatch
 from repro.eol.model import EolModel
 from repro.errors import ParameterError
 from repro.manufacturing.act import ManufacturingModel
@@ -237,15 +240,80 @@ def test_winner_kernel_ties_go_to_asic():
     )
 
 
+def _scalar_fold(xi: float, ni: int) -> float:
+    """The scalar models' repeated ``+=`` (0.0 for counts below one)."""
+    if ni < 1:
+        return 0.0
+    acc = xi
+    for _ in range(int(ni) - 1):
+        acc = acc + xi
+    return acc
+
+
+def _assert_bit_equal(got: np.ndarray, want: list[float]) -> None:
+    want_arr = np.array(want, dtype=np.float64)
+    assert got.shape == want_arr.shape
+    np.testing.assert_array_equal(
+        got.view(np.int64), want_arr.view(np.int64)
+    )  # bit-exact, not approx (NaN payloads and -0.0 included)
+
+
+_FOLD_X = np.array([0.1, 0.7, 1.0 / 3.0, 1234.5678, -2.5e-7, 6.02e23])
+
+
+_FOLD_COUNTS = [
+    [1, 4, 7, 23, 2, 9],  # distinct
+    [3, 3, 3, 3, 3, 3],  # uniform
+    [5, 2, 5, 2, 5, 2],  # repeated
+    [1, 200, 1, 200, 200, 1],  # gaps
+    [230, 199, 0, 1, 57, 212],  # maximum >= 200, a zero count
+]
+
+
 def test_repeat_add_reproduces_left_fold():
-    x = np.array([0.1, 0.7, 1.0 / 3.0, 1234.5678])
-    counts = np.array([1, 4, 7, 23])
-    result = repeat_add(x, counts)
-    for xi, ni, got in zip(x, counts, result):
-        acc = xi
-        for _ in range(int(ni) - 1):
-            acc = acc + xi
-        assert got == acc  # bit-exact, not approx
+    for counts in map(np.array, _FOLD_COUNTS):
+        _assert_bit_equal(
+            repeat_add(_FOLD_X, counts),
+            [_scalar_fold(x, n) for x, n in zip(_FOLD_X, counts)],
+        )
+        # A length-1 operand broadcasts against n counts.
+        _assert_bit_equal(
+            repeat_add(_FOLD_X[:1], counts),
+            [_scalar_fold(_FOLD_X[0], n) for n in counts],
+        )
+        # One shared plan folds several operands exactly like repeat_add.
+        operands = (_FOLD_X, _FOLD_X[::-1], _FOLD_X[2:3])
+        for row, x in zip(FoldPlan(counts).fold(*operands), operands):
+            np.testing.assert_array_equal(row, repeat_add(x, counts))
+
+
+def test_repeat_add_non_finite_operands():
+    x = np.array([np.inf, -np.inf, np.nan, -0.0, np.inf, np.nan])
+    counts = np.array([3, 1, 4, 5, 0, 0])
+    _assert_bit_equal(
+        repeat_add(x, counts), [_scalar_fold(a, n) for a, n in zip(x, counts)]
+    )
+
+
+def test_repeat_add_stride0_and_multi_tile_counts():
+    tiled = ScenarioBatch.tile(
+        Scenario(num_apps=37, app_lifetime_years=2.0, volume=10), 5
+    ).num_apps
+    assert tiled.strides[0] == 0
+    _assert_bit_equal(
+        repeat_add(_FOLD_X[:5], tiled),
+        [_scalar_fold(x, 37) for x in _FOLD_X[:5]],
+    )
+    # Larger than one fold tile, ragged and uniform.
+    rng = np.random.default_rng(7)
+    n = FoldPlan.TILE_ROWS * 2 + 123
+    x = rng.standard_normal(n) * 1e3
+    for counts in (rng.integers(0, 60, n), np.full(n, 13)):
+        got = repeat_add(x, counts)
+        sample = rng.integers(0, n, 400)
+        _assert_bit_equal(
+            got[sample], [_scalar_fold(x[i], counts[i]) for i in sample]
+        )
 
 
 def test_repeat_add_empty_and_zero_counts():
@@ -254,6 +322,61 @@ def test_repeat_add_empty_and_zero_counts():
     )
     np.testing.assert_array_equal(
         repeat_add(np.array([3.0]), np.array([0])), np.array([0.0])
+    )
+    np.testing.assert_array_equal(
+        repeat_add(np.array([3.0, 4.0]), np.array([0, -2])),
+        np.array([0.0, 0.0]),
+    )
+    assert FoldPlan(np.array([], dtype=int)).fold(np.array([])).shape == (1, 0)
+    assert FoldPlan(np.zeros(3, dtype=int)).fold(np.ones(3)).tolist() == [
+        [0.0, 0.0, 0.0]
+    ]
+
+
+def test_fold_plan_size_independent_of_counts():
+    # One prefix length per distinct positive count: a huge count costs
+    # no memory until it is folded.
+    plan = FoldPlan(np.array([1, 10**12, 1, 10**12, 5, 0]))
+    assert plan.levels == [(1, 5), (5, 3), (10**12, 2)]
+    assert FoldPlan(np.full(4, 10**12)).levels == [(10**12, 4)]
+
+
+def test_ragged_num_apps_batch_bit_identical_to_scalar(dnn_comparator):
+    apps = np.arange(1, 201)
+    lifetimes = np.array([0.5, 2.0, 3.25])
+    num_apps = np.repeat(apps, lifetimes.size)
+    lifetime = np.tile(lifetimes, apps.size)
+    batch = ScenarioBatch.from_arrays(
+        num_apps=num_apps, lifetime=lifetime, volume=50_000
+    )
+    result = EvaluationEngine(cache_size=0).evaluate_batch(dnn_comparator, batch)
+    components = ("design", "manufacturing", "packaging", "eol",
+                  "appdev", "operational")
+    for i, (n, t) in enumerate(zip(num_apps, lifetime)):
+        ref = dnn_comparator.compare(
+            Scenario(num_apps=int(n), app_lifetime_years=float(t), volume=50_000)
+        )
+        assert result.ratios[i] == ref.ratio
+        assert result.winners[i] == ref.winner
+        assert result.fpga_totals[i] == ref.fpga.footprint.total
+        assert result.asic_totals[i] == ref.asic.footprint.total
+        for c in components:
+            assert result.fpga_components[c][i] == getattr(ref.fpga.footprint, c)
+            assert result.asic_components[c][i] == getattr(ref.asic.footprint, c)
+
+    fused = FusedKernel().evaluate(
+        ParameterBatch.from_comparator(dnn_comparator, batch.size), batch
+    )
+    assert fused is not None
+    np.testing.assert_allclose(fused.ratios, result.ratios, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        fused.fpga_totals, result.fpga_totals, rtol=1e-12, atol=0.0
+    )
+    np.testing.assert_allclose(
+        fused.asic_totals, result.asic_totals, rtol=1e-12, atol=0.0
+    )
+    np.testing.assert_array_equal(
+        np.asarray(fused.winners), np.asarray(result.winners)
     )
 
 
