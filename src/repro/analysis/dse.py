@@ -365,7 +365,7 @@ def explore_batch(
     configuration's suite becomes one model-parameter row of a
     :class:`~repro.engine.vector.ParameterBatch`, the sub-models are
     vectorised from the columns, and rows are cached in the engine's
-    sharded store under vectorised column-fold digests — so no
+    result store under vectorised column-fold digests — so no
     ``ComparisonResult`` is materialised per point and re-exploring a
     grid (or overlapping grids sharing configurations) is served from
     warmth.  The returned :class:`DseResult` carries the same

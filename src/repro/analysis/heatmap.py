@@ -173,7 +173,7 @@ def pairwise_heatmap_batch(
     objects exist at any point, which is what makes dense (100x100+)
     grids run at array speed.  Ratios agree with :func:`pairwise_heatmap`
     bit-for-bit, and cells populate (and are served from) the engine's
-    sharded result store: a warm grid is answered with one vectorised
+    result store: a warm grid is answered with one vectorised
     gather, and overlapping panels share cells with every other
     analysis, scalar callers included.
     """

@@ -608,7 +608,7 @@ def monte_carlo_batch(
       through :meth:`EvaluationEngine.evaluate_param_batch` — no
       per-draw comparator objects, no per-row extraction, no per-row
       digests.  Huge batches are chunked across cores by the engine,
-      and batches that fit the sharded store are cached under
+      and batches that fit the result store are cached under
       vectorised column-fold digests (a re-run of the same seeded study
       is pure gather).
     * Otherwise each draw's perturbed comparator is materialised and

@@ -78,7 +78,7 @@ def tornado(
     (:meth:`~repro.engine.EvaluationEngine.evaluate_pairs_batch`):
     endpoints become parameter-space rows evaluated by the vector
     kernels — no per-endpoint ``ComparisonResult`` objects — and cached
-    in the sharded store under extraction-mode row digests, so a
+    in the result store under extraction-mode row digests, so a
     repeated tornado over the same knobs and scenario is served from
     warmth.  Ratios agree with the scalar object path to
     ``rtol <= 1e-12``.

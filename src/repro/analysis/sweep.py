@@ -215,7 +215,7 @@ def sweep_batch(
     Results agree with :func:`sweep` bit-for-bit (the kernel mirrors the
     scalar arithmetic); use this entry point when only the arrays are
     wanted — dense axes, service endpoints, benchmark loops.  Points are
-    cached in (and served from) the engine's sharded result store, so
+    cached in (and served from) the engine's result store, so
     sweeps share warmth with every other analysis.
     """
     batch = sweep_columns(base_scenario, axis, values)

@@ -25,7 +25,6 @@ Engine options (shared by every subcommand):
   path; mainly for debugging and perf comparisons).
 * ``--cache-stats`` — print the shared engine's cache counters after
   the command, showing how much of the run was served from warmth.
-* ``--cache-shards N`` — hash shards of the result store.
 * ``--cache-file PATH`` — load the result store from PATH (if it
   exists) before the command and save it back afterwards, so cache
   warmth survives across CLI runs.
@@ -65,13 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-stats",
         action="store_true",
         help="print evaluation-engine cache statistics after the command",
-    )
-    parser.add_argument(
-        "--cache-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="hash shards of the result store (default 8)",
     )
     parser.add_argument(
         "--cache-file",
@@ -194,8 +186,6 @@ def _configure_engine(args: argparse.Namespace) -> None:
         options["workers"] = args.workers
     if args.no_vectorize:
         options["vectorize"] = False
-    if args.cache_shards is not None:
-        options["cache_shards"] = args.cache_shards
     if args.cache_file is not None:
         options["cache_file"] = args.cache_file
     if options:

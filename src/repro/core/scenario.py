@@ -9,6 +9,7 @@ size (gates) for ``N_FPGA`` sizing.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -48,8 +49,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.num_apps < 1:
             raise ParameterError(f"num_apps must be >= 1, got {self.num_apps}")
-        if self.volume < 1:
-            raise ParameterError(f"volume must be >= 1, got {self.volume}")
+        if not 1 <= self.volume < math.inf:  # also rejects NaN
+            raise ParameterError(
+                f"volume must be finite and >= 1, got {self.volume}"
+            )
         if isinstance(self.app_lifetime_years, (int, float)):
             lifetimes = (float(self.app_lifetime_years),) * self.num_apps
         else:

@@ -6,13 +6,13 @@ reduces to the same primitive: assess a (comparator, scenario) pair and
 read the FPGA:ASIC ratio.  :class:`EvaluationEngine` centralises that
 primitive behind one batch API with
 
-* an array-backed sharded result store
+* an array-backed, set-associative result table
   (:class:`~repro.engine.store.ShardedResultStore`) keyed on stable
   128-bit digests of ``(device pair, suite, scenario)``.  Batch callers
   are answered with vectorised gather straight from packed NumPy column
   blocks — no :class:`ComparisonResult` is allocated on the batch path;
   object callers get dataclasses materialised lazily from the same
-  columns.  ``save_cache`` / ``load_cache`` persist the shards to
+  columns.  ``save_cache`` / ``load_cache`` persist the table to
   ``.npz`` so warmth survives across processes and CLI runs;
 * memoised :meth:`repro.config.Parameters.build_suite` construction
   (safe under concurrent access), so DSE grids revisiting a
@@ -97,9 +97,6 @@ DEFAULT_CHUNK_SIZE = 32
 #: kernel: below this the per-batch NumPy overhead beats the saving.
 MIN_VECTOR_BATCH = 8
 
-#: Default shard count of the result store.
-DEFAULT_CACHE_SHARDS = 8
-
 #: Rows per chunk of the parameter-batch dispatch.  Batches above this
 #: are split into per-worker column slices (zero-copy NumPy views) and
 #: composed on a thread pool — the heavy array kernels release the GIL —
@@ -113,7 +110,7 @@ MAX_PARAM_THREADS = 8
 
 #: A scenario routes through the packed array store exactly when the
 #: kernel covers it — one definition, shared with the batch path, so the
-#: object side-cache and the column shards never split a key.
+#: object side-cache and the packed table never split a key.
 _kernel_packable = VectorizedEvaluator.covers
 
 
@@ -157,7 +154,7 @@ def _compare_chunk(
 
 
 class EvaluationEngine:
-    """Batch evaluator with a sharded array cache and opt-in parallelism.
+    """Batch evaluator with an array result store and opt-in parallelism.
 
     One engine instance is meant to be shared across analyses: the store
     then spans sweeps, heatmap panels, DSE grids and Monte-Carlo draws
@@ -165,8 +162,8 @@ class EvaluationEngine:
     analysis entry point unless the caller injects their own.
 
     Args:
-        cache_size: Total entry bound of the sharded result store
-            (``0`` disables caching).
+        cache_size: Entry bound of the result store (``0`` disables
+            caching).
         workers: ``None`` or ``1`` evaluates in-process; ``N > 1`` farms
             scalar cache misses out to a :class:`ProcessPoolExecutor` of
             ``N`` processes.  Results are identical either way.
@@ -183,8 +180,6 @@ class EvaluationEngine:
             the kernel; smaller groups (and scenarios the kernel doesn't
             cover, e.g. heterogeneous per-application lifetimes) take
             the scalar path per pair.
-        cache_shards: Hash shards of the result store (the digest's low
-            word routes each entry).
         kernel_tier: Fused kernel tier for the streaming reduce paths
             (``auto``/``fused``/``numba``/``numpy``); ``None`` honours
             the ``REPRO_KERNEL`` environment variable.  See
@@ -202,7 +197,6 @@ class EvaluationEngine:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         vectorize: bool = True,
         min_vector_batch: int = MIN_VECTOR_BATCH,
-        cache_shards: int = DEFAULT_CACHE_SHARDS,
         cache_file: "str | Path | None" = None,
         kernel_tier: "str | None" = None,
     ) -> None:
@@ -223,7 +217,7 @@ class EvaluationEngine:
         kernel_tier_label(kernel_tier)
         self.kernel_tier = kernel_tier
         self._vector = VectorizedEvaluator()
-        self._store = ShardedResultStore(capacity=cache_size, shards=cache_shards)
+        self._store = ShardedResultStore(capacity=cache_size)
         self._pool: ProcessPoolExecutor | None = None
         self._stream_pool: ProcessPoolExecutor | None = None
         self._stream_pool_workers = 0
@@ -254,7 +248,7 @@ class EvaluationEngine:
 
     @property
     def result_store(self) -> ShardedResultStore:
-        """The engine's sharded result store (for persistence/inspection)."""
+        """The engine's result store (for persistence/inspection)."""
         return self._store
 
     @property
@@ -356,7 +350,7 @@ class EvaluationEngine:
         """Assess many (comparator, scenario) pairs, preserving order.
 
         Duplicate pairs within the batch are assessed once; pairs seen
-        by earlier calls are served from the sharded store, with the
+        by earlier calls are served from the result store, with the
         :class:`ComparisonResult` materialised lazily from the packed
         columns (bit-identical to the originally computed object).
         Misses run in-process, on the worker pool, or through the vector
@@ -500,7 +494,7 @@ class EvaluationEngine:
         """Assess one comparator over a batch, staying in array-land.
 
         Cache hits are answered with a vectorised gather from the
-        sharded store — no ``Scenario`` or :class:`ComparisonResult`
+        result store — no ``Scenario`` or :class:`ComparisonResult`
         objects exist anywhere on a warm path — and misses run through
         the vector kernel (deduplicated by digest within the batch),
         then populate the store, so batch and object callers share
@@ -529,12 +523,13 @@ class EvaluationEngine:
 
         lo, hi = batch_digests(comparator, batch)
         n = batch.size
-        hits = np.zeros(n, dtype=bool)
-        floats = np.empty((n, FLOAT_COLS), dtype=np.float64)
-        ints = np.empty((n, INT_COLS), dtype=np.int64)
-
-        covered_idx = np.nonzero(batch.covered)[0]
-        if covered_idx.size:
+        if batch.all_covered:
+            hits, floats, ints = self._store.get_batch(lo, hi)
+        else:
+            hits = np.zeros(n, dtype=bool)
+            floats = np.empty((n, FLOAT_COLS), dtype=np.float64)
+            ints = np.empty((n, INT_COLS), dtype=np.int64)
+            covered_idx = np.nonzero(batch.covered)[0]
             c_hits, c_floats, c_ints = self._store.get_batch(
                 lo[covered_idx], hi[covered_idx]
             )
@@ -555,15 +550,19 @@ class EvaluationEngine:
         miss_idx = np.nonzero(~hits)[0]
         fallback: dict[int, ComparisonResult] = dict(object_hits)
         if miss_idx.size:
-            packed = np.empty(
-                miss_idx.size, dtype=[("lo", np.uint64), ("hi", np.uint64)]
+            # Sorting on ``lo`` alone is enough: a rare pair of keys that
+            # share ``lo`` but not ``hi`` may leave a duplicate unmerged,
+            # which costs one extra row and is never a wrong merge.
+            miss_lo, miss_hi = lo[miss_idx], hi[miss_idx]
+            order = np.argsort(miss_lo)
+            sorted_lo, sorted_hi = miss_lo[order], miss_hi[order]
+            head = np.ones(order.size, dtype=bool)
+            head[1:] = (sorted_lo[1:] != sorted_lo[:-1]) | (
+                sorted_hi[1:] != sorted_hi[:-1]
             )
-            packed["lo"] = lo[miss_idx]
-            packed["hi"] = hi[miss_idx]
-            _, first, inverse = np.unique(
-                packed, return_index=True, return_inverse=True
-            )
-            unique_rows = miss_idx[first]
+            inverse = np.empty(order.size, dtype=np.intp)
+            inverse[order] = np.cumsum(head) - 1
+            unique_rows = miss_idx[order[head]]
             computed = self._vector.evaluate_batch(
                 comparator, batch.take(unique_rows)
             )
@@ -659,7 +658,7 @@ class EvaluationEngine:
         into a :class:`ParameterBatch` and routed through
         :meth:`evaluate_param_batch`, so the sub-models are vectorised
         from extracted parameter columns and rows are cached in the
-        sharded store under vectorised column-fold digests (batches
+        result store under vectorised column-fold digests (batches
         larger than the store bypass it).  Parity with the scalar path
         is ``rtol <= 1e-12``.
         """
@@ -704,7 +703,7 @@ class EvaluationEngine:
         With ``reduce=`` a :class:`StreamingReduction` prototype, the
         batch streams through :meth:`reduce_stream` instead: chunks are
         evaluated and folded into the reducers without ever holding
-        more than ``chunk_rows`` result rows per worker, the sharded
+        more than ``chunk_rows`` result rows per worker, the result
         store is bypassed entirely (reduced rows are summarised, not
         cached), and the *merged reduction* is returned in place of a
         :class:`BatchResult`.  Multi-worker streaming packs the per-row
@@ -1016,11 +1015,10 @@ def configure_default_engine(**kwargs: object) -> EvaluationEngine:
     """Replace the shared default engine with a freshly configured one.
 
     Accepts :class:`EvaluationEngine` constructor arguments (``workers``,
-    ``vectorize``, ``cache_size``, ``cache_shards``, ``cache_file``,
-    ...).  The previous default (and its worker pool) is closed.
-    Returns the new default so callers can keep a handle — the CLI uses
-    this for ``--workers`` / ``--no-vectorize`` / ``--cache-shards`` /
-    ``--cache-file``.
+    ``vectorize``, ``cache_size``, ``cache_file``, ...).  The previous
+    default (and its worker pool) is closed.  Returns the new default
+    so callers can keep a handle — the CLI uses this for
+    ``--workers`` / ``--no-vectorize`` / ``--cache-file``.
     """
     global _DEFAULT_ENGINE
     engine = EvaluationEngine(**kwargs)  # type: ignore[arg-type]

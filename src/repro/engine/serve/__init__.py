@@ -22,7 +22,7 @@ a defined, tested behaviour:
   policies expose counters;
 * a **lost worker pool** degrades to in-process evaluation — slower,
   never wrong;
-* a **corrupt cache shard** is discarded at load (typed
+* a **corrupt cache file** is discarded at load (typed
   :class:`~repro.errors.StoreCorruptError`, logged) and the worker
   starts cold.
 

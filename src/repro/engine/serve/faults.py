@@ -20,7 +20,7 @@ against:
 * **frame truncation** — the server drops the connection after sending
   a prefix of every Nth response frame (a mid-write network fault);
 * **cache corruption** — seeded byte damage to a persisted ``.npz``
-  store shard (tests the :class:`~repro.errors.StoreCorruptError`
+  store file (tests the :class:`~repro.errors.StoreCorruptError`
   start-cold path end to end).
 """
 

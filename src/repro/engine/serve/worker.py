@@ -141,7 +141,7 @@ def worker_main(conn, spec: WorkerSpec) -> None:
 
     Module-level (spawn-picklable) by design.  The engine pre-warms
     from ``spec.cache_file`` when present — `load_cache` starts cold on
-    a corrupt file instead of crashing, so one damaged shard cannot
+    a corrupt file instead of crashing, so one damaged file cannot
     take the fleet down.
     """
     engine = EvaluationEngine(cache_size=spec.cache_size)

@@ -1,4 +1,4 @@
-"""Array-backed sharded result store for the evaluation engine.
+"""Array-backed, set-associative result store for the evaluation engine.
 
 The PR-1 LRU cached one :class:`~repro.core.comparison.ComparisonResult`
 dataclass graph per (device pair, suite, scenario) key.  After the PR-2
@@ -6,7 +6,7 @@ vector kernel, that design inverted the hot path: a *warm* 10k-cell
 heatmap spent 35x longer materialising and looking up dataclasses than a
 *cold* kernel run spent computing the answers.  This module stores
 results the way the kernel produces them — packed NumPy column blocks —
-behind hash-sharded, capacity-bounded stores:
+in one capacity-bounded table:
 
 * **Digest keys.**  Every assessment is keyed by a 128-bit digest of
   ``(device pair, suite, scenario)``.  The comparator part is a BLAKE2b
@@ -15,21 +15,23 @@ behind hash-sharded, capacity-bounded stores:
   scenario part is a splitmix-style fold over the scenario columns that
   is computed *vectorised* for whole :class:`ScenarioBatch` rows and
   reproduced bit-for-bit by the scalar fold for single scenarios.
-* **Sharded column blocks.**  Digests route to ``lo mod n_shards``;
-  each shard keeps parallel arrays (digests, float columns, int
-  columns, recency ticks) plus a slot index.  Batch lookups gather hits
-  with one fancy-indexing pass per shard — no per-cell objects — and
-  batch inserts evict the oldest slots in blocks when a shard fills.
+* **Set-associative column blocks.**  A key may live in two sets of
+  :data:`WAYS` slots, picked by its ``lo`` and ``hi`` digest words.
+  Parallel arrays hold each slot's digest words, float and int payload
+  rows and a recency ``tick``.  A batch lookup is one ``(n, 2, WAYS)``
+  gather and compare; a batch insert upserts in place and fills empty
+  or least recently used ways in a few vectorised rounds.  No per-row
+  Python runs on either path, and there is no index or free list to
+  keep in sync.
 * **Lazy materialisation.**  The column layout carries everything a
   :class:`ComparisonResult` needs (totals, per-component breakdowns,
   per-application ASIC columns, chip counts/generations), so object
   callers get bit-identical dataclasses rebuilt on demand while batch
   callers never leave array-land.
 * **Persistence.**  :meth:`ShardedResultStore.save` /
-  :meth:`ShardedResultStore.load` round-trip the packed shards through
+  :meth:`ShardedResultStore.load` round-trip the packed entries through
   one ``.npz`` file, so cache warmth survives across processes and CLI
-  runs (loading re-shards, so the shard count may differ between the
-  saving and loading process).
+  runs, and a store of any capacity can load it.
 
 Scenarios with heterogeneous per-application lifetimes cannot be packed
 into uniform columns; those few results live in a bounded object
@@ -545,144 +547,146 @@ def materialise_comparison(
 
 
 # ----------------------------------------------------------------------
-# Shards
+# The set-associative result table
 # ----------------------------------------------------------------------
 
-
-class _Shard:
-    """One hash shard: parallel arrays plus a digest -> slot index.
-
-    Not thread-safe on its own — the owning store serialises access.
-    The index is keyed on the low digest word only; the high word is
-    verified vectorised at lookup, so a (astronomically unlikely) low
-    collision degrades to a miss/overwrite, never a wrong answer.
-    """
-
-    __slots__ = ("capacity", "lo", "hi", "floats", "ints", "tick", "index", "free")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.lo = np.zeros(capacity, dtype=np.uint64)
-        self.hi = np.zeros(capacity, dtype=np.uint64)
-        self.floats = np.empty((capacity, FLOAT_COLS), dtype=np.float64)
-        self.ints = np.empty((capacity, INT_COLS), dtype=np.int64)
-        self.tick = np.zeros(capacity, dtype=np.int64)
-        self.index: dict[int, int] = {}
-        self.free: list[int] = list(range(capacity - 1, -1, -1))
-
-    def lookup(self, lo: np.ndarray, hi: np.ndarray, clock: int) -> np.ndarray:
-        """Slot per query row (``-1`` for a miss), refreshing recency."""
-        get = self.index.get
-        slots = np.fromiter(
-            (get(key, -1) for key in lo.tolist()), dtype=np.int64, count=lo.size
-        )
-        found = slots >= 0
-        if found.any():
-            hit_slots = slots[found]
-            verified = self.hi[hit_slots] == hi[found]
-            if not verified.all():
-                slots[np.nonzero(found)[0][~verified]] = -1
-                found = slots >= 0
-                hit_slots = slots[found]
-            self.tick[hit_slots] = clock
-        return slots
-
-    def insert(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        floats: np.ndarray,
-        ints: np.ndarray,
-        clock: int,
-    ) -> None:
-        """Upsert a batch of rows, evicting the oldest slots when full.
-
-        ``lo`` and ``tick`` are written eagerly per row so that a
-        mid-batch eviction (triggered when the batch overflows the free
-        list) always consults live slot metadata; the payload columns
-        are scattered vectorised afterwards.  Duplicate keys within one
-        batch share a slot and the last row wins (fancy assignment
-        writes in order), matching dict upsert semantics.
-        """
-        slots = np.empty(lo.size, dtype=np.int64)
-        index = self.index
-        for r, key in enumerate(lo.tolist()):
-            slot = index.get(key)
-            if slot is None:
-                if not self.free:
-                    self._evict_batch()
-                slot = self.free.pop()
-                index[key] = slot
-                self.lo[slot] = key
-                self.tick[slot] = clock
-            slots[r] = slot
-        self.lo[slots] = lo
-        self.hi[slots] = hi
-        self.floats[slots] = floats
-        self.ints[slots] = ints
-        self.tick[slots] = clock
-
-    def _evict_batch(self) -> None:
-        """Free the least-recently-touched ~eighth of the shard."""
-        count = max(1, self.capacity // 8)
-        oldest = np.argpartition(self.tick, count - 1)[:count]
-        for slot in oldest.tolist():
-            self.index.pop(int(self.lo[slot]), None)
-            self.free.append(slot)
-
-    def occupied_slots(self) -> np.ndarray:
-        """Slots currently holding entries, oldest first (for save)."""
-        slots = np.fromiter(self.index.values(), dtype=np.int64,
-                            count=len(self.index))
-        return slots[np.argsort(self.tick[slots], kind="stable")]
-
-
-# ----------------------------------------------------------------------
-# The sharded store
-# ----------------------------------------------------------------------
+#: Ways per set.  With two candidate sets per key, a table below 80%
+#: of its capacity keeps every entry (measured on random keys at 4096
+#: and 65,536 entries).
+WAYS = 16
+#: ``tick`` of the slots past ``capacity`` in the last set: never
+#: matched and never chosen for eviction, so the table holds at most
+#: ``capacity`` entries.
+_UNUSABLE = np.iinfo(np.int64).max
 
 
 class ShardedResultStore:
-    """N hash-sharded, array-backed result stores with one lock.
+    """Set-associative, array-backed result table behind one lock.
 
     Args:
-        capacity: Total entry bound across the packed shards (``0``
-            disables storage entirely while keeping the API and miss
-            counters).  The object side-cache for unpackable
-            (ragged-lifetime / fractional-volume) results holds at most
-            an extra ``capacity // 8`` entries on top.
-        shards: Number of hash shards.  Clamped to ``capacity`` so every
-            shard holds at least one entry; the total across shards is
-            exactly ``capacity``.
+        capacity: Entry bound of the packed table (``0`` disables
+            storage entirely while keeping the API and miss counters).
+            The object side-cache for unpackable (ragged-lifetime /
+            fractional-volume) results holds at most an extra
+            ``capacity // 8`` entries on top.
 
-    Thread-safe: one lock serialises all shard access, and batch
-    lookups copy their gathered blocks before releasing it, so
+    A key may live in two sets of :data:`WAYS` slots, ``lo mod sets``
+    and ``hi mod sets``.  A slot holds the ``lo``/``hi`` digest words,
+    one float and one int payload row, and a ``tick``: the store clock
+    at its last get or put.  Probe, insert and eviction are whole-batch
+    array operations.  Two candidate sets keep a table that is below
+    capacity from evicting: one set per key would overflow some sets
+    long before the table fills.
+
+    Sets fill from way 0 and never free a way, so the empty ways of a
+    set are a suffix.  An empty way's ``tick`` is minus the number of
+    empty ways from it to the end of its set.  Every live ``tick`` is
+    ``>= 0``, so the smallest ``tick`` of a key's ``2 * WAYS`` ways is
+    the first empty way of its emptier set, or else its least recently
+    used way.
+
+    The class name predates the single table.
+
+    Thread-safe: one lock serialises all table access, and batch
+    lookups gather copies of their rows before releasing it, so
     concurrent eviction can never corrupt a caller's view.
     """
 
-    def __init__(self, capacity: int = 4096, shards: int = 8) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity < 0:
             raise ParameterError(f"cache capacity must be >= 0, got {capacity}")
-        if shards < 1:
-            raise ParameterError(f"cache shards must be >= 1, got {shards}")
         self.capacity = capacity
-        self.n_shards = min(shards, capacity) if capacity else shards
-        per = capacity // self.n_shards if capacity else 0
-        remainder = capacity - per * self.n_shards if capacity else 0
-        self._shards = [
-            _Shard(per + (1 if s < remainder else 0))
-            for s in range(self.n_shards)
-        ]
+        self._sets = -(-capacity // WAYS)
         self._objects = LruCache(maxsize=max(1, capacity // 8) if capacity else 0)
         self._lock = threading.Lock()
+        self._reset()
+
+    def _reset(self) -> None:
+        slots = self._sets * WAYS
+        self._lo = np.zeros(slots, dtype=np.uint64)
+        self._hi = np.zeros(slots, dtype=np.uint64)
+        index = np.arange(slots, dtype=np.int64)
+        set_end = np.minimum(self.capacity, (index // WAYS + 1) * WAYS)
+        self._tick = index - set_end
+        self._tick[self.capacity:] = _UNUSABLE
+        # Payload pages stay untouched until a row lands in them.
+        self._floats = np.empty((slots, FLOAT_COLS), dtype=np.float64)
+        self._ints = np.empty((slots, INT_COLS), dtype=np.int64)
+        self._size = 0
         self._hits = 0
         self._misses = 0
         self._clock = 0
 
     # -- batch (array) interface ---------------------------------------
 
-    def _shard_ids(self, lo: np.ndarray) -> np.ndarray:
-        return (lo % np.uint64(self.n_shards)).astype(np.int64)
+    def _sets_of(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The two candidate sets of each key, ``(n, 2)``."""
+        sets = np.uint64(self._sets)
+        return np.stack((lo % sets, hi % sets), axis=1).astype(np.intp)
+
+    def _probe(self, lo: np.ndarray, hi: np.ndarray, sets: np.ndarray) -> np.ndarray:
+        """Slot holding each row's full 128-bit key, ``-1`` where absent.
+
+        One ``(n, 2, WAYS)`` gather compares ``lo``; only the matching
+        candidates are checked against ``hi`` and liveness, so a
+        low-word collision is a miss, never a wrong row.
+        """
+        candidates = np.take(self._lo.reshape(-1, WAYS), sets, axis=0)
+        match = np.flatnonzero(candidates == lo[:, None, None])
+        row = match // (2 * WAYS)
+        slot = sets.reshape(-1)[match // WAYS] * WAYS + match % WAYS
+        tick = self._tick[slot]
+        live = (self._hi[slot] == hi[row]) & (tick >= 0) & (tick != _UNUSABLE)
+        found = np.full(lo.size, -1, dtype=np.intp)
+        found[row[live]] = slot[live]
+        return found
+
+    def _place(
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        sets: np.ndarray,
+        slot: np.ndarray,
+        clock: int,
+    ) -> None:
+        """Claim slots for the rows of ``slot`` that are ``-1``.
+
+        Only ``slot`` and the claimed ways' ``tick`` are written; the
+        caller stores the keys and payloads.  Each pending key picks
+        the way with the smallest ``tick`` of its two sets (see the
+        class docstring).  A round places, per picked set, the last
+        pending row that picked it; the other rows pick again in the
+        next round.  Earlier rows with a placed row's key are
+        superseded by it and get no slot.  A key whose ways all hold
+        this batch's keys is not stored.
+        """
+        pending = np.nonzero(slot < 0)[0]
+        head_of = np.empty(self._sets, dtype=np.intp)
+        # A row loses a round only to a placement into one of its own
+        # 2 * WAYS ways, so every row is settled within these rounds.
+        for _ in range(2 * WAYS + 1):
+            if pending.size == 0:
+                break
+            k = pending.size
+            ticks = np.take(
+                self._tick.reshape(-1, WAYS), sets[pending], axis=0
+            ).reshape(k, 2 * WAYS)
+            pick = ticks.argmin(axis=1)
+            victim = ticks.reshape(-1)[np.arange(k) * (2 * WAYS) + pick]
+            target = sets.reshape(-1)[pending * 2 + pick // WAYS]
+            head_of[target] = pending  # in-order writes: the last row wins
+            head = head_of[target]
+            place = (head == pending) & (victim < clock)
+            placed = target[place] * WAYS + pick[place] % WAYS
+            self._size += int(np.count_nonzero(victim[place] < 0))
+            self._tick[placed] = clock
+            slot[pending[place]] = placed
+            # A head without room means every row that picked its set
+            # has no room either.
+            pending = pending[
+                (slot[head] >= 0)
+                & ((lo[head] != lo[pending]) | (hi[head] != hi[pending]))
+            ]
 
     def get_batch(
         self, lo: np.ndarray, hi: np.ndarray
@@ -693,26 +697,23 @@ class ShardedResultStore:
         returned blocks.  Every row counts once toward hits/misses.
         """
         n = int(lo.size)
-        hits = np.zeros(n, dtype=bool)
-        floats = np.empty((n, FLOAT_COLS), dtype=np.float64)
-        ints = np.empty((n, INT_COLS), dtype=np.int64)
         if self.capacity == 0 or n == 0:
             with self._lock:
                 self._misses += n
-            return hits, floats, ints
+            return (
+                np.zeros(n, dtype=bool),
+                np.empty((n, FLOAT_COLS), dtype=np.float64),
+                np.empty((n, INT_COLS), dtype=np.int64),
+            )
+        sets = self._sets_of(lo, hi)
         with self._lock:
             self._clock += 1
-            shard_ids = self._shard_ids(lo)
-            for s, shard in enumerate(self._shards):
-                rows = np.nonzero(shard_ids == s)[0]
-                if rows.size == 0:
-                    continue
-                slots = shard.lookup(lo[rows], hi[rows], self._clock)
-                found = slots >= 0
-                hit_rows = rows[found]
-                hits[hit_rows] = True
-                floats[hit_rows] = shard.floats[slots[found]]
-                ints[hit_rows] = shard.ints[slots[found]]
+            slot = self._probe(lo, hi, sets)
+            hits = slot >= 0
+            self._tick[slot[hits]] = self._clock
+            gather = np.where(hits, slot, 0)
+            floats = np.take(self._floats, gather, axis=0)
+            ints = np.take(self._ints, gather, axis=0)
             n_hit = int(np.count_nonzero(hits))
             self._hits += n_hit
             self._misses += n - n_hit
@@ -721,19 +722,30 @@ class ShardedResultStore:
     def put_batch(
         self, lo: np.ndarray, hi: np.ndarray, floats: np.ndarray, ints: np.ndarray
     ) -> None:
-        """Upsert a batch of packed rows (no effect when disabled)."""
+        """Upsert a batch of packed rows (no effect when disabled).
+
+        Keys already stored are overwritten in place; duplicate keys
+        within one batch resolve to the last row.  A new key takes an
+        empty way of its two sets, else evicts the least recently used
+        one (see :meth:`_place`).
+        """
         if self.capacity == 0 or lo.size == 0:
             return
+        sets = self._sets_of(lo, hi)
         with self._lock:
             self._clock += 1
-            shard_ids = self._shard_ids(lo)
-            for s, shard in enumerate(self._shards):
-                rows = np.nonzero(shard_ids == s)[0]
-                if rows.size == 0:
-                    continue
-                shard.insert(
-                    lo[rows], hi[rows], floats[rows], ints[rows], self._clock
-                )
+            slot = self._probe(lo, hi, sets)
+            # Refresh upserted slots first so placement cannot evict them.
+            self._tick[slot[slot >= 0]] = self._clock
+            self._place(lo, hi, sets, slot, self._clock)
+            stored = slot >= 0
+            if not stored.all():
+                slot, lo, hi = slot[stored], lo[stored], hi[stored]
+                floats, ints = floats[stored], ints[stored]
+            self._lo[slot] = lo
+            self._hi[slot] = hi
+            self._floats[slot] = floats
+            self._ints[slot] = ints
 
     # -- object side-cache (unpackable results) ------------------------
 
@@ -754,24 +766,19 @@ class ShardedResultStore:
     # -- bookkeeping ----------------------------------------------------
 
     def stats(self) -> CacheStats:
-        """Aggregate counters across shards and the object side-cache."""
+        """Counters across the packed table and the object side-cache."""
         with self._lock:
-            size = sum(len(shard.index) for shard in self._shards)
             return CacheStats(
                 hits=self._hits,
                 misses=self._misses,
-                size=size + len(self._objects),
+                size=self._size + len(self._objects),
                 maxsize=self.capacity,
             )
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""
         with self._lock:
-            for s, shard in enumerate(self._shards):
-                self._shards[s] = _Shard(shard.capacity)
-            self._hits = 0
-            self._misses = 0
-            self._clock = 0
+            self._reset()
         self._objects.clear()
 
     # -- persistence -----------------------------------------------------
@@ -791,26 +798,12 @@ class ShardedResultStore:
         """
         path = Path(path)
         with self._lock:
-            blocks_lo, blocks_hi, blocks_f, blocks_i, blocks_t = [], [], [], [], []
-            for shard in self._shards:
-                slots = shard.occupied_slots()
-                blocks_lo.append(shard.lo[slots])
-                blocks_hi.append(shard.hi[slots])
-                blocks_f.append(shard.floats[slots])
-                blocks_i.append(shard.ints[slots])
-                blocks_t.append(shard.tick[slots])
-            lo = np.concatenate(blocks_lo) if blocks_lo else np.empty(0, np.uint64)
-            hi = np.concatenate(blocks_hi) if blocks_hi else np.empty(0, np.uint64)
-            floats = (
-                np.concatenate(blocks_f)
-                if blocks_f else np.empty((0, FLOAT_COLS))
-            )
-            ints = (
-                np.concatenate(blocks_i)
-                if blocks_i else np.empty((0, INT_COLS), np.int64)
-            )
-            ticks = np.concatenate(blocks_t) if blocks_t else np.empty(0, np.int64)
-        order = np.argsort(ticks, kind="stable")
+            slots = np.nonzero((self._tick >= 0) & (self._tick != _UNUSABLE))[0]
+            slots = slots[np.argsort(self._tick[slots], kind="stable")]
+            lo = self._lo[slots]
+            hi = self._hi[slots]
+            floats = self._floats[slots]
+            ints = self._ints[slots]
         return atomic_write(
             path,
             lambda handle: np.savez_compressed(
@@ -818,19 +811,20 @@ class ShardedResultStore:
                 meta=np.array(
                     [STORE_FORMAT_VERSION, FLOAT_COLS, INT_COLS], dtype=np.int64
                 ),
-                lo=lo[order],
-                hi=hi[order],
-                floats=floats[order],
-                ints=ints[order],
+                lo=lo,
+                hi=hi,
+                floats=floats,
+                ints=ints,
             ),
         )
 
     def load(self, path: "str | Path") -> int:
-        """Merge a persisted ``.npz`` shard dump into this store.
+        """Merge a persisted ``.npz`` dump into this store.
 
-        Entries are re-sharded on insert, so the saving process may have
-        used a different shard count.  Returns the number of entries
-        read; counters are untouched (loading is not a lookup).
+        The rows go in as one batch, so a store smaller than the dump
+        keeps the most recently used entries of each set (the dump is
+        oldest-first).  Returns the number of entries read; counters
+        are untouched (loading is not a lookup).
 
         Raises :class:`~repro.errors.StoreCorruptError` when the file is
         truncated, corrupted, or written in an incompatible format —

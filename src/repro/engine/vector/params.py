@@ -27,7 +27,7 @@ holds the parameter space as columns:
   :meth:`ParameterBatch.take`) — chunked multi-core dispatch splits a
   huge batch into per-worker column views without copying row data.
 
-Digesting parameter rows for the sharded result store lives in
+Digesting parameter rows for the result store lives in
 :mod:`repro.engine.store` (:func:`~repro.engine.store.param_batch_digests`),
 next to the scenario fold it extends.
 """

@@ -111,17 +111,6 @@ def test_cache_file_warms_across_cli_runs(tmp_path, capsys):
         reset_default_engine()
 
 
-def test_cache_shards_flag_configures_store(capsys):
-    from repro.engine import default_engine, reset_default_engine
-
-    reset_default_engine()
-    try:
-        assert main(["--cache-shards", "3", "compare"]) == 0
-        assert default_engine().result_store.n_shards == 3
-    finally:
-        reset_default_engine()
-
-
 def test_serve_bench_command(capsys):
     assert main([
         "serve-bench", "--clients", "2", "--requests", "3",

@@ -308,9 +308,9 @@ def test_param_batches_larger_than_store_bypass_it(dnn_comparator, scenario,
 def test_mixed_scenario_and_param_rows_evict_per_shard(
     dnn_comparator, scenario, intensity_dist
 ):
-    """Scenario-space and parameter-space rows share the shards; filling
+    """Scenario-space and parameter-space rows share the store; filling
     both beyond capacity must evict cleanly and keep answers exact."""
-    engine = EvaluationEngine(cache_size=48, cache_shards=4)
+    engine = EvaluationEngine(cache_size=48)
     reference = EvaluationEngine(cache_size=0)
 
     scenarios = [
@@ -323,7 +323,7 @@ def test_mixed_scenario_and_param_rows_evict_per_shard(
         draws = monte_carlo_batch(dnn_comparator, scenario,
                                   [intensity_dist], **mc_kwargs)
     stats = engine.cache_stats
-    assert stats.size <= 48 + 48 // 8  # packed shards + object side-cache
+    assert stats.size <= 48 + 48 // 8  # packed table + object side-cache
 
     cold_grid = reference.evaluate_batch(dnn_comparator, scenarios)
     np.testing.assert_array_equal(grid.ratios, cold_grid.ratios)

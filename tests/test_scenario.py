@@ -46,6 +46,16 @@ def test_validation():
         Scenario(app_size_mgates=0.0)
 
 
+@pytest.mark.parametrize("volume", [float("inf"), float("nan")])
+def test_non_finite_volume_is_rejected(volume):
+    """An infinite volume used to reach the digest's ``int(volume)`` as a
+    bare OverflowError, and NaN slipped past ``< 1`` into the models."""
+    with pytest.raises(ParameterError, match="volume must be finite"):
+        Scenario(volume=volume)
+    with pytest.raises(ParameterError):
+        Scenario().with_volume(volume)
+
+
 def test_with_num_apps():
     s = Scenario(num_apps=2, app_lifetime_years=1.5, volume=100)
     s2 = s.with_num_apps(5)

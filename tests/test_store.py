@@ -1,10 +1,11 @@
-"""Tests for the array-backed sharded result store.
+"""Tests for the array-backed, set-associative result store.
 
 Covers digest stability (the scalar fold must agree with the vectorised
-column fold bit-for-bit, and with itself across processes), shard
-routing and eviction, hit/miss accounting, ``.npz`` persistence
-round-trips, and the engine-level guarantee that store-served batches
-are bit-identical to freshly computed ones.
+column fold bit-for-bit, and with itself across processes), get/put
+sequences and eviction against a dict reference model, hit/miss
+accounting, ``.npz`` persistence round-trips, and the engine-level
+guarantee that store-served batches are bit-identical to freshly
+computed ones.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from repro.engine import (
 from repro.engine.store import (
     FLOAT_COLS,
     INT_COLS,
+    STORE_FORMAT_VERSION,
+    WAYS,
     materialise_comparison,
     pack_comparison,
 )
@@ -175,7 +178,7 @@ def _rows(keys):
 
 
 def test_store_put_get_roundtrip_bit_identical():
-    store = ShardedResultStore(capacity=32, shards=4)
+    store = ShardedResultStore(capacity=32)
     lo, hi, floats, ints = _rows(range(10))
     store.put_batch(lo, hi, floats, ints)
     hits, got_f, got_i = store.get_batch(lo, hi)
@@ -187,7 +190,7 @@ def test_store_put_get_roundtrip_bit_identical():
 
 
 def test_store_counts_misses_then_hits():
-    store = ShardedResultStore(capacity=16, shards=2)
+    store = ShardedResultStore(capacity=16)
     lo, hi, floats, ints = _rows(range(4))
     hits, _, _ = store.get_batch(lo, hi)
     assert not hits.any()
@@ -202,7 +205,7 @@ def test_store_counts_misses_then_hits():
 
 def test_store_high_word_mismatch_is_a_miss():
     """A low-word collision must degrade to a miss, never a wrong row."""
-    store = ShardedResultStore(capacity=8, shards=1)
+    store = ShardedResultStore(capacity=8)
     lo, hi, floats, ints = _rows([7])
     store.put_batch(lo, hi, floats, ints)
     wrong_hi = hi ^ np.uint64(1)
@@ -213,7 +216,7 @@ def test_store_high_word_mismatch_is_a_miss():
 
 
 def test_store_eviction_keeps_size_bounded_and_recency():
-    store = ShardedResultStore(capacity=8, shards=2)
+    store = ShardedResultStore(capacity=8)
     for start in range(0, 32, 4):
         lo, hi, floats, ints = _rows(range(start, start + 4))
         store.put_batch(lo, hi, floats, ints)
@@ -229,16 +232,144 @@ def test_store_eviction_keeps_size_bounded_and_recency():
     assert not hits.any()
 
 
-def test_store_clamps_shards_to_capacity():
-    store = ShardedResultStore(capacity=4, shards=16)
-    assert store.n_shards == 4
-    lo, hi, floats, ints = _rows(range(4))
+def test_store_in_batch_duplicates_resolve_last_row_wins():
+    store = ShardedResultStore(capacity=16)
+    lo, hi, floats, ints = _rows([5, 9, 5, 5, 9])
+    floats[:, 0] = np.arange(5.0)
+    ints[:, 0] = np.arange(5)
     store.put_batch(lo, hi, floats, ints)
-    assert store.stats().size == 4
+    assert store.stats().size == 2
+    hits, got_f, got_i = store.get_batch(lo[:2], hi[:2])
+    assert hits.all()
+    np.testing.assert_array_equal(got_f, floats[[3, 4]])
+    np.testing.assert_array_equal(got_i, ints[[3, 4]])
+    # Duplicates of a stored key overwrite it in place, last row winning.
+    floats[:, 1] = -1.0
+    store.put_batch(lo[::-1], hi[::-1], floats, ints)
+    hits, got_f, _ = store.get_batch(lo[:2], hi[:2])
+    assert hits.all() and store.stats().size == 2
+    np.testing.assert_array_equal(got_f, floats[[4, 3]])
+
+
+def test_store_overfull_put_keeps_its_upserts_and_latest_rows():
+    store = ShardedResultStore(capacity=8)  # one set of eight ways
+    store.put_batch(*_rows(range(8)))
+    # Key 7, the last row, took way 0: the way a tie between equally
+    # recent ways falls to once the set holds only this put's keys.
+    lo, hi, floats, ints = _rows([7] + list(range(100, 120)))
+    store.put_batch(lo, hi, floats, ints)
+    assert store.stats().size == 8
+    hits, got_f, _ = store.get_batch(lo, hi)
+    # The upserted key and the last seven new rows fill the set.
+    assert hits.tolist() == [True] + [False] * 13 + [True] * 7
+    np.testing.assert_array_equal(got_f[hits], floats[hits])
+
+
+def _must_survive(capacity: int, keys: np.ndarray) -> np.ndarray:
+    """Keys of one put that the put cannot have dropped.
+
+    A key lives in one of two sets (``lo`` and ``hi`` mod the set
+    count) and is dropped only when every usable way of both holds
+    another key of the same put.  Each set has ``WAYS`` usable ways,
+    fewer in the last set when the capacity is not a multiple of
+    ``WAYS``.
+    """
+    n_sets = -(-capacity // WAYS)
+    pair = (keys % np.uint64(n_sets)).astype(np.int64)
+    same = pair[:, 0] == pair[:, 1]
+    touching = np.bincount(pair[:, 0], minlength=n_sets) + np.bincount(
+        pair[~same, 1], minlength=n_sets
+    )
+    usable = np.minimum(WAYS, capacity - np.arange(n_sets) * WAYS)
+    others = touching[pair[:, 0]] + np.where(same, 0, touching[pair[:, 1]]) - 1
+    room = usable[pair[:, 0]] + np.where(same, 0, usable[pair[:, 1]])
+    return others < room
+
+
+@pytest.mark.parametrize("capacity", [0, 1, 7, 48, 4096, 65_536])
+def test_store_matches_a_dict_model(capacity):
+    """Seeded random get/put sequences against a dict reference model.
+
+    A hit must return the last-put payload bit for bit; keys never put,
+    including ones that only differ in the ``hi`` word or in the low
+    bits of ``lo``, must miss; the
+    size never exceeds the capacity; and every key of the latest put
+    survives whenever its two sets had room for all of that put's keys.
+    """
+    rng = np.random.default_rng(1000 + capacity)
+    pool_size = 3 * capacity + 16
+    pool_lo = rng.integers(0, 2**64, pool_size, dtype=np.uint64)
+    pool_hi = rng.integers(0, 2**64, pool_size, dtype=np.uint64)
+    pool_lo[1::5] = pool_lo[::5][: pool_lo[1::5].size]  # lo-sharing pairs
+    pool_hi[1::5] ^= np.uint64(1)
+    # hi-sharing pairs whose lo differs only below the probe tag bits
+    pool_hi[2::5] = pool_hi[::5][: pool_hi[2::5].size]
+    pool_lo[2::5] = pool_lo[::5][: pool_lo[2::5].size] ^ np.uint64(1)
+    max_batch = min(4 * capacity + 4, 3000)
+    store = ShardedResultStore(capacity=capacity)
+    model: dict[tuple[int, int], tuple[bytes, bytes]] = {}
+    lookups = 0
+
+    def check_get(lo, hi, ghosts=None):
+        nonlocal lookups
+        hits, got_f, got_i = store.get_batch(lo, hi)
+        lookups += lo.size
+        for r in np.nonzero(hits)[0]:
+            key = (int(lo[r]), int(hi[r]))
+            assert key in model
+            assert (got_f[r].tobytes(), got_i[r].tobytes()) == model[key]
+        if ghosts is not None:
+            assert not hits[ghosts].any()
+        return hits
+
+    for _ in range(40):
+        n = int(rng.integers(1, max_batch + 1))
+        pick = rng.integers(0, pool_size, n)
+        lo, hi = pool_lo[pick], pool_hi[pick]
+        if rng.random() < 0.5:
+            floats = rng.integers(
+                0, 2**63, (n, FLOAT_COLS), dtype=np.uint64
+            ).view(np.float64)
+            ints = rng.integers(-(2**62), 2**62, (n, INT_COLS), dtype=np.int64)
+            store.put_batch(lo, hi, floats, ints)
+            for r in range(n):
+                model[(int(lo[r]), int(hi[r]))] = (
+                    floats[r].tobytes(), ints[r].tobytes()
+                )
+            if capacity:
+                keys = np.unique(np.stack([lo, hi], axis=1), axis=0)
+                kept = keys[_must_survive(capacity, keys)]
+                assert check_get(kept[:, 0].copy(), kept[:, 1].copy()).all()
+        else:
+            ghost_hi = hi ^ np.uint64(2)  # pool hi words differ only in bit 0
+            ghosts = rng.random(n) < 0.3
+            check_get(lo, np.where(ghosts, ghost_hi, hi), ghosts)
+        stats = store.stats()
+        assert stats.size <= capacity
+        assert stats.hits + stats.misses == lookups
+    if capacity == 0:
+        assert stats.hits == 0 and stats.misses == lookups and stats.size == 0
+
+
+def test_store_below_capacity_keeps_every_entry():
+    """Set conflicts must not evict while the table has room: 73% of
+    the capacity in random keys, put 100 at a time, all stay."""
+    rng = np.random.default_rng(3)
+    n = 3000
+    lo = rng.integers(0, 2**64, n, dtype=np.uint64)
+    hi = rng.integers(0, 2**64, n, dtype=np.uint64)
+    floats = np.zeros((100, FLOAT_COLS))
+    ints = np.zeros((100, INT_COLS), dtype=np.int64)
+    store = ShardedResultStore(capacity=4096)
+    for start in range(0, n, 100):
+        store.put_batch(lo[start:start + 100], hi[start:start + 100],
+                        floats, ints)
+    assert store.stats().size == n
+    assert store.get_batch(lo, hi)[0].all()
 
 
 def test_store_capacity_zero_disables_storage():
-    store = ShardedResultStore(capacity=0, shards=8)
+    store = ShardedResultStore(capacity=0)
     lo, hi, floats, ints = _rows(range(3))
     store.put_batch(lo, hi, floats, ints)
     hits, _, _ = store.get_batch(lo, hi)
@@ -250,12 +381,10 @@ def test_store_capacity_zero_disables_storage():
 def test_store_validates_arguments():
     with pytest.raises(ParameterError):
         ShardedResultStore(capacity=-1)
-    with pytest.raises(ParameterError):
-        ShardedResultStore(shards=0)
 
 
 def test_store_clear_resets_everything():
-    store = ShardedResultStore(capacity=8, shards=2)
+    store = ShardedResultStore(capacity=8)
     lo, hi, floats, ints = _rows(range(4))
     store.put_batch(lo, hi, floats, ints)
     store.get_batch(lo, hi)
@@ -272,14 +401,14 @@ def test_store_clear_resets_everything():
 
 
 def test_store_save_load_roundtrip_bit_identical(tmp_path):
-    store = ShardedResultStore(capacity=64, shards=4)
+    store = ShardedResultStore(capacity=64)
     lo, hi, floats, ints = _rows(range(20))
     # Non-trivial float payloads: negative, subnormal-ish, huge.
     floats[:, 0] = np.linspace(-1.0e300, 1.0e-300, 20)
     store.put_batch(lo, hi, floats, ints)
     path = store.save(tmp_path / "warmth.npz")
 
-    loaded = ShardedResultStore(capacity=64, shards=7)  # re-sharded on load
+    loaded = ShardedResultStore(capacity=64)
     assert loaded.load(path) == 20
     hits, got_f, got_i = loaded.get_batch(lo, hi)
     assert hits.all()
@@ -299,7 +428,7 @@ def test_store_save_crash_mid_write_keeps_previous_snapshot(
     so a crash while the new bytes are being written leaves the old
     file byte-identical and loadable — and no temp litter behind.
     """
-    store = ShardedResultStore(capacity=64, shards=4)
+    store = ShardedResultStore(capacity=64)
     lo, hi, floats, ints = _rows(range(12))
     store.put_batch(lo, hi, floats, ints)
     path = store.save(tmp_path / "warmth.npz")
@@ -322,7 +451,7 @@ def test_store_save_crash_mid_write_keeps_previous_snapshot(
 
     assert path.read_bytes() == before
     assert not list(tmp_path.glob("*.tmp.*"))
-    loaded = ShardedResultStore(capacity=64, shards=4)
+    loaded = ShardedResultStore(capacity=64)
     assert loaded.load(path) == 12
     hits, got_f, _ = loaded.get_batch(lo, hi)
     assert hits.all()
@@ -330,20 +459,20 @@ def test_store_save_crash_mid_write_keeps_previous_snapshot(
 
     # And a healthy save afterwards picks up the full store again.
     store.save(path)
-    fresh = ShardedResultStore(capacity=64, shards=4)
+    fresh = ShardedResultStore(capacity=64)
     assert fresh.load(path) == 24
 
 
 def test_store_overflow_save_load_keeps_most_recent(tmp_path):
     """Fill past capacity, round-trip, and verify eviction + counters."""
-    store = ShardedResultStore(capacity=8, shards=2)
+    store = ShardedResultStore(capacity=8)
     for start in range(0, 24, 4):
         lo, hi, floats, ints = _rows(range(start, start + 4))
         store.put_batch(lo, hi, floats, ints)
     assert store.stats().size <= 8
     path = store.save(tmp_path / "overflow.npz")
 
-    loaded = ShardedResultStore(capacity=8, shards=2)
+    loaded = ShardedResultStore(capacity=8)
     n = loaded.load(path)
     assert n == store.stats().size
     lo, hi, floats, ints = _rows(range(20, 24))
@@ -353,6 +482,50 @@ def test_store_overflow_save_load_keeps_most_recent(tmp_path):
     np.testing.assert_array_equal(got_i, ints)
     stats = loaded.stats()
     assert stats.hits == 4 and stats.misses == 0
+
+
+def test_store_loads_a_v1_dump_written_directly(tmp_path):
+    """A dump written with ``np.savez_compressed`` and the v1 keys (as
+    every earlier release wrote it) loads bit for bit."""
+    lo, hi, floats, ints = _rows(range(100, 140))
+    floats[:, 3] = np.nan
+    floats[:, 4] = -0.0
+    path = tmp_path / "v1.npz"
+    with path.open("wb") as handle:
+        np.savez_compressed(
+            handle,
+            meta=np.array(
+                [STORE_FORMAT_VERSION, FLOAT_COLS, INT_COLS], dtype=np.int64
+            ),
+            lo=lo, hi=hi, floats=floats, ints=ints,
+        )
+    store = ShardedResultStore(capacity=4096)
+    assert store.load(path) == 40
+    hits, got_f, got_i = store.get_batch(lo, hi)
+    assert hits.all()
+    np.testing.assert_array_equal(got_f.view(np.uint64), floats.view(np.uint64))
+    np.testing.assert_array_equal(got_i, ints)
+
+
+def test_store_load_into_smaller_store_keeps_most_recent(tmp_path):
+    store = ShardedResultStore(capacity=64)
+    for start in range(0, 40, 4):
+        store.put_batch(*_rows(range(start, start + 4)))
+    lo, hi, _, _ = _rows(range(0, 4))
+    assert store.get_batch(lo, hi)[0].all()  # keys 0-3 become most recent
+    path = store.save(tmp_path / "warmth.npz")
+
+    small = ShardedResultStore(capacity=8)
+    assert small.load(path) == 40
+    assert small.stats().size == 8
+    for keys in (range(0, 4), range(36, 40)):
+        lo, hi, floats, ints = _rows(keys)
+        hits, got_f, got_i = small.get_batch(lo, hi)
+        assert hits.all()
+        np.testing.assert_array_equal(got_f, floats)
+        np.testing.assert_array_equal(got_i, ints)
+    lo, hi, _, _ = _rows(range(4, 36))
+    assert not small.get_batch(lo, hi)[0].any()
 
 
 def test_store_load_rejects_incompatible_format(tmp_path):
@@ -375,7 +548,7 @@ def test_store_load_rejects_incompatible_format(tmp_path):
 
 
 def _saved_store_path(tmp_path, n_rows: int = 16):
-    store = ShardedResultStore(capacity=64, shards=4)
+    store = ShardedResultStore(capacity=64)
     lo, hi, floats, ints = _rows(range(n_rows))
     store.put_batch(lo, hi, floats, ints)
     return store.save(tmp_path / "warmth.npz")
@@ -564,8 +737,3 @@ def test_engine_ragged_scenarios_use_object_cache(dnn_comparator):
     assert first == second == dnn_comparator.compare(ragged)
     stats = engine.cache_stats
     assert stats.misses == 1 and stats.hits == 1
-
-
-def test_engine_cache_shards_validation():
-    with pytest.raises(ParameterError):
-        EvaluationEngine(cache_shards=0)
