@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Each bench regenerates one paper artifact via pytest-benchmark, asserting
-the paper's qualitative shape on the produced data so a calibration
-regression fails the bench rather than silently shifting numbers.
+Each bench regenerates one paper artifact, asserting the paper's
+qualitative shape on the produced data so a calibration regression
+fails the bench rather than silently shifting numbers.
 """
 
 from __future__ import annotations

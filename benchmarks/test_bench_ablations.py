@@ -22,12 +22,12 @@ def _ratio_with(suite):
 
 
 @pytest.mark.parametrize("yield_model", ["murphy", "poisson", "seeds"])
-def test_bench_ablation_yield_model(benchmark, yield_model):
+def test_bench_ablation_yield_model(yield_model):
     """Yield-model choice: Poisson punishes the 4x-area FPGA hardest."""
     suite = ModelSuite.default().with_overrides(
         manufacturing=ManufacturingModel(yield_model=yield_model)
     )
-    ratio = benchmark(_ratio_with, suite)
+    ratio = _ratio_with(suite)
     assert ratio > 0.0
     seeds = _ratio_with(
         ModelSuite.default().with_overrides(
@@ -43,13 +43,13 @@ def test_bench_ablation_yield_model(benchmark, yield_model):
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.35, 1.0])
-def test_bench_ablation_design_beta(benchmark, beta):
+def test_bench_ablation_design_beta(beta):
     """Gate-scaling exponent: beta=1 (the paper's literal form) makes the
     FPGA's larger silicon carry proportionally larger design CFP."""
     suite = ModelSuite.default().with_overrides(
         design=DesignModel(gate_scaling_beta=beta)
     )
-    ratio = benchmark(_ratio_with, suite)
+    ratio = _ratio_with(suite)
     assert ratio > 0.0
     flat = _ratio_with(
         ModelSuite.default().with_overrides(design=DesignModel(gate_scaling_beta=0.0))
@@ -61,12 +61,12 @@ def test_bench_ablation_design_beta(benchmark, beta):
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
-def test_bench_ablation_recycled_materials(benchmark, rho):
+def test_bench_ablation_recycled_materials(rho):
     """Eq. (5) recycled sourcing: helps the larger-silicon FPGA more."""
     suite = ModelSuite.default().with_overrides(
         manufacturing=ManufacturingModel(recycled_fraction=rho)
     )
-    ratio = benchmark(_ratio_with, suite)
+    ratio = _ratio_with(suite)
     assert ratio > 0.0
     base = _ratio_with(ModelSuite.default())
     full = _ratio_with(
@@ -78,12 +78,12 @@ def test_bench_ablation_recycled_materials(benchmark, rho):
 
 
 @pytest.mark.parametrize("source", ["wind", "green_datacenter", "coal"])
-def test_bench_ablation_grid_intensity(benchmark, source):
+def test_bench_ablation_grid_intensity(source):
     """Use-phase grid: dirty grids penalise the 3x-power FPGA."""
     suite = ModelSuite.default().with_overrides(
         operation=OperationModel(energy_source=source)
     )
-    ratio = benchmark(_ratio_with, suite)
+    ratio = _ratio_with(suite)
     assert ratio > 0.0
     clean = _ratio_with(
         ModelSuite.default().with_overrides(operation=OperationModel(energy_source="wind"))

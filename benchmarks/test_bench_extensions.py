@@ -5,22 +5,22 @@ from repro.experiments import ext_fleet, ext_gpu, ext_uncertainty
 from repro.experiments.ext_gpu import three_way_totals
 
 
-def test_bench_ext_gpu(benchmark, suite):
-    totals = benchmark(three_way_totals, "dnn", None, suite)
+def test_bench_ext_gpu(suite):
+    totals = three_way_totals("dnn", None, suite)
     # GPU is the least sustainable platform at 1M units.
     assert totals["gpu"] > totals["fpga"]
     assert totals["gpu"] > totals["asic"]
 
 
-def test_bench_ext_gpu_low_volume(benchmark, suite):
+def test_bench_ext_gpu_low_volume(suite):
     scenario = Scenario(num_apps=5, app_lifetime_years=1.0, volume=100)
-    totals = benchmark(three_way_totals, "dnn", scenario, suite)
+    totals = three_way_totals("dnn", scenario, suite)
     # At tiny volume the GPU's amortised design beats per-app ASIC projects.
     assert totals["gpu"] < totals["asic"]
 
 
-def test_bench_ext_fleet(benchmark, suite):
-    plan = benchmark(ext_fleet.plan_portfolio, suite)
+def test_bench_ext_fleet(suite):
+    plan = ext_fleet.plan_portfolio(suite)
     assert plan.exact
     # The mixed fleet strictly beats both uniform deployments here.
     assert plan.total_kg < plan.all_fpga_kg
@@ -29,8 +29,8 @@ def test_bench_ext_fleet(benchmark, suite):
     assert "flagship-recsys" in plan.asic_apps
 
 
-def test_bench_ext_uncertainty(benchmark, suite):
-    report = benchmark(ext_uncertainty.run, suite)
+def test_bench_ext_uncertainty(suite):
+    report = ext_uncertainty.run(suite)
     summary = dict(report.tables["monte_carlo_summary"][0])
     assert 0.0 <= summary["fpga_win_probability"] <= 1.0
     assert summary["n_samples"] == ext_uncertainty.N_SAMPLES

@@ -3,8 +3,8 @@
 from repro.experiments import fig10_industry_fpga
 
 
-def test_bench_fig10(benchmark, suite):
-    footprints = benchmark(fig10_industry_fpga.assess_all, suite)
+def test_bench_fig10(suite):
+    footprints = fig10_industry_fpga.assess_all(suite)
     assert set(footprints) == {"industry_fpga1", "industry_fpga2"}
     for key, fp in footprints.items():
         # Paper ordering: operational > manufacturing > design.

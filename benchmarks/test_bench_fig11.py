@@ -3,8 +3,8 @@
 from repro.experiments import fig11_industry_asic
 
 
-def test_bench_fig11(benchmark, suite):
-    footprints = benchmark(fig11_industry_asic.assess_all, suite)
+def test_bench_fig11(suite):
+    footprints = fig11_industry_asic.assess_all(suite)
     assert set(footprints) == {"industry_asic1", "industry_asic2"}
     for key, fp in footprints.items():
         # Paper: operational dominates, then manufacturing, then design.

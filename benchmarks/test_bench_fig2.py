@@ -3,8 +3,8 @@
 from repro.experiments import fig2_motivation
 
 
-def test_bench_fig2(benchmark, suite):
-    one, ten = benchmark(fig2_motivation.ratios, suite)
+def test_bench_fig2(suite):
+    one, ten = fig2_motivation.ratios(suite)
     # Paper shape: FPGA worse alone, ~25% better across ten applications.
     assert one > 1.0
     assert ten < 1.0

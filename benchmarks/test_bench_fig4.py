@@ -6,8 +6,8 @@ from repro.experiments import fig4_num_apps
 
 
 @pytest.mark.parametrize("domain", ["dnn", "imgproc", "crypto"])
-def test_bench_fig4(benchmark, suite, domain):
-    result, crossings = benchmark(fig4_num_apps.domain_sweep, domain, suite)
+def test_bench_fig4(suite, domain):
+    result, crossings = fig4_num_apps.domain_sweep(domain, suite)
     assert len(result.values) == len(fig4_num_apps.NUM_APPS_VALUES)
     a2f = next((c for c in crossings if c.kind == "A2F"), None)
     paper = fig4_num_apps.PAPER_A2F[domain]

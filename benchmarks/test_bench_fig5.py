@@ -6,8 +6,8 @@ from repro.experiments import fig5_lifetime
 
 
 @pytest.mark.parametrize("domain", ["dnn", "imgproc", "crypto"])
-def test_bench_fig5(benchmark, suite, domain):
-    result, crossings = benchmark(fig5_lifetime.domain_sweep, domain, suite)
+def test_bench_fig5(suite, domain):
+    result, crossings = fig5_lifetime.domain_sweep(domain, suite)
     if domain == "crypto":
         assert all(r < 1.0 for r in result.ratios), "crypto: FPGA always greener"
     elif domain == "imgproc":

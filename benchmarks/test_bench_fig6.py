@@ -6,8 +6,8 @@ from repro.experiments import fig6_volume
 
 
 @pytest.mark.parametrize("domain", ["dnn", "imgproc", "crypto"])
-def test_bench_fig6(benchmark, suite, domain):
-    result, crossings = benchmark(fig6_volume.domain_sweep, domain, suite)
+def test_bench_fig6(suite, domain):
+    result, crossings = fig6_volume.domain_sweep(domain, suite)
     paper = fig6_volume.PAPER_F2A[domain]
     f2a = next((c for c in crossings if c.kind == "F2A"), None)
     if paper is None:

@@ -7,8 +7,8 @@ from repro.experiments import fig7_breakdown
 
 @pytest.mark.parametrize("axis,values", fig7_breakdown.PANELS,
                          ids=[p[0] for p in fig7_breakdown.PANELS])
-def test_bench_fig7(benchmark, suite, axis, values):
-    rows = benchmark(fig7_breakdown.panel_breakdowns, axis, values, suite)
+def test_bench_fig7(suite, axis, values):
+    rows = fig7_breakdown.panel_breakdowns(axis, values, suite)
     fpga, asic = rows["fpga"], rows["asic"]
     assert len(fpga) == len(values) == len(asic)
     if axis == "num_apps":

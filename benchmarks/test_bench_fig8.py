@@ -7,8 +7,8 @@ from repro.experiments import fig8_heatmaps
 
 
 @pytest.mark.parametrize("held", [p[0] for p in fig8_heatmaps.PANELS])
-def test_bench_fig8(benchmark, suite, held):
-    result = benchmark(fig8_heatmaps.panel, held, suite)
+def test_bench_fig8(suite, held):
+    result = fig8_heatmaps.panel(held, suite)
     assert result.ratios.shape == (len(result.y_values), len(result.x_values))
     assert np.all(result.ratios > 0.0)
     # The grid must contain both regimes (a boundary exists on every panel).
@@ -17,9 +17,9 @@ def test_bench_fig8(benchmark, suite, held):
     assert result.boundary_cells()
 
 
-def test_bench_fig8_structure(benchmark, suite):
+def test_bench_fig8_structure(suite):
     """Paper: ratio falls with N_app, rises with T_i and N_vol."""
-    result = benchmark(fig8_heatmaps.panel, "volume", suite)  # x=num_apps, y=lifetime
+    result = fig8_heatmaps.panel("volume", suite)  # x=num_apps, y=lifetime
     ratios = result.ratios
     # Along increasing N_app (columns), ratio is non-increasing.
     assert np.all(np.diff(ratios, axis=1) <= 1e-9)

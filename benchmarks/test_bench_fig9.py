@@ -6,8 +6,8 @@ from repro.experiments import fig9_chip_lifetime
 
 
 @pytest.mark.parametrize("domain", ["dnn", "imgproc", "crypto"])
-def test_bench_fig9(benchmark, suite, domain):
-    rows = benchmark(fig9_chip_lifetime.domain_series, domain, suite)
+def test_bench_fig9(suite, domain):
+    rows = fig9_chip_lifetime.domain_series(domain, suite)
     assert len(rows) == fig9_chip_lifetime.MAX_YEARS
     jumps = fig9_chip_lifetime.jump_years(rows)
     # Paper: jumps at the 15- and 30-year marks in the FPGA curve.

@@ -1,66 +1,32 @@
-"""Bench: the async batch-serving front-end under concurrent clients.
+"""Bench: the serving front-ends under concurrent clients.
 
 Drives :func:`repro.engine.service.serving_benchmark` — the same harness
-behind ``greenfpga serve-bench`` — over one shared cell universe in four
-phases (1 serialized vs 8 concurrent clients, cold store vs
-persisted-warm ``.npz``) and emits ``benchmarks/BENCH_serving.json`` so
-the serving-throughput trajectory is tracked run to run
-(``scripts/check.sh`` surfaces it).
+behind ``greenfpga serve-bench`` — over one shared cell universe in
+four phases (1 serialized vs 8 concurrent clients, cold store vs
+persisted-warm ``.npz``), and
+:func:`repro.engine.serve.bench.latency_benchmark` — 8 and 64 socket
+clients, fault-free and with one injected worker kill per repeat.
 
-Gates:
-
-* 8 concurrent clients must achieve >= :data:`MIN_CONCURRENT_SPEEDUP` x
-  the aggregate throughput of *windowed* serialized dispatch on the
-  shared warm cache (the ``warm_serialized_1_windowed`` reference
-  phase, ``adaptive_window=False``).  Windowed dispatch pays the
-  micro-batching window plus per-dispatch overhead once per request;
-  concurrent clients amortise both across fused vector dispatches;
-* the default adaptive window must serve an idle-queue serialized
-  client at near-eager latency: ``warm_serialized_1`` (adaptive) must
-  cost at most :data:`MAX_ADAPTIVE_OVER_EAGER` x the
-  ``warm_serialized_1_eager`` reference (``eager_single=True``).
-  Before the adaptive window a lone client paid the 2 ms window on
-  every request — 0.596 s vs 0.149 s eager, a 4x penalty for nothing;
-* the persisted-warm concurrent phase must recompute *zero* rows — every
-  cell is served from the ``.npz``-loaded store, proving in-flight
-  deduplication plus persistence work end to end.
-
-The latency test adds a ``latency`` section to the same JSON (p50/p99
-under 8 and 64 socket clients, fault-free and with one injected worker
-kill per repeat, via
-:func:`repro.engine.serve.bench.latency_benchmark`); its p99 keys are
-gated by ``scripts/bench_compare.py`` (>25% increase fails) and its
-bit-identity-under-kill flag is asserted here.
+Asserted here: the persisted-warm concurrent phase recomputes *zero*
+rows (every cell is served from the ``.npz``-loaded store, proving
+in-flight deduplication plus persistence work end to end), and served
+columns stay bit-identical across every latency phase including the
+kills.  The throughput ratios and p99 bounds of the same harnesses are
+gated by ``benchmarks/timing_gates.py``.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 from repro.engine.serve.bench import latency_benchmark
 from repro.engine.service import serving_benchmark
-
-BENCH_JSON = Path(__file__).parent / "BENCH_serving.json"
 
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 24
 CELLS_PER_REQUEST = 100
 
-#: Aggregate-throughput floor: 8 coalesced clients vs windowed
-#: serialized dispatch on the same warm store.  Measured ~5-6x; 4x keeps
-#: the gate robust on noisy machines while still failing a broken
-#: micro-batcher.
-MIN_CONCURRENT_SPEEDUP = 4.0
 
-#: Adaptive-window ceiling: a lone serialized client on an idle queue
-#: must run at near-eager latency (measured ~1.0x; 1.5x absorbs noise).
-MAX_ADAPTIVE_OVER_EAGER = 1.5
-
-
-def test_serving_throughput_and_emit_bench_json(tmp_path):
-    """1 vs 8 clients, cold vs persisted-warm; emit BENCH_serving.json."""
+def test_serving_persisted_warmth_recomputes_nothing(tmp_path):
+    """1 vs 8 clients, cold vs persisted-warm."""
     report = serving_benchmark(
         clients=CLIENTS,
         requests_per_client=REQUESTS_PER_CLIENT,
@@ -68,51 +34,22 @@ def test_serving_throughput_and_emit_bench_json(tmp_path):
         cache_file=tmp_path / "serving-warmth.npz",
     )
 
-    BENCH_JSON.write_text(json.dumps({
-        "generated_unix": time.time(),
-        "min_concurrent_speedup_gate": MIN_CONCURRENT_SPEEDUP,
-        "max_adaptive_over_eager_gate": MAX_ADAPTIVE_OVER_EAGER,
-        **report,
-    }, indent=2) + "\n")
-
     unique_cells = REQUESTS_PER_CLIENT * CELLS_PER_REQUEST
     assert report["persisted_entries"] == unique_cells
     assert report["warm_concurrent_rows_recomputed"] == 0, (
         "persisted-warm clients recomputed cells the .npz store already held"
     )
 
-    speedup = report["speedup_concurrent_vs_windowed_serialized_warm"]
-    assert speedup >= MIN_CONCURRENT_SPEEDUP, (
-        f"{CLIENTS} concurrent clients only {speedup:.2f}x the windowed "
-        f"serialized single-client throughput on a shared warm cache "
-        f"(gate {MIN_CONCURRENT_SPEEDUP:g}x): "
-        f"{report['phases']}"
-    )
 
-    adaptive_penalty = report["adaptive_serialized_over_eager_warm"]
-    assert adaptive_penalty <= MAX_ADAPTIVE_OVER_EAGER, (
-        f"adaptive window still charges a lone serialized client "
-        f"{adaptive_penalty:.2f}x the eager reference "
-        f"(gate {MAX_ADAPTIVE_OVER_EAGER:g}x): {report['phases']}"
-    )
-
-
-def test_serving_latency_percentiles_and_emit(tmp_path):
-    """p50/p99 under 8 and 64 clients, fault-free and with one kill.
+def test_serving_latency_bit_identical_under_kill(tmp_path):
+    """Served columns stay bit-identical with one worker kill.
 
     Runs the socket-serving latency benchmark (2 supervised workers,
-    real connections, pooled percentiles over 3 fresh-server repeats;
-    the one-kill phases hard-kill worker 0 mid-window every repeat) and
-    merges the report into ``BENCH_serving.json`` under ``latency`` —
-    read-modify-write, so it composes with the throughput section the
-    first test emitted.  Defined after that test on purpose: pytest
-    runs tests in definition order, and the wholesale write must land
-    first.
-
-    Gates here: bit-identity across every phase including the kills,
-    and at least one worker death per one-kill repeat (otherwise the
-    chaos injection silently stopped firing).  The p99 trajectory gate
-    lives in ``scripts/bench_compare.py``.
+    real connections, 3 fresh-server repeats; the one-kill phases
+    hard-kill worker 0 mid-window every repeat) and asserts
+    bit-identity across every phase, and at least one worker death per
+    one-kill repeat (otherwise the chaos injection silently stopped
+    firing).
     """
     report = latency_benchmark(cache_file=tmp_path / "latency-warmth.npz")
 
@@ -127,30 +64,3 @@ def test_serving_latency_percentiles_and_emit(tmp_path):
         assert modes["fault_free"]["worker_deaths"] == 0, (
             f"{name}: fault-free phase lost a worker: {modes}"
         )
-
-    merged = {}
-    if BENCH_JSON.exists():
-        merged = json.loads(BENCH_JSON.read_text())
-    merged["latency"] = report
-    BENCH_JSON.write_text(json.dumps(merged, indent=2) + "\n")
-
-
-def test_serving_warm_beats_cold_serialized(tmp_path):
-    """Persisted warmth must not be slower than cold for the same drive.
-
-    A weak (1.0x) monotonicity gate: loading the ``.npz`` store and
-    serving gathers can only remove kernel work, never add it.  Kept
-    separate from the throughput gate so a failure pinpoints
-    persistence rather than coalescing.
-    """
-    report = serving_benchmark(
-        clients=2,
-        requests_per_client=8,
-        cells_per_request=50,
-        cache_file=tmp_path / "warmth.npz",
-    )
-    phases = report["phases"]
-    assert (
-        phases["warm_serialized_1"]["elapsed_s"]
-        <= phases["cold_serialized_1"]["elapsed_s"] * 1.5
-    ), phases

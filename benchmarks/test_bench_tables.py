@@ -3,14 +3,14 @@
 from repro.experiments import tables
 
 
-def test_bench_table1(benchmark):
-    rows = benchmark(tables.table1_rows)
+def test_bench_table1():
+    rows = tables.table1_rows()
     assert len(rows) == 10  # every Table 1 parameter
     assert all(row["in_range"] for row in rows)
 
 
-def test_bench_table2(benchmark):
-    rows = benchmark(tables.table2_rows)
+def test_bench_table2():
+    rows = tables.table2_rows()
     by_domain = {row["domain"]: row for row in rows}
     assert by_domain["dnn"]["area_ratio"] == 4.0
     assert by_domain["dnn"]["power_ratio"] == 3.0
@@ -20,8 +20,8 @@ def test_bench_table2(benchmark):
     assert by_domain["crypto"]["power_ratio"] == 1.0
 
 
-def test_bench_table3(benchmark):
-    rows = benchmark(tables.table3_rows)
+def test_bench_table3():
+    rows = tables.table3_rows()
     by_name = {row["testcase"]: row for row in rows}
     assert by_name["IndustryASIC1"]["area_mm2"] == 340.0
     assert by_name["IndustryASIC2"]["power_w"] == 192.0

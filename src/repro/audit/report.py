@@ -4,9 +4,9 @@ One :class:`AuditReport` bundles the lint layer's
 :class:`~repro.audit.linter.LintReport` and the parity layer's
 :class:`~repro.audit.parity.ParityReport` (either may be absent when a
 run is ``--lint-only``/``--parity-only``).  The JSON payload carries a
-top-level ``audit_version`` marker so tooling that sweeps the
-benchmarks directory (``scripts/bench_compare.py``) can recognise and
-skip audit reports.
+top-level ``audit_version`` marker: the schema version of the payload,
+bumped when its layout changes so readers can tell which layout they
+hold.
 """
 
 from __future__ import annotations

@@ -153,11 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
     layer.add_argument("--parity-only", action="store_true",
                        help="run only the registry parity layer")
     audit.add_argument(
-        "--parity-values", type=int, default=None, metavar="N",
-        help=(
-            "perturbation values per registry column (default: 2 when "
-            "BENCH_QUICK is set and nonzero, else 4)"
-        ),
+        "--parity-values", type=int, default=4, metavar="N",
+        help="perturbation values per registry column (default: 4)",
     )
     audit.add_argument("--root", default=None, metavar="DIR",
                        help="lint a tree other than the installed repro package")
@@ -345,7 +342,6 @@ def _cmd_serve_bench(
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    import os
     from pathlib import Path
 
     from repro.audit.baseline import (
@@ -389,11 +385,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
     parity_report = None
     if not args.lint_only:
-        values = args.parity_values
-        if values is None:
-            quick = os.environ.get("BENCH_QUICK", "")
-            values = 2 if quick not in ("", "0") else 4
-        parity_report = run_parity(values_per_column=values)
+        parity_report = run_parity(values_per_column=args.parity_values)
 
     report = AuditReport(lint=lint_report, parity=parity_report)
     print(report.render())

@@ -1,9 +1,9 @@
 """Process-tree memory measurement for streaming workloads.
 
 The streaming reduction pipeline promises *bounded* peak memory —
-``O(chunk_rows)`` per worker, not ``O(n)`` — so the benchmarks, the CLI
-and ``scripts/bench_compare.py`` need a number to hold it to: the peak
-resident set of the whole process tree (the parent plus its spawn
+``O(chunk_rows)`` per worker, not ``O(n)`` — so the benchmark tests, the
+CLI and ``perfbench`` need a number to hold it to: the peak resident
+set of the whole process tree (the parent plus its spawn
 workers) over a measured phase.  Linux exposes everything required in
 ``/proc``; this module reads it directly so the measurement works in
 the bare test container (no ``psutil``).
@@ -11,7 +11,7 @@ the bare test container (no ``psutil``).
 :class:`PeakRssSampler` polls ``VmRSS`` of the current process and
 every live descendant on a background thread and keeps the maximum of
 the sums.  Sampling is approximate by nature (a spike between polls is
-missed), which is exactly the fidelity a >25%-headroom RSS budget gate
+missed), which is exactly the fidelity an RSS budget with wide headroom
 needs — and the only kind available without instrumenting every
 allocation.  On platforms without ``/proc`` the sampler degrades to
 reporting ``0.0`` rather than failing the workload it observes.

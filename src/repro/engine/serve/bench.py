@@ -12,14 +12,12 @@ Two properties are asserted, not just measured:
 * **bit-identity** — every response in every phase (including the
   one-kill phases, across the death, the replay, and the restart) must
   equal the locally computed reference columns exactly;
-* **bounded tail** — p50/p99 land in ``BENCH_serving.json`` where
-  ``scripts/bench_compare.py`` gates p99 regressions (>25% fails) and
-  warns on p50 drift.
+* **bounded tail** — the fault-free p99 per client count is gated by
+  ``benchmarks/timing_gates.py`` (median over repeated runs).
 
 The store warmth is pre-seeded through the shared ``.npz`` cache file,
 so workers serve digest-keyed gathers — the benchmark tracks serving
-overhead and tail behaviour, not kernel throughput (BENCH_engine.json
-owns that).
+overhead and tail behaviour, not kernel throughput.
 """
 
 from __future__ import annotations

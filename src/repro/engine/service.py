@@ -452,11 +452,11 @@ def serving_benchmark(
       near-eager latency.
 
     Returns a JSON-ready dict with per-phase elapsed seconds and
-    scenarios/sec plus two headline ratios the ``BENCH_serving.json``
-    gates track: coalesced concurrent clients vs windowed serialized
-    dispatch (the micro-batching win), and adaptive serialized vs eager
-    serialized (the idle-queue window penalty, which the adaptive
-    window exists to remove).
+    scenarios/sec plus two headline ratios that
+    ``benchmarks/timing_gates.py`` gates: coalesced concurrent clients
+    vs windowed serialized dispatch (the micro-batching win), and
+    adaptive serialized vs eager serialized (the idle-queue window
+    penalty, which the adaptive window exists to remove).
     """
     comparator = PlatformComparator.for_domain(domain)
     total_requests = clients * requests_per_client
@@ -541,11 +541,11 @@ def serving_benchmark(
             "total_scenarios": total_cells,
             "batch_window_s": batch_window_s,
             # Serving always materialises result rows (clients receive
-            # per-row slices); recorded so BENCH_serving.json stays
-            # comparable if a streaming reducer mode lands here too.
-            # kernel_tier is the tier a reduce= path would serve under
-            # the current REPRO_KERNEL resolution, making the artifact
-            # self-describing about the deployed kernel stack.
+            # per-row slices); recorded so reports stay comparable if a
+            # streaming reducer mode lands here too.  kernel_tier is the
+            # tier a reduce= path would serve under the current
+            # REPRO_KERNEL resolution, making the report self-describing
+            # about the deployed kernel stack.
             "reduce_mode": "materialized",
             "kernel_tier": kernel_tier_label(None),
             "persisted_entries": int(persisted),

@@ -227,3 +227,36 @@ def test_mc_stream_checkpoint_resumes_from_file(tmp_path, capsys):
         assert metrics(first)
     finally:
         reset_default_engine()
+
+
+def test_audit_parity_values_default_ignores_bench_quick(monkeypatch, capsys):
+    """The sweep size is a CLI default, not a benchmark-scale setting."""
+    from repro.audit import parity
+
+    seen = []
+
+    def fake_run_parity(values_per_column):
+        seen.append(values_per_column)
+        return parity.ParityReport(columns=())
+
+    monkeypatch.setenv("BENCH_QUICK", "1")
+    monkeypatch.setattr(parity, "run_parity", fake_run_parity)
+    assert main(["audit", "--parity-only"]) == 0
+    assert seen == [4]
+
+
+def test_setup_py_declares_package_metadata():
+    """``pip install -e .`` needs a real name and version to install
+    the ``greenfpga`` command."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=root, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert out == ["greenfpga", repro.__version__]
