@@ -136,6 +136,19 @@ def evaluate_job(
         return ("error", f"unexpected evaluation failure: {exc!r}")
 
 
+def _send(conn, message) -> bool:
+    """Send ``message``; ``False`` when the server has hung up.
+
+    A ping or a reply can race server shutdown; the broken pipe ends
+    service exactly like a failed ``recv``.
+    """
+    try:
+        conn.send(message)
+    except OSError:
+        return False
+    return True
+
+
 def worker_main(conn, spec: WorkerSpec) -> None:
     """Process entry point: serve batch jobs from the pipe until EOF.
 
@@ -171,7 +184,8 @@ def worker_main(conn, spec: WorkerSpec) -> None:
             if message is None:
                 break
             if message[0] == "ping":
-                conn.send(("pong", spec.index, batches_done))
+                if not _send(conn, ("pong", spec.index, batches_done)):
+                    break
                 continue
             job = message[1]
             if kill_at is not None and batches_done >= kill_at:
@@ -187,7 +201,8 @@ def worker_main(conn, spec: WorkerSpec) -> None:
                 job["columns"],
                 job.get("deadline"),
             )
-            conn.send((reply[0], job["id"], *reply[1:]))
+            if not _send(conn, (reply[0], job["id"], *reply[1:])):
+                break
             batches_done += 1
             if (
                 spec.snapshot_every_s is not None

@@ -25,6 +25,24 @@ detected by a whole-file checksum and handled like a corrupt cache
 snapshot: log and start cold (the checkpoint is a recovery artefact,
 never ground truth).
 
+The file is one fixed container, little-endian throughout::
+
+    b"GFCKPT" | u16 format | 16-byte digest | u32 header length
+    | JSON header | raw array bytes
+
+The JSON header carries the job identity plus ``rows_done`` (``meta``)
+and an array table (``arrays``: ``name``, ``dtype.str``, ``shape`` per
+entry); the arrays follow back to back in table order.  The digest is
+SHA-256 over every byte except the digest itself, truncated to 16
+bytes, hashed part by part so the ~1 MB of array bytes is never
+concatenated before hashing.  Decoding slices the arrays out with
+``np.frombuffer`` against the table: only ``bool``, ``int64``,
+``uint64`` and ``float64`` are accepted, every offset is bounds-checked,
+trailing bytes are rejected, and nothing is ever unpickled.  A file in
+the format-1 layout (``GFCKPT`` + blake2b-128 digest + length-prefixed
+JSON + ``npz``) is recognised by its own checksum and rejected as a
+``format`` identity mismatch, never misread and never discarded.
+
 The driver is :func:`repro.engine.vector.streaming.run_stream`
 (``checkpoint=`` keyword), surfaced as
 ``EvaluationEngine.reduce_stream(checkpoint=...)``,
@@ -35,7 +53,6 @@ The driver is :func:`repro.engine.vector.streaming.run_stream`
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import logging
 import math
@@ -59,10 +76,16 @@ logger = logging.getLogger(__name__)
 #: Bumped on any change to the checkpoint layout or reducer state
 #: packing; a version mismatch is an identity mismatch (the old file
 #: cannot be trusted to deserialize), not a corruption.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 _MAGIC = b"GFCKPT"
 _DIGEST_BYTES = 16
+#: ``magic | u16 format``: the bytes ahead of the digest.
+_PREFIX = _MAGIC + CHECKPOINT_FORMAT_VERSION.to_bytes(2, "little")
+#: Offset of the JSON header (after the digest and its u32 length).
+_HEADER_AT = len(_PREFIX) + _DIGEST_BYTES + 4
+#: ``dtype.str`` of every array a checkpoint may carry.
+_DTYPES = frozenset({"|b1", "<i8", "<u8", "<f8"})
 
 #: Default unit count when no ``every_rows`` cadence is given: the run
 #: is split into ~64 resume units so a crash loses at most ~1.6% of a
@@ -186,7 +209,7 @@ class CheckpointJournal:
         except FileNotFoundError:
             return journal
         try:
-            meta, done, state = _decode(raw)
+            meta, arrays = _decode(raw)
         except StoreCorruptError as error:
             logger.warning(
                 "checkpoint %s is unusable (%s); starting from scratch",
@@ -202,13 +225,17 @@ class CheckpointJournal:
                 f"checkpoint {journal.path} belongs to a different job "
                 f"(mismatched: {', '.join(drift)}); delete it to start over"
             )
+        done = arrays["done"]
         if done.shape[0] != len(units):
             raise CheckpointMismatchError(
                 f"checkpoint {journal.path} has {done.shape[0]} units, "
                 f"expected {len(units)}"
             )
-        journal.done = done.astype(bool).copy()
-        journal.merged = reduction.from_state(state)
+        journal.done = done.copy()
+        journal.merged = reduction.from_state(
+            {key[len("s."):]: array for key, array in arrays.items()
+             if key.startswith("s.")}
+        )
         journal.resumed_units = int(np.count_nonzero(journal.done))
         return journal
 
@@ -281,46 +308,124 @@ class CheckpointJournal:
         arrays: dict[str, np.ndarray] = {"done": self.done}
         for key, array in self.merged.to_state().items():
             arrays[f"s.{key}"] = array
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        meta_json = json.dumps(meta, sort_keys=True).encode("utf-8")
-        body = (
-            len(meta_json).to_bytes(4, "little") + meta_json + buf.getvalue()
-        )
-        digest = hashlib.blake2b(body, digest_size=_DIGEST_BYTES).digest()
-        atomic_write_bytes(self.path, _MAGIC + digest + body)
+        payload = _encode(meta, arrays)
+        atomic_write_bytes(self.path, payload)
         self.flushes += 1
         self._rows_since_flush = 0
         self._last_flush_s = time.monotonic()
         return True
 
 
-def _decode(raw: bytes) -> "tuple[dict, np.ndarray, dict[str, np.ndarray]]":
-    """Parse checkpoint bytes into ``(meta, done, reduction_state)``.
+def _digest(*parts) -> bytes:
+    """SHA-256 over ``parts`` in order, truncated to the digest size."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.digest()[:_DIGEST_BYTES]
+
+
+def _encode(meta: dict, arrays: "dict[str, np.ndarray]") -> bytes:
+    """The container bytes for ``meta`` and ``arrays`` (in dict order)."""
+    table = []
+    blobs = []
+    for name, array in arrays.items():
+        array = np.ascontiguousarray(
+            array, dtype=array.dtype.newbyteorder("<")
+        )
+        if array.dtype.str not in _DTYPES:
+            raise ParameterError(
+                f"checkpoint array {name!r} has unsupported dtype "
+                f"{array.dtype.str!r}"
+            )
+        table.append(
+            {"name": name, "dtype": array.dtype.str,
+             "shape": list(array.shape)}
+        )
+        blobs.append(array)
+    header = json.dumps(
+        {"meta": meta, "arrays": table}, sort_keys=True
+    ).encode("utf-8")
+    length = len(header).to_bytes(4, "little")
+    digest = _digest(_PREFIX, length, header, *blobs)
+    return b"".join([_PREFIX, digest, length, header, *blobs])
+
+
+def _decode(raw: bytes) -> "tuple[dict, dict[str, np.ndarray]]":
+    """Parse checkpoint bytes into ``(meta, arrays)``.
 
     Raises :class:`StoreCorruptError` on any structural damage — the
-    whole-file checksum catches truncation and bit flips before the
-    payload is ever handed to :mod:`numpy`.
+    checksum catches truncation and bit flips before the array table is
+    read, and the table is bounds-checked entry by entry.  A valid
+    format-1 file decodes to its identity header and no arrays, so the
+    caller's identity check rejects it on ``format``.  The arrays are
+    read-only views into ``raw``.
     """
-    header = len(_MAGIC) + _DIGEST_BYTES + 4
-    if len(raw) < header or not raw.startswith(_MAGIC):
-        raise StoreCorruptError("not a checkpoint file (bad magic)")
-    digest = raw[len(_MAGIC) : len(_MAGIC) + _DIGEST_BYTES]
-    body = raw[len(_MAGIC) + _DIGEST_BYTES :]
-    if hashlib.blake2b(body, digest_size=_DIGEST_BYTES).digest() != digest:
-        raise StoreCorruptError("checkpoint checksum mismatch")
-    meta_len = int.from_bytes(body[:4], "little")
-    if meta_len <= 0 or 4 + meta_len > len(body):
-        raise StoreCorruptError("checkpoint metadata length out of range")
+    view = memoryview(raw)
+    digest_at = len(_PREFIX)
+    if len(raw) < _HEADER_AT or not raw.startswith(_PREFIX) or (
+        _digest(view[:digest_at], view[digest_at + _DIGEST_BYTES :])
+        != raw[digest_at : digest_at + _DIGEST_BYTES]
+    ):
+        return _format1_meta(raw), {}
+    offset = _HEADER_AT + int.from_bytes(raw[_HEADER_AT - 4 : _HEADER_AT],
+                                         "little")
+    if offset > len(raw):
+        raise StoreCorruptError("checkpoint header length out of range")
+    arrays: dict[str, np.ndarray] = {}
     try:
-        meta = json.loads(body[4 : 4 + meta_len].decode("utf-8"))
-        with np.load(io.BytesIO(body[4 + meta_len :])) as archive:
-            done = np.asarray(archive["done"], dtype=bool)
-            state = {
-                name[len("s."):]: archive[name].copy()
-                for name in archive.files
-                if name.startswith("s.")
-            }
-    except Exception as error:  # noqa: BLE001 - any decode failure is one corruption
-        raise StoreCorruptError(f"checkpoint payload unreadable: {error}") from error
-    return meta, done, state
+        header = json.loads(raw[_HEADER_AT:offset])
+        meta, table = header["meta"], header["arrays"]
+        if not isinstance(meta, dict) or not isinstance(table, list):
+            raise TypeError("header meta/arrays have the wrong type")
+        for entry in table:
+            name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+            if not isinstance(dtype, str) or dtype not in _DTYPES:
+                raise TypeError(f"array {name!r} has dtype {dtype!r}")
+            if not isinstance(name, str) or name in arrays or not (
+                isinstance(shape, list)
+                and all(type(dim) is int and dim >= 0 for dim in shape)
+            ):
+                raise TypeError(f"malformed array table entry {entry!r}")
+            count = math.prod(shape)
+            end = offset + count * np.dtype(dtype).itemsize
+            if end > len(raw):
+                raise ValueError(f"array {name!r} runs past the end")
+            arrays[name] = np.frombuffer(
+                raw, dtype=dtype, count=count, offset=offset
+            ).reshape(shape)
+            offset = end
+    except (ValueError, KeyError, TypeError, RecursionError) as error:
+        raise StoreCorruptError(f"checkpoint header unreadable: {error}") from error
+    if offset != len(raw):
+        raise StoreCorruptError(
+            f"checkpoint has {len(raw) - offset} trailing bytes"
+        )
+    done = arrays.get("done")
+    if done is None or done.dtype != bool or done.ndim != 1:
+        raise StoreCorruptError("checkpoint has no 1-d bool 'done' bitmap")
+    return meta, arrays
+
+
+def _format1_meta(raw: bytes) -> dict:
+    """The identity header of a format-1 file, else :class:`StoreCorruptError`.
+
+    Format 1 was ``GFCKPT`` + blake2b-128 over the body + a body of
+    u32 length, JSON identity and ``npz`` arrays.  Only the identity is
+    read (the ``npz`` part never is), and ``format`` is pinned to 1:
+    the layout, not the header, says which format a file is.
+    """
+    digest_at = len(_MAGIC)
+    body = raw[digest_at + _DIGEST_BYTES :]
+    if len(body) < 4 or not raw.startswith(_MAGIC):
+        raise StoreCorruptError("not a checkpoint file (bad magic)")
+    if hashlib.blake2b(body, digest_size=_DIGEST_BYTES).digest() != (
+        raw[digest_at : digest_at + _DIGEST_BYTES]
+    ):
+        raise StoreCorruptError("checkpoint checksum mismatch")
+    try:
+        meta = json.loads(body[4 : 4 + int.from_bytes(body[:4], "little")])
+    except (ValueError, RecursionError) as error:
+        raise StoreCorruptError(f"checkpoint header unreadable: {error}") from error
+    if not isinstance(meta, dict):
+        raise StoreCorruptError("checkpoint header is not an object")
+    return {**meta, "format": 1}

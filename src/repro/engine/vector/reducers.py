@@ -556,12 +556,14 @@ class ReservoirQuantiles:
         # (argpartition order depends on the merge schedule), and a
         # checkpoint must serialize identically however the run was
         # scheduled.  Priorities are injective, so the order is total.
+        # ``take`` gathers through the index array faster than fancy
+        # indexing does.
         order = np.argsort(self._priorities)
         return {
             "config": np.array([self.k, self._seed_mix], dtype=np.uint64),
             "n_seen": np.array([self._n_seen], dtype=np.int64),
-            "priorities": self._priorities[order],
-            "values": self._values[order],
+            "priorities": self._priorities.take(order),
+            "values": self._values.take(order),
         }
 
     def from_state(self, state: dict[str, np.ndarray]) -> "ReservoirQuantiles":

@@ -21,6 +21,9 @@ SIGKILL study down to 1M draws; the invariants asserted are identical.
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
 import os
 import signal
 import subprocess
@@ -276,6 +279,27 @@ def test_journal_persists_and_resumes(tmp_path):
         resumed.complete(0, _partial(0, 256))
 
 
+@pytest.mark.parametrize(
+    "cls", REDUCER_REGISTRY, ids=lambda cls: cls.__name__
+)
+def test_every_reducer_state_survives_the_container(cls, tmp_path):
+    """Each registered reducer's packed state fits the container's
+    dtype allow-list and resumes bit-identically through a file."""
+    def bundle():
+        return StreamingReduction({"r": _REDUCER_FACTORIES[cls]()})
+
+    journal = _open(tmp_path, reduction=bundle())
+    partial = bundle()
+    for offset in range(0, 256, 64):
+        partial.update(*_chunk(offset))
+    journal.complete(0, partial)
+    resumed = _open(tmp_path, reduction=bundle())
+    assert resumed.resumed_units == 1
+    _assert_states_equal(
+        resumed.merged.to_state(), journal.merged.to_state()
+    )
+
+
 def test_journal_identity_drift_raises_typed_error(tmp_path):
     _open(tmp_path).complete(0, _partial(0, 256))
     with pytest.raises(CheckpointMismatchError, match="seed"):
@@ -313,6 +337,96 @@ def test_journal_corruption_starts_cold(tmp_path, caplog):
     assert _open(tmp_path).resumed_units == 0
     path.write_bytes(b"not a checkpoint at all")
     assert _open(tmp_path).resumed_units == 0
+
+
+def _format1_file(path, identity: dict, arrays: dict) -> None:
+    """Write ``path`` in the format-1 layout: ``GFCKPT`` + blake2b-128
+    over a body of u32 length + JSON identity + ``npz`` arrays."""
+    meta = json.dumps(identity, sort_keys=True).encode("utf-8")
+    npz = io.BytesIO()
+    np.savez(npz, **arrays)
+    body = len(meta).to_bytes(4, "little") + meta + npz.getvalue()
+    digest = hashlib.blake2b(body, digest_size=16).digest()
+    path.write_bytes(b"GFCKPT" + digest + body)
+
+
+def test_format1_checkpoint_is_a_format_mismatch_not_corruption(tmp_path):
+    journal = _open(tmp_path)
+    journal.complete(0, _partial(0, 256))
+    identity = dict(journal.identity, format=1, rows_done=256)
+    arrays = {"done": journal.done}
+    arrays.update(
+        (f"s.{key}", array)
+        for key, array in journal.merged.to_state().items()
+    )
+    path = tmp_path / "job.ckpt"
+    _format1_file(path, identity, arrays)
+    raw = path.read_bytes()
+    # The identity header was read: only the format differs.
+    with pytest.raises(CheckpointMismatchError, match=r"mismatched: format\)"):
+        _open(tmp_path)
+    assert path.read_bytes() == raw  # rejected, never discarded
+
+
+def _reseal(raw: bytes, mutate=None, tail: bytes = b"") -> bytes:
+    """Rebuild a checkpoint with its header passed through ``mutate``
+    and ``tail`` appended, under a recomputed (valid) digest."""
+    head = len(b"GFCKPT") + 2 + 16
+    length = int.from_bytes(raw[head : head + 4], "little")
+    header = json.loads(raw[head + 4 : head + 4 + length])
+    if mutate is not None:
+        mutate(header)
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    rest = (
+        len(encoded).to_bytes(4, "little") + encoded
+        + raw[head + 4 + length :] + tail
+    )
+    digest = hashlib.sha256(raw[: head - 16] + rest).digest()[:16]
+    return raw[: head - 16] + digest + rest
+
+
+def _set_first(field, value):
+    def mutate(header):
+        header["arrays"][0][field] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, tail, reason",
+    [
+        (_set_first("shape", [10**6]), b"", "runs past the end"),
+        (None, b"\0" * 8, "8 trailing bytes"),
+        (_set_first("dtype", "|O"), b"", "has dtype '|O'"),
+        (_set_first("dtype", "<c16"), b"", "has dtype '<c16'"),
+        (_set_first("dtype", ["<f8"]), b"", "has dtype ['<f8']"),
+        (_set_first("shape", [-4]), b"", "malformed array table entry"),
+        (_set_first("shape", [2.0]), b"", "malformed array table entry"),
+        (_set_first("name", "s.extra"), b"", "'done' bitmap"),
+        (lambda header: header.update(arrays={}), b"", "wrong type"),
+    ],
+    ids=[
+        "table-past-end", "trailing-bytes", "object-dtype",
+        "unknown-dtype", "unhashable-dtype", "negative-shape",
+        "float-shape", "no-done-bitmap", "table-not-a-list",
+    ],
+)
+def test_resealed_malformed_container_starts_cold(
+    tmp_path, caplog, mutate, tail, reason
+):
+    journal = _open(tmp_path)
+    journal.complete(0, _partial(0, 256))
+    path = tmp_path / "job.ckpt"
+    raw = path.read_bytes()
+    # The reseal helper itself is faithful: an unmutated reseal resumes.
+    path.write_bytes(_reseal(raw))
+    assert _open(tmp_path).resumed_units == 1
+
+    path.write_bytes(_reseal(raw, mutate, tail))
+    with caplog.at_level("WARNING"):
+        resumed = _open(tmp_path)
+    assert resumed.resumed_units == 0
+    assert "starting from scratch" in caplog.text
+    assert reason in caplog.text
 
 
 def test_journal_crash_mid_save_keeps_previous_checkpoint(
@@ -489,6 +603,38 @@ def test_parallel_checkpoint_resume_matches_sequential(comparator, tmp_path):
         _mc_source(comparator), _mc_bundle(), chunk_rows=2048
     )
     _assert_states_equal(resumed.to_state(), reference.to_state())
+
+
+def test_final_checkpoint_bytes_identical_under_any_schedule(
+    comparator, tmp_path
+):
+    """Sequential, two-worker and interrupted-then-resumed runs of one
+    job leave byte-identical final checkpoint files."""
+    def config(name):
+        return Checkpoint(tmp_path / name, every_rows=4096)
+
+    run_stream(
+        _mc_source(comparator), _mc_bundle(), chunk_rows=2048,
+        checkpoint=config("sequential.ckpt"),
+    )
+    with EvaluationEngine(cache_size=0, workers=2) as eng:
+        eng.reduce_stream(
+            _mc_source(comparator), _mc_bundle(), chunk_rows=2048,
+            workers=2, checkpoint=config("parallel.ckpt"),
+        )
+    dying = _DiesAfter(_mc_source(comparator), healthy=3)
+    with pytest.raises(RuntimeError, match="injected"):
+        run_stream(
+            dying, _mc_bundle(), chunk_rows=2048,
+            checkpoint=config("resumed.ckpt"),
+        )
+    run_stream(
+        _mc_source(comparator), _mc_bundle(), chunk_rows=2048,
+        checkpoint=config("resumed.ckpt"),
+    )
+    sequential = (tmp_path / "sequential.ckpt").read_bytes()
+    assert (tmp_path / "parallel.ckpt").read_bytes() == sequential
+    assert (tmp_path / "resumed.ckpt").read_bytes() == sequential
 
 
 def test_monte_carlo_stream_checkpoint_knobs(comparator, tmp_path):

@@ -30,6 +30,7 @@ from repro.engine.serve.protocol import (
     RemoteError,
 )
 from repro.engine.serve.server import BatchServer
+from repro.engine.serve.worker import WorkerSpec, worker_main
 from repro.engine.vector.columns import ScenarioBatch
 from repro.errors import ParameterError
 
@@ -382,6 +383,54 @@ def test_worker_periodic_snapshot_rewarms_a_restarted_server(tmp_path):
         assert warm.load_cache(cache) > 0
     finally:
         warm.close()
+
+
+class _HungUpConn:
+    """A worker pipe whose server end is gone: sends break the pipe."""
+
+    def __init__(self, *messages) -> None:
+        self.messages = list(messages)
+        self.sent = 0
+        self.closed = False
+
+    def recv(self):
+        if not self.messages:
+            raise EOFError
+        return self.messages.pop(0)
+
+    def send(self, message) -> None:
+        self.sent += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def close(self) -> None:
+        self.closed = True
+
+
+@pytest.mark.parametrize("kind", ["ping", "batch"])
+def test_worker_returns_cleanly_when_a_send_races_shutdown(kind):
+    """A pong or a batch reply sent after the server hung up ends the
+    worker loop like a failed ``recv``: no traceback, clean-up runs,
+    and the worker reads no further message."""
+    batch = _batch(4)
+    job = {
+        "id": 7,
+        "domain": "dnn",
+        "columns": {
+            "num_apps": batch.num_apps,
+            "volume": batch.volume,
+            "lifetime": batch.lifetime,
+            "evaluation_years": batch.evaluation_years,
+            "app_size_mgates": batch.app_size_mgates,
+            "enforce_chip_lifetime": batch.enforce_chip_lifetime,
+        },
+        "deadline": None,
+    }
+    first = ("ping",) if kind == "ping" else ("job", job)
+    conn = _HungUpConn(first, ("ping",))
+    worker_main(conn, WorkerSpec(index=0))
+    assert conn.sent == 1
+    assert conn.closed
+    assert conn.messages == [("ping",)]
 
 
 def test_full_queue_sheds_newest_with_retry_after():
