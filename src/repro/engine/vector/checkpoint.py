@@ -43,6 +43,18 @@ the format-1 layout (``GFCKPT`` + blake2b-128 digest + length-prefixed
 JSON + ``npz``) is recognised by its own checksum and rejected as a
 ``format`` identity mismatch, never misread and never discarded.
 
+Only a finished checkpoint is canonical.  A cadence write (some unit
+still pending) packs the reservoir sketch in memory order, which
+depends on the merge schedule, and so skips its priority sort and
+gathers.  Resume depends only on the kept *set*, so a run resumed from
+such a file still ends bit-identical, and the write made once every
+unit is done sorts: a finished file's bytes are the same under any
+schedule.  On load, reducer state is checked for its set invariants
+(never its order); malformed state starts cold like a corrupt file,
+while a member whose configuration drifted (a reservoir's ``k``, a
+histogram's bins) is a :class:`~repro.errors.CheckpointMismatchError`
+naming that member.
+
 The driver is :func:`repro.engine.vector.streaming.run_stream`
 (``checkpoint=`` keyword), surfaced as
 ``EvaluationEngine.reduce_stream(checkpoint=...)``,
@@ -173,7 +185,8 @@ class CheckpointJournal:
 
         Raises :class:`CheckpointMismatchError` when the file on disk
         belongs to a different job; starts cold (with a warning) when
-        the file is corrupt or truncated.
+        the file is corrupt or truncated or its reducer state is
+        malformed.
         """
         if config.every_rows is not None and config.every_rows < 1:
             raise ParameterError(
@@ -231,11 +244,26 @@ class CheckpointJournal:
                 f"checkpoint {journal.path} has {done.shape[0]} units, "
                 f"expected {len(units)}"
             )
+        try:
+            merged = reduction.from_state(
+                {key[len("s."):]: array for key, array in arrays.items()
+                 if key.startswith("s.")}
+            )
+        except StoreCorruptError as error:
+            logger.warning(
+                "checkpoint %s is unusable (%s); starting from scratch",
+                journal.path, error,
+            )
+            return journal
+        except ParameterError as error:
+            # Same schema token, different member configuration (a
+            # reservoir's k, a histogram's bins): a different job.
+            raise CheckpointMismatchError(
+                f"checkpoint {journal.path} belongs to a different job "
+                f"(mismatched: {error}); delete it to start over"
+            ) from error
         journal.done = done.copy()
-        journal.merged = reduction.from_state(
-            {key[len("s."):]: array for key, array in arrays.items()
-             if key.startswith("s.")}
-        )
+        journal.merged = merged
         journal.resumed_units = int(np.count_nonzero(journal.done))
         return journal
 
@@ -306,7 +334,10 @@ class CheckpointJournal:
         meta = dict(self.identity)
         meta["rows_done"] = int(self.rows_done)
         arrays: dict[str, np.ndarray] = {"done": self.done}
-        for key, array in self.merged.to_state().items():
+        # Only a finished checkpoint is canonical: cadence writes skip
+        # the reservoir sort, which resume does not need.
+        state = self.merged.to_state(canonical=self.finished)
+        for key, array in state.items():
             arrays[f"s.{key}"] = array
         payload = _encode(meta, arrays)
         atomic_write_bytes(self.path, payload)

@@ -61,7 +61,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.engine.vector.evaluator import BatchResult
-from repro.errors import ParameterError
+from repro.errors import ParameterError, StoreCorruptError
 
 #: Default absolute-index block of :class:`MomentsReducer` partial sums.
 #: Chunk sizes are rounded up to a multiple of the reduction's
@@ -110,7 +110,9 @@ class StreamingReducer(Protocol):
 
         Like :meth:`fresh`, this is called on a configured prototype;
         implementations validate that the state's configuration matches
-        and raise :class:`~repro.errors.ParameterError` on drift.
+        and raise :class:`~repro.errors.ParameterError` on drift, and
+        raise :class:`~repro.errors.StoreCorruptError` on state that
+        breaks their invariants.
         """
         ...
 
@@ -550,20 +552,26 @@ class ReservoirQuantiles:
         self._values = np.concatenate([self._values, other._values])
         self._compress()
 
-    def to_state(self) -> dict[str, np.ndarray]:
-        # Packed in ascending-priority order: the kept *set* is a pure
-        # function of the stream but the in-memory array order is not
-        # (argpartition order depends on the merge schedule), and a
-        # checkpoint must serialize identically however the run was
-        # scheduled.  Priorities are injective, so the order is total.
+    def to_state(self, *, canonical: bool = True) -> dict[str, np.ndarray]:
+        # The kept *set* is a pure function of the stream but the
+        # in-memory array order is not (argpartition order depends on
+        # the merge schedule).  Canonical state is packed in
+        # ascending-priority order, so a finished checkpoint serializes
+        # identically however the run was scheduled; priorities are
+        # injective, so the order is total.  ``canonical=False`` is
+        # internal to the checkpoint journal's cadence writes, which
+        # skip the argsort and gathers: resume needs only the set.
         # ``take`` gathers through the index array faster than fancy
         # indexing does.
-        order = np.argsort(self._priorities)
+        priorities, values = self._priorities, self._values
+        if canonical:
+            order = np.argsort(priorities)
+            priorities, values = priorities.take(order), values.take(order)
         return {
             "config": np.array([self.k, self._seed_mix], dtype=np.uint64),
             "n_seen": np.array([self._n_seen], dtype=np.int64),
-            "priorities": self._priorities.take(order),
-            "values": self._values.take(order),
+            "priorities": priorities,
+            "values": values,
         }
 
     def from_state(self, state: dict[str, np.ndarray]) -> "ReservoirQuantiles":
@@ -572,12 +580,23 @@ class ReservoirQuantiles:
             raise ParameterError(
                 "checkpointed reservoir has different k/seed"
             )
+        n_seen = int(state["n_seen"][0])
+        priorities = np.asarray(state["priorities"], dtype=np.uint64)
+        values = np.asarray(state["values"], dtype=np.float64)
+        # Set invariants only: the order is free (see `to_state`).
+        if not (
+            priorities.ndim == values.ndim == 1
+            and priorities.shape[0] == values.shape[0] == min(n_seen, self.k)
+        ):
+            raise StoreCorruptError(
+                f"checkpointed reservoir holds {priorities.shape} priorities "
+                f"and {values.shape} values, expected "
+                f"{min(n_seen, self.k)} of each for n_seen={n_seen}"
+            )
         restored = self.fresh()
-        restored._n_seen = int(state["n_seen"][0])
-        restored._priorities = np.asarray(state["priorities"],
-                                          dtype=np.uint64).copy()
-        restored._values = np.asarray(state["values"],
-                                      dtype=np.float64).copy()
+        restored._n_seen = n_seen
+        restored._priorities = priorities.copy()
+        restored._values = values.copy()
         return restored
 
     def sample(self) -> np.ndarray:
@@ -856,15 +875,31 @@ class StreamingReduction:
             for name in sorted(self.reducers)
         )
 
-    def to_state(self) -> dict[str, np.ndarray]:
-        """Member states flattened under ``"<member>::<field>"`` keys."""
+    def to_state(self, *, canonical: bool = True) -> dict[str, np.ndarray]:
+        """Member states flattened under ``"<member>::<field>"`` keys.
+
+        ``canonical=False`` is internal to the checkpoint journal's
+        cadence writes: a :class:`ReservoirQuantiles` member then keeps
+        its memory order instead of sorting by priority.
+        """
         state: dict[str, np.ndarray] = {}
         for name in sorted(self.reducers):
-            for field, array in self.reducers[name].to_state().items():
+            reducer = self.reducers[name]
+            if canonical or not isinstance(reducer, ReservoirQuantiles):
+                fields = reducer.to_state()
+            else:
+                fields = reducer.to_state(canonical=False)
+            for field, array in fields.items():
                 state[f"{name}::{field}"] = array
         return state
 
     def from_state(self, state: dict[str, np.ndarray]) -> "StreamingReduction":
+        """A reduction rebuilt from :meth:`to_state` output.
+
+        A member's configuration drift raises :class:`ParameterError`
+        and malformed member state :class:`StoreCorruptError`; either
+        message names the member.
+        """
         grouped: dict[str, dict[str, np.ndarray]] = {}
         for key, array in state.items():
             name, _, field = key.partition("::")
@@ -874,10 +909,17 @@ class StreamingReduction:
                 f"checkpointed members {sorted(grouped)} != "
                 f"configured members {sorted(self.reducers)}"
             )
-        return StreamingReduction(
-            {name: r.from_state(grouped[name])
-             for name, r in self.reducers.items()}
-        )
+        restored: dict[str, StreamingReducer] = {}
+        for name, reducer in self.reducers.items():
+            try:
+                restored[name] = reducer.from_state(grouped[name])
+            except ParameterError as error:
+                raise type(error)(f"member {name!r}: {error}") from error
+            except (KeyError, IndexError) as error:
+                raise StoreCorruptError(
+                    f"member {name!r}: malformed state ({error!r})"
+                ) from error
+        return StreamingReduction(restored)
 
 
 #: Every shipped :class:`StreamingReducer` implementation.  The GF-CKPT

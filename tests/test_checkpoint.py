@@ -55,6 +55,7 @@ from repro.engine.vector import (
     run_stream,
     source_token,
 )
+from repro.engine.vector.checkpoint import _decode, _encode
 from repro.engine.vector.reducers import REDUCER_REGISTRY
 from repro.errors import (
     CheckpointMismatchError,
@@ -241,8 +242,10 @@ class _FakeSource:
         return self._token
 
 
-def _partial(start: int, stop: int) -> StreamingReduction:
-    bundle = _bundle()
+def _partial(
+    start: int, stop: int, quantile_k: int = 48
+) -> StreamingReduction:
+    bundle = _bundle(quantile_k)
     for offset in range(start, stop, 64):
         result, off = _chunk(offset)
         bundle.update(result, off)
@@ -427,6 +430,114 @@ def test_resealed_malformed_container_starts_cold(
     assert resumed.resumed_units == 0
     assert "starting from scratch" in caplog.text
     assert reason in caplog.text
+
+
+def _rewrite_arrays(path, mutate) -> None:
+    """Pass ``path``'s arrays through ``mutate`` and write them back
+    under a recomputed (valid) digest."""
+    meta, arrays = _decode(path.read_bytes())
+    arrays = {name: array.copy() for name, array in arrays.items()}
+    mutate(arrays)
+    path.write_bytes(_encode(meta, arrays))
+
+
+def _shorten(*fields, by=5):
+    def mutate(arrays):
+        for field in fields:
+            arrays[f"s.quantiles::{field}"] = (
+                arrays[f"s.quantiles::{field}"][:-by]
+            )
+    return mutate
+
+
+def _as_column(arrays):
+    for field in ("priorities", "values"):
+        key = f"s.quantiles::{field}"
+        arrays[key] = arrays[key].reshape(-1, 1)
+
+
+def _set_n_seen(value):
+    def mutate(arrays):
+        arrays["s.quantiles::n_seen"] = np.array([value], dtype=np.int64)
+    return mutate
+
+
+def _rename_n_seen(arrays):
+    arrays["s.quantiles::seen"] = arrays.pop("s.quantiles::n_seen")
+
+
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (_shorten("values"),
+         "member 'quantiles': checkpointed reservoir holds (48,) "
+         "priorities and (43,) values"),
+        (_shorten("priorities", "values"), "expected 48 of each"),
+        (_as_column, "(48, 1) priorities"),
+        (_set_n_seen(40), "expected 40 of each for n_seen=40"),
+        (_set_n_seen(-1), "for n_seen=-1"),
+        (_rename_n_seen, "member 'quantiles': malformed state"),
+    ],
+    ids=[
+        "values-short", "sketch-short", "not-1d", "n-seen-below-k",
+        "n-seen-negative", "missing-field",
+    ],
+)
+def test_resealed_malformed_reservoir_state_starts_cold(
+    tmp_path, caplog, mutate, reason
+):
+    """A file with a valid digest whose reservoir breaks the sketch's
+    set invariants (1-d, equal lengths, ``min(n_seen, k)`` entries)
+    starts cold instead of resuming a short or misaligned sketch."""
+    journal = _open(tmp_path)
+    journal.complete(0, _partial(0, 256))
+    path = tmp_path / "job.ckpt"
+    raw = path.read_bytes()
+    # The rewrite helper itself is faithful: an unmutated rewrite resumes.
+    _rewrite_arrays(path, lambda arrays: None)
+    assert _open(tmp_path).resumed_units == 1
+
+    path.write_bytes(raw)
+    _rewrite_arrays(path, mutate)
+    with caplog.at_level("WARNING"):
+        resumed = _open(tmp_path)
+    assert resumed.resumed_units == 0
+    assert "starting from scratch" in caplog.text
+    assert reason in caplog.text
+
+
+def test_reservoir_state_order_is_free():
+    original = _updated(_REDUCER_FACTORIES[ReservoirQuantiles], (0, 64, 128))
+    raw = original.to_state(canonical=False)
+    assert np.array_equal(raw["priorities"], original._priorities)
+    # Any order of the kept set revives to the same canonical state.
+    reversed_state = {
+        **raw,
+        "priorities": raw["priorities"][::-1],
+        "values": raw["values"][::-1],
+    }
+    revived = ReservoirQuantiles(k=48, seed=7).from_state(reversed_state)
+    _assert_states_equal(revived.to_state(), original.to_state())
+
+
+def test_histogram_bin_drift_is_a_typed_mismatch(tmp_path):
+    """Same schema token, different member configuration: the journal
+    names the drifted member and leaves the file in place."""
+    def histogram(bins):
+        return StreamingReduction({"hist": HistogramReducer(0.0, 4.0, bins)})
+
+    journal = _open(tmp_path, reduction=histogram(16))
+    partial = histogram(16)
+    partial.update(*_chunk(0))
+    journal.complete(0, partial)
+    path = tmp_path / "job.ckpt"
+    raw = path.read_bytes()
+    with pytest.raises(
+        CheckpointMismatchError, match="member 'hist'.*different bins"
+    ):
+        _open(tmp_path, reduction=histogram(32))
+    assert path.read_bytes() == raw
+    assert _open(tmp_path, reduction=histogram(16)).resumed_units == 1
 
 
 def test_journal_crash_mid_save_keeps_previous_checkpoint(
@@ -637,6 +748,61 @@ def test_final_checkpoint_bytes_identical_under_any_schedule(
     assert (tmp_path / "resumed.ckpt").read_bytes() == sequential
 
 
+def _file_priorities(path) -> np.ndarray:
+    return _decode(path.read_bytes())[1]["s.quantiles::priorities"]
+
+
+def _strictly_increasing(array: np.ndarray) -> bool:
+    return bool(np.all(array[1:] > array[:-1]))
+
+
+def test_only_a_finished_checkpoint_is_canonical(tmp_path):
+    """Cadence writes keep the reservoir's memory order (no sort per
+    write); the write that finishes the job sorts by priority."""
+    # Small argpartitions come out sorted; k=256 over 1024-row units
+    # leaves the merged reservoir in a schedule-dependent order.
+    k, rows = 256, 1024
+    journal = _open(tmp_path, n=4 * rows, every_rows=rows,
+                    reduction=_bundle(k))
+    path = tmp_path / "job.ckpt"
+    for index in range(3):
+        journal.complete(
+            index, _partial(rows * index, rows * (index + 1), k)
+        )
+        in_memory = journal.merged["quantiles"]._priorities
+        assert np.array_equal(_file_priorities(path), in_memory)
+        # Memory is unsorted, so the equality above could not hold if
+        # cadence writes sorted.
+        assert not _strictly_increasing(in_memory)
+    journal.complete(3, _partial(3 * rows, 4 * rows, k))
+    assert journal.finished
+    assert _strictly_increasing(_file_priorities(path))
+
+
+def test_resume_from_unsorted_cadence_file_ends_byte_identical(
+    comparator, tmp_path
+):
+    reference = Checkpoint(tmp_path / "reference.ckpt", every_rows=4096)
+    run_stream(_mc_source(comparator), _mc_bundle(), chunk_rows=2048,
+               checkpoint=reference)
+    config = Checkpoint(tmp_path / "resumed.ckpt", every_rows=4096)
+    # Five chunks: two whole units (two cadence flushes), then death
+    # half-way through the third.
+    dying = _DiesAfter(_mc_source(comparator), healthy=5)
+    with pytest.raises(RuntimeError, match="injected"):
+        run_stream(dying, _mc_bundle(), chunk_rows=2048, checkpoint=config)
+    survivor = CheckpointJournal.open(
+        config, _mc_source(comparator), _mc_bundle(),
+        n=N_DRAWS, chunk_rows=2048,
+    )
+    assert survivor.resumed_units == 2
+    assert not _strictly_increasing(_file_priorities(config.path))
+
+    run_stream(_mc_source(comparator), _mc_bundle(), chunk_rows=2048,
+               checkpoint=config)
+    assert config.path.read_bytes() == reference.path.read_bytes()
+
+
 def test_monte_carlo_stream_checkpoint_knobs(comparator, tmp_path):
     path = tmp_path / "mc.ckpt"
     with pytest.raises(ParameterError, match="checkpoint_every"):
@@ -664,6 +830,23 @@ def test_monte_carlo_stream_checkpoint_knobs(comparator, tmp_path):
             seed=2025, workers=1, chunk_rows=1024,
             checkpoint=path, checkpoint_every=1024,
         )
+
+
+def test_monte_carlo_stream_quantile_k_drift_is_a_typed_mismatch(
+    comparator, tmp_path
+):
+    path = tmp_path / "mc.ckpt"
+    knobs = dict(n_samples=4096, seed=2024, workers=1, chunk_rows=1024,
+                 checkpoint=path, checkpoint_every=1024)
+    monte_carlo_stream(comparator, BASELINE, table1_distributions(),
+                       quantile_k=64, **knobs)
+    raw = path.read_bytes()
+    with pytest.raises(
+        CheckpointMismatchError, match="member 'quantiles'.*k/seed"
+    ):
+        monte_carlo_stream(comparator, BASELINE, table1_distributions(),
+                           quantile_k=128, **knobs)
+    assert path.read_bytes() == raw
 
 
 # ----------------------------------------------------------------------
