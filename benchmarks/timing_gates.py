@@ -11,7 +11,9 @@ gate reports the median of its per-repeat statistic, the spread
 (interquartile range over median) and its bound.  A median that misses
 its bound fails; a spread above :data:`MAX_SPREAD` is *unresolved* and
 also exits non-zero, because such a median cannot tell a pass from a
-fail.  ``BENCH_QUICK=0`` runs the streamed workloads at full scale.
+fail.  A ratio gate also prints its two arms (the per-run seconds on
+each side) as ungated lines, so a moved ratio says which side moved.
+``BENCH_QUICK=0`` runs the streamed workloads at full scale.
 
 Root ``pytest`` never collects this file (no ``test_`` prefix), so
 tier-1 passes or fails on behaviour alone.  ``scripts/check.sh`` runs
@@ -107,6 +109,14 @@ GATES = (
 )
 
 
+#: Ungated arms printed under a ratio gate: gate -> arm statistics.
+ARMS = {
+    "checkpointed over fault-free": (
+        "fault-free stream s", "checkpointed stream s"),
+    "fused speedup": ("chain stream s", "fused stream s"),
+}
+
+
 def timed(fn, *args, **kwargs) -> float:
     gc.collect()  # garbage left by an earlier workload is not this one's cost
     t0 = time.perf_counter()
@@ -193,7 +203,9 @@ def checkpointing(stack, comparator, tmp):
         plain_s = timed(vec.stream, comparator, engine, vec.N_CKPT_DRAWS)
         ckpt_s = timed(vec.stream, comparator, engine, vec.N_CKPT_DRAWS,
                        checkpoint=Checkpoint(tmp / f"gate-{index}.ckpt"))
-        return {"checkpointed over fault-free": ckpt_s / plain_s}
+        return {"checkpointed over fault-free": ckpt_s / plain_s,
+                "fault-free stream s": plain_s,
+                "checkpointed stream s": ckpt_s}
     return repeat
 
 
@@ -211,7 +223,9 @@ def fused(stack, comparator, tmp):
             chain_s += timed(vec.stream, comparator, chain, vec.N_FUSED_DRAWS)
             fused_s += timed(vec.stream, comparator, fused_engine,
                              vec.N_FUSED_DRAWS)
-        return {"fused speedup": chain_s / fused_s}
+        return {"fused speedup": chain_s / fused_s,
+                "chain stream s": chain_s / SHORT_RUNS,
+                "fused stream s": fused_s / SHORT_RUNS}
     return repeat
 
 
@@ -262,13 +276,22 @@ def engine_cache(stack, comparator, tmp):
     return repeat
 
 
+def median_spread(values) -> tuple[float, float]:
+    """The median and the interquartile range over the median."""
+    q25, median, q75 = np.percentile(values, (25, 50, 75))
+    return median, (q75 - q25) / median
+
+
 WORKLOADS = (heatmap, monte_carlo_runs, streaming, checkpointing, fused,
              serving, latency, engine_cache)
 
 
 def main() -> int:
     started = time.perf_counter()
-    samples: dict[str, list[float]] = {gate.name: [] for gate in GATES}
+    samples: dict[str, list[float]] = {
+        name: [] for gate in GATES
+        for name in (gate.name, *ARMS.get(gate.name, ()))
+    }
     comparator = PlatformComparator.for_domain("dnn")
     with contextlib.ExitStack() as stack:
         tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
@@ -289,8 +312,7 @@ def main() -> int:
             print(f"{gate.name:<38} {'-':>10} {'-':>8} {bound:>12}  skipped "
                   f"(needs BENCH_QUICK=0 and >= 4 cores)")
             continue
-        q25, median, q75 = np.percentile(values, (25, 50, 75))
-        spread = (q75 - q25) / median
+        median, spread = median_spread(values)
         if spread > MAX_SPREAD:
             verdict = "UNRESOLVED"
         elif _OPS[gate.op](median, gate.bound):
@@ -302,6 +324,10 @@ def main() -> int:
               f"{verdict}")
         if verdict != "ok":
             print("    samples: " + ", ".join(f"{v:.4g}" for v in values))
+        for arm in ARMS.get(gate.name, ()):
+            median, spread = median_spread(samples[arm])
+            print(f"  {arm:<36} {median:>10.4g} {spread:>8.3f} {'-':>12}  "
+                  f"ungated")
     print(f"timing gates: {bad} failed or unresolved "
           f"({time.perf_counter() - started:.0f} s)")
     return 1 if bad else 0

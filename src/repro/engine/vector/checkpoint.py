@@ -113,7 +113,8 @@ class Checkpoint:
     (and resumable) every that-many rows, rounded up to whole chunks.
     When ``None``, the run is split into ~64 units and flushed on the
     ``every_s`` wall-clock cadence instead (plus a final flush either
-    way).  ``every_s=None`` disables the timer.
+    way, unless the last cadence flush already covered every unit).
+    ``every_s=None`` disables the timer.
     """
 
     path: "Path | str"
@@ -326,6 +327,12 @@ class CheckpointJournal:
         return self.config.every_s is not None and (
             time.monotonic() - self._last_flush_s >= self.config.every_s
         )
+
+    def settle(self) -> bool:
+        """The final write of a run: flush unless the last write already
+        covers every marked unit (a unit-cadence run whose last unit
+        was full-size has just written the finished file)."""
+        return self._rows_since_flush > 0 and self.flush(force=True)
 
     def flush(self, force: bool = False) -> bool:
         """Atomically rewrite the file if due (or ``force``)."""

@@ -229,9 +229,17 @@ class MomentsReducer:
                 f"configured block {self.alignment}"
             )
         restored = self.fresh()
+        keys = np.asarray(state["keys"], dtype=np.int64)
         counts = np.asarray(state["counts"], dtype=np.int64)
         sums = np.asarray(state["sums"], dtype=np.float64)
-        for i, key in enumerate(np.asarray(state["keys"], dtype=np.int64)):
+        n = keys.shape[0] if keys.ndim == 1 else -1
+        if counts.shape != (n, 2) or sums.shape != (n, 4):
+            raise StoreCorruptError(
+                f"checkpointed moments hold {keys.shape} keys, "
+                f"{counts.shape} counts and {sums.shape} sums, expected "
+                f"(n,), (n, 2) and (n, 4)"
+            )
+        for i, key in enumerate(keys):
             restored._blocks[int(key)] = (
                 int(counts[i, 0]), int(counts[i, 1]),
                 float(sums[i, 0]), float(sums[i, 1]),
@@ -615,6 +623,36 @@ class ReservoirQuantiles:
         return {float(q): float(v) for q, v in zip(qs, values)}
 
 
+def _kept_rows(
+    state: dict[str, np.ndarray], what: str, k: "int | None" = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Copies of a row-keeping reducer's ``indices``/``fpga``/``asic``/
+    ``ratios`` state, checked: four equal-length 1-d arrays, at most
+    ``k`` rows when ``k`` is given, and no negative row index."""
+    arrays = (
+        np.asarray(state["indices"], dtype=np.int64),
+        np.asarray(state["fpga"], dtype=np.float64),
+        np.asarray(state["asic"], dtype=np.float64),
+        np.asarray(state["ratios"], dtype=np.float64),
+    )
+    shapes = [array.shape for array in arrays]
+    if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) != 1:
+        raise StoreCorruptError(
+            f"checkpointed {what} holds indices/fpga/asic/ratios of shapes "
+            f"{shapes}, expected four equal-length 1-d arrays"
+        )
+    rows = shapes[0][0]
+    if k is not None and rows > k:
+        raise StoreCorruptError(
+            f"checkpointed {what} holds {rows} rows, more than k={k}"
+        )
+    if rows and int(arrays[0].min()) < 0:
+        raise StoreCorruptError(
+            f"checkpointed {what} holds a negative row index"
+        )
+    return tuple(array.copy() for array in arrays)
+
+
 class TopKReducer:
     """The ``k`` rows with the smallest greener-platform total.
 
@@ -679,10 +717,8 @@ class TopKReducer:
         if int(state["config"][0]) != self.k:
             raise ParameterError("checkpointed top-k has different k")
         restored = self.fresh()
-        restored._indices = np.asarray(state["indices"], dtype=np.int64).copy()
-        restored._fpga = np.asarray(state["fpga"], dtype=np.float64).copy()
-        restored._asic = np.asarray(state["asic"], dtype=np.float64).copy()
-        restored._ratios = np.asarray(state["ratios"], dtype=np.float64).copy()
+        (restored._indices, restored._fpga, restored._asic,
+         restored._ratios) = _kept_rows(state, "top-k", self.k)
         return restored
 
     def rows(self) -> list[dict[str, float]]:
@@ -798,10 +834,8 @@ class ParetoReducer:
 
     def from_state(self, state: dict[str, np.ndarray]) -> "ParetoReducer":
         restored = self.fresh()
-        restored._indices = np.asarray(state["indices"], dtype=np.int64).copy()
-        restored._fpga = np.asarray(state["fpga"], dtype=np.float64).copy()
-        restored._asic = np.asarray(state["asic"], dtype=np.float64).copy()
-        restored._ratios = np.asarray(state["ratios"], dtype=np.float64).copy()
+        (restored._indices, restored._fpga, restored._asic,
+         restored._ratios) = _kept_rows(state, "Pareto front")
         return restored
 
     def rows(self) -> list[dict[str, float]]:

@@ -47,15 +47,27 @@ source streams sequentially, and a worker process dying mid-run costs
 only an in-process recompute of the spans it lost (completed partials
 are kept; the event is counted in :data:`STREAM_STATS`) — results
 never change, only speed.
+
+In-process streams (the sequential path and the checkpointed
+sequential path) draw one chunk ahead: for a source that declares
+``PREFETCH_SAFE`` (:class:`MonteCarloChunkSource`), a producer thread
+runs ``source.chunk`` for chunk ``j + 1`` while the calling thread
+evaluates, reduces — and, when checkpointing, marks and flushes —
+chunk ``j``.  NumPy releases the GIL in the PCG64 fill and the
+transform ufuncs, so on a second core sampling leaves the critical
+path.  Chunks are still reduced in order on the calling thread, so
+results are bit-identical to drawing inline.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import hashlib
 import math
 import pickle
 import threading
-from concurrent.futures import BrokenExecutor, Executor
+from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -77,6 +89,10 @@ DEFAULT_STREAM_CHUNK_ROWS = 131_072
 
 #: Hard cap on streaming workers (the kernels go memory-bandwidth bound).
 MAX_STREAM_WORKERS = 8
+
+#: Name prefix of the one-chunk-ahead sampling thread of an in-process
+#: stream (it lives for one run; see :func:`_fold_chunks`).
+PREFETCH_THREAD_PREFIX = "repro-stream-prefetch"
 
 #: One chain evaluator per process: stateless, shared by every span
 #: worker and by fallback paths regardless of the requested tier.
@@ -366,6 +382,12 @@ class MonteCarloChunkSource:
     #: Rows per sampling tile (a 16384 x k float64 slab fits in L2).
     SAMPLE_TILE_ROWS = 16_384
 
+    #: ``chunk`` is thread-safe and a chunk's columns stay valid until
+    #: the next-but-one call on the same thread (a two-slot ring), so an
+    #: in-process stream may draw the next chunk while this one is
+    #: evaluated (see :func:`_fold_chunks`).
+    PREFETCH_SAFE = True
+
     def __init__(
         self,
         base_row: np.ndarray,
@@ -394,37 +416,46 @@ class MonteCarloChunkSource:
         self._scratch = threading.local()
 
     def _buffers(self, m: int, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Per-thread sampling scratch: the unit matrix + value columns.
+        """Per-thread sampling scratch: one unit-draw tile + a column ring.
 
-        Streaming spans consume each chunk fully (evaluate + reduce)
-        before requesting the next, so the value columns handed to
-        ``ParameterBatch`` may be recycled chunk-over-chunk — that turns
-        ~6 MB of per-chunk allocation (and the page faults behind it)
-        into steady-state buffer reuse.  Buffers are thread-local
-        because thread-pool workers share one source instance.
+        The unit draws of a chunk pass through one
+        ``SAMPLE_TILE_ROWS x k`` tile, so the full ``m x k`` matrix never
+        exists.  The value columns handed to ``ParameterBatch`` come
+        from a two-slot ring: a chunk's columns are recycled only by
+        the next-but-one call, so a prefetching stream may draw chunk
+        ``j + 1`` while chunk ``j`` is still being evaluated, and a
+        steady-state stream allocates nothing per chunk.  Slots are
+        sized to the largest chunk seen and sliced to ``m``.  Buffers
+        are thread-local because threads may share one source instance.
         """
         tls = self._scratch
-        bufs = getattr(tls, "bufs", None)
-        if bufs is None or bufs[0].shape != (m, k):
-            bufs = (np.empty((m, k)), [np.empty(m) for _ in range(k)])
-            tls.bufs = bufs
-        return bufs
+        if not hasattr(tls, "slots"):
+            tls.tile, tls.slots, tls.turn = np.empty((0, k)), [None, None], 0
+        rows = min(m, self.SAMPLE_TILE_ROWS)
+        if tls.tile.shape[0] < rows:
+            tls.tile = np.empty((rows, k))
+        tls.turn ^= 1
+        slot = tls.slots[tls.turn]
+        if slot is None or slot[0].shape[0] < m:
+            slot = tls.slots[tls.turn] = [np.empty(m) for _ in range(k)]
+        return tls.tile, [column[:m] for column in slot]
 
     def chunk(self, start: int, stop: int) -> tuple[ParameterBatch, ScenarioBatch]:
         m = stop - start
         k = len(self.distributions)
         rng = np.random.default_rng(self.seed)
         rng.bit_generator.advance(start * k)
-        u, cols = self._buffers(m, k)
-        rng.random(out=u)
-        # Row tiles keep each slab of the row-major unit matrix
+        tile, cols = self._buffers(m, k)
+        # Drawing tile by tile consumes the generator in the same
+        # row-major order as one (m, k) fill, and each slab stays
         # cache-resident across its k strided column reads; the
         # transform is elementwise, so values are tile-independent.
-        tile = self.SAMPLE_TILE_ROWS
-        for s in range(0, m, tile):
-            e = min(s + tile, m)
+        for s in range(0, m, tile.shape[0]):
+            e = min(s + tile.shape[0], m)
+            u = tile[: e - s]
+            rng.random(out=u)
             for j, dist in enumerate(self.distributions):
-                dist.column_from_uniform(u[s:e, j], out=cols[j][s:e])
+                dist.column_from_uniform(u[:, j], out=cols[j][s:e])
         params = ParameterBatch(m, base_row=self.base_row)
         for dist, col in zip(self.distributions, cols):
             dist.apply_column(params, col)
@@ -456,6 +487,75 @@ class MonteCarloChunkSource:
 # ----------------------------------------------------------------------
 
 
+def _chunk_bounds(spans, chunk_rows: int):
+    """``(start, stop, span_index_or_None)`` per chunk, in row order.
+
+    The third field names the span a chunk completes (``None`` for
+    every other chunk).
+    """
+    for index, (start, stop) in enumerate(spans):
+        for s in range(start, stop, chunk_rows):
+            e = min(s + chunk_rows, stop)
+            yield s, e, (index if e == stop else None)
+
+
+def _fold_chunks(
+    source,
+    reduction: StreamingReduction,
+    spans: "list[tuple[int, int]]",
+    chunk_rows: int,
+    evaluator: VectorizedEvaluator,
+    prefetch: bool,
+    on_span=None,
+) -> StreamingReduction:
+    """Evaluate and reduce every chunk of ``spans`` in order.
+
+    ``on_span(i)`` runs once the last chunk of ``spans[i]`` is reduced
+    (the checkpointed loop marks its unit there).
+
+    Prefetch depth is 1 when ``prefetch`` is set and the source
+    declares ``PREFETCH_SAFE``: a producer thread, started for this run
+    and joined before it returns or raises, draws chunk ``j + 1`` while
+    this thread evaluates and reduces chunk ``j``; each draw runs in a
+    copy of the caller's context, so contextvar-scoped spans nest under
+    the caller.  Otherwise depth is 0 and each chunk is drawn here,
+    after the previous one is done.  Either way a draw is asked for
+    only after the chunk before it has been taken, so the source keeps
+    at most two chunks live, and a draw that raises surfaces when the
+    loop reaches that chunk, after every earlier chunk is reduced.
+    """
+    bounds = _chunk_bounds(spans, chunk_rows)
+    with ThreadPoolExecutor(
+        max_workers=1, thread_name_prefix=PREFETCH_THREAD_PREFIX
+    ) as producer:
+        # The executor starts its thread on the first submit only, so a
+        # depth-0 stream never creates one.
+        if prefetch and getattr(source, "PREFETCH_SAFE", False):
+            def draw(start, stop):
+                return producer.submit(
+                    contextvars.copy_context().run, source.chunk, start, stop
+                ).result
+        else:
+            def draw(start, stop):
+                return functools.partial(source.chunk, start, stop)
+
+        bound = next(bounds, None)
+        ahead = None if bound is None else draw(bound[0], bound[1])
+        while ahead is not None:
+            start, _, span_done = bound
+            params, batch = ahead()
+            bound = next(bounds, None)
+            ahead = None if bound is None else draw(bound[0], bound[1])
+            reduction.update(evaluator.reduce_batch(params, batch), start)
+            # Drop the chunk views before the next lap (and before a
+            # shared-memory source detaches — a live view keeps the
+            # mapping exported).
+            del params, batch
+            if span_done is not None and on_span is not None:
+                on_span(span_done)
+    return reduction
+
+
 def _reduce_span(
     source,
     reduction: StreamingReduction,
@@ -465,8 +565,15 @@ def _reduce_span(
     close_source: bool = True,
     kernel_tier: "str | None" = None,
     kernel_dtype: str = "<f8",
+    prefetch: bool = False,
 ) -> StreamingReduction:
-    """Worker body: fold one contiguous row span, chunk by chunk.
+    """Fold one contiguous row span, chunk by chunk.
+
+    The pool worker body (``workers > 1``), and, with ``prefetch=True``,
+    the sequential in-process path of :func:`run_stream`, which then
+    draws one chunk ahead on a producer thread (see
+    :func:`_fold_chunks`).  Pool workers never prefetch: each already
+    owns a core.
 
     Spawned workers receive their own unpickled ``source`` copy; for
     shared-memory sources that copy attaches lazily to the segment, so
@@ -482,20 +589,15 @@ def _reduce_span(
     under the remaining spans.  The caller's ``finally`` closes it once
     at the end instead.
     """
-    evaluator = _evaluator_for(kernel_tier, kernel_dtype)
     try:
-        for s in range(start, stop, chunk_rows):
-            e = min(s + chunk_rows, stop)
-            params, batch = source.chunk(s, e)
-            reduction.update(evaluator.reduce_batch(params, batch), s)
-            # Drop the chunk views before the next lap (and before the
-            # detach below — a live view keeps the mapping exported).
-            del params, batch
+        return _fold_chunks(
+            source, reduction, [(start, stop)], chunk_rows,
+            _evaluator_for(kernel_tier, kernel_dtype), prefetch,
+        )
     finally:
         close = getattr(source, "close", None)
         if close is not None and close_source:
             close()
-    return reduction
 
 
 def _spans(n: int, chunk_rows: int, workers: int) -> list[tuple[int, int]]:
@@ -617,7 +719,7 @@ def run_stream(
             return merged
     return _reduce_span(
         source, reduction.fresh(), 0, n, chunk,
-        kernel_tier=kernel_tier, kernel_dtype=dtype_str,
+        kernel_tier=kernel_tier, kernel_dtype=dtype_str, prefetch=True,
     )
 
 
@@ -676,24 +778,25 @@ def _run_stream_checkpointed(
                 raise
             if lost:
                 STREAM_STATS.note_recovery(lost)
-            journal.flush(force=True)
+            journal.settle()
             return journal.merged
     try:
-        for index, start, stop in pending:
-            # Fold straight into the journal's merged reduction — no
-            # per-unit partial to build and merge.  Because merged may
-            # hold a *half-done* unit the moment an error interrupts
-            # the span, this path must never flush outside mark()
-            # (which runs exactly at unit boundaries): an interruption
-            # simply keeps the last cadence flush as the recovery
-            # point, which is the documented durability granularity.
-            _reduce_span(
-                source, journal.merged, start, stop, chunk,
-                close_source=False, kernel_tier=kernel_tier,
-                kernel_dtype=kernel_dtype,
-            )
-            journal.mark(index)
-        journal.flush(force=True)
+        # Fold straight into the journal's merged reduction — no
+        # per-unit partial to build and merge — through one prefetching
+        # loop over every chunk of every pending unit, so the draw of
+        # the next unit overlaps this unit's mark and flush.  Because
+        # merged may hold a *half-done* unit the moment an error
+        # interrupts a unit, this path must never flush outside mark()
+        # (which runs exactly at unit boundaries): an interruption
+        # simply keeps the last cadence flush as the recovery point,
+        # which is the documented durability granularity.
+        _fold_chunks(
+            source, journal.merged,
+            [(start, stop) for _, start, stop in pending], chunk,
+            _evaluator_for(kernel_tier, kernel_dtype), True,
+            on_span=lambda span: journal.mark(pending[span][0]),
+        )
+        journal.settle()
     finally:
         close = getattr(source, "close", None)
         if close is not None:

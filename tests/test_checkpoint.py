@@ -506,6 +506,72 @@ def test_resealed_malformed_reservoir_state_starts_cold(
     assert reason in caplog.text
 
 
+def _edit(member, field, edit):
+    def mutate(arrays):
+        key = f"s.{member}::{field}"
+        arrays[key] = edit(arrays[key])
+    return mutate
+
+
+def _double_rows(member):
+    def mutate(arrays):
+        for field in ("indices", "fpga", "asic", "ratios"):
+            key = f"s.{member}::{field}"
+            arrays[key] = np.concatenate([arrays[key], arrays[key]])
+    return mutate
+
+
+def _negative_first(array):
+    array[0] = -1
+    return array
+
+
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (_edit("topk", "indices", lambda a: a[:3]),
+         "member 'topk': checkpointed top-k holds indices/fpga/asic/ratios "
+         "of shapes [(3,), (8,), (8,), (8,)]"),
+        (_edit("topk", "ratios", lambda a: a.reshape(-1, 1)),
+         "(8, 1)"),
+        (_double_rows("topk"), "holds 16 rows, more than k=8"),
+        (_edit("topk", "indices", _negative_first),
+         "top-k holds a negative row index"),
+        (_edit("pareto", "asic", lambda a: a[:-1]),
+         "member 'pareto': checkpointed Pareto front holds"),
+        (_edit("pareto", "indices", _negative_first),
+         "Pareto front holds a negative row index"),
+        (_edit("moments", "keys", lambda a: a[:-1]),
+         "member 'moments': checkpointed moments hold (3,) keys"),
+        (_edit("moments", "counts", lambda a: a[:, :1]), "(4, 1) counts"),
+        (_edit("moments", "sums", lambda a: a.reshape(-1)), "(16,) sums"),
+    ],
+    ids=[
+        "topk-indices-short", "topk-not-1d", "topk-over-k",
+        "topk-negative-index", "pareto-asic-short", "pareto-negative-index",
+        "moments-keys-short", "moments-counts-shape", "moments-sums-flat",
+    ],
+)
+def test_resealed_malformed_row_and_moment_state_starts_cold(
+    tmp_path, caplog, mutate, reason
+):
+    """Top-k, Pareto and moments state that breaks its shape or range
+    invariants starts cold instead of resuming and failing later (a
+    top-k with 3 indices against 8 totals used to crash in ``rows()``)."""
+    journal = _open(tmp_path)
+    journal.complete(0, _partial(0, 256))
+    path = tmp_path / "job.ckpt"
+    _rewrite_arrays(path, lambda arrays: None)
+    assert _open(tmp_path).resumed_units == 1
+
+    _rewrite_arrays(path, mutate)
+    with caplog.at_level("WARNING"):
+        resumed = _open(tmp_path)
+    assert resumed.resumed_units == 0
+    assert "starting from scratch" in caplog.text
+    assert reason in caplog.text
+
+
 def test_reservoir_state_order_is_free():
     original = _updated(_REDUCER_FACTORIES[ReservoirQuantiles], (0, 64, 128))
     raw = original.to_state(canonical=False)
@@ -801,6 +867,85 @@ def test_resume_from_unsorted_cadence_file_ends_byte_identical(
     run_stream(_mc_source(comparator), _mc_bundle(), chunk_rows=2048,
                checkpoint=config)
     assert config.path.read_bytes() == reference.path.read_bytes()
+
+
+def _count_writes(monkeypatch) -> list:
+    from repro.engine.vector import checkpoint as checkpoint_module
+
+    writes = []
+    original = checkpoint_module.atomic_write_bytes
+
+    def counting(path, payload):
+        writes.append(path)
+        return original(path, payload)
+
+    monkeypatch.setattr(checkpoint_module, "atomic_write_bytes", counting)
+    return writes
+
+
+@pytest.mark.parametrize(
+    "n_samples, expected", [(8 * 131_072, 8), (1_000_000, 8)]
+)
+def test_one_write_per_unit(comparator, tmp_path, monkeypatch,
+                            n_samples, expected):
+    """A unit-cadence study writes once per unit: the final write is
+    skipped when the last unit's own write already finished the file."""
+    writes = _count_writes(monkeypatch)
+    path = tmp_path / "mc.ckpt"
+    monte_carlo_stream(
+        comparator, BASELINE, table1_distributions(), n_samples=n_samples,
+        seed=2024, workers=1, checkpoint=path, checkpoint_every=131_072,
+    )
+    assert len(writes) == expected
+    meta, arrays = _decode(path.read_bytes())
+    assert arrays["done"].all() and meta["rows_done"] == n_samples
+
+
+def test_timed_cadence_still_ends_with_a_finished_file(
+    comparator, tmp_path, monkeypatch
+):
+    writes = _count_writes(monkeypatch)
+    config = Checkpoint(tmp_path / "mc.ckpt", every_rows=None,
+                        every_s=3600.0)
+    run_stream(_mc_source(comparator), _mc_bundle(), chunk_rows=2048,
+               checkpoint=config)
+    assert len(writes) == 1
+    assert _decode(config.path.read_bytes())[1]["done"].all()
+
+
+class _NoPrefetch:
+    """The same source behind a wrapper that draws inline (depth 0)."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.n = inner.n
+        self.seed = inner.seed
+
+    def checkpoint_token(self) -> str:
+        return self.inner.checkpoint_token()
+
+    def chunk(self, start: int, stop: int):
+        return self.inner.chunk(start, stop)
+
+
+@pytest.mark.parametrize("every_rows", [2048, 4096, 6144])
+def test_writes_per_study_unchanged_by_prefetch(
+    comparator, tmp_path, monkeypatch, every_rows
+):
+    writes = _count_writes(monkeypatch)
+    counts = []
+    for name, source in (
+        ("prefetched", _mc_source(comparator)),
+        ("inline", _NoPrefetch(_mc_source(comparator))),
+    ):
+        before = len(writes)
+        run_stream(source, _mc_bundle(), chunk_rows=2048,
+                   checkpoint=Checkpoint(tmp_path / name,
+                                         every_rows=every_rows))
+        counts.append(len(writes) - before)
+    assert counts[0] == counts[1] == -(-N_DRAWS // every_rows)
+    assert (tmp_path / "prefetched").read_bytes() == (
+        tmp_path / "inline").read_bytes()
 
 
 def test_monte_carlo_stream_checkpoint_knobs(comparator, tmp_path):

@@ -11,7 +11,9 @@ quantiles — all while never materializing more than one chunk of rows.
 
 from __future__ import annotations
 
+import contextvars
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from repro.engine import EvaluationEngine
 from repro.engine.vector import (
     ArrayChunkSource,
     BatchResult,
+    Checkpoint,
+    CheckpointJournal,
     HistogramReducer,
     MomentsReducer,
     MonteCarloChunkSource,
@@ -46,6 +50,8 @@ from repro.engine.vector import (
     run_stream,
 )
 from repro.engine.vector import params as pcols
+from repro.engine.vector.evaluator import VectorizedEvaluator
+from repro.engine.vector.streaming import PREFETCH_THREAD_PREFIX
 from repro.errors import ParameterError
 from repro.experiments.ext_uncertainty import distributions as table1_distributions
 from repro.operation.model import OperationModel
@@ -741,3 +747,293 @@ def test_engine_close_is_idempotent_under_concurrent_callers(comparator):
     assert result.n_samples == 1024
     eng.close()
     eng.close()  # double close after use is a no-op too
+
+
+# ----------------------------------------------------------------------
+# One-chunk-ahead sampling (in-process streams)
+# ----------------------------------------------------------------------
+
+
+def _prefetch_threads() -> list[str]:
+    return [
+        thread.name for thread in threading.enumerate()
+        if thread.name.startswith(PREFETCH_THREAD_PREFIX)
+    ]
+
+
+def _mc(comparator, n: int) -> MonteCarloChunkSource:
+    return MonteCarloChunkSource(
+        np.asarray(extract_row(comparator)), tuple(table1_distributions()),
+        2024, BASELINE, n,
+    )
+
+
+@pytest.mark.parametrize(
+    "m", [1, 16_383, 16_384, 16_385, 100_001, 131_072]
+)
+def test_tiled_draws_bit_identical_to_whole_matrix_draw(comparator, m):
+    """Tile-by-tile sampling consumes PCG64 in the order of one (m, k)
+    fill, for uniform and loguniform knobs alike."""
+    dists = tuple(table1_distributions())
+    assert {d.kind for d in dists} == {"uniform", "loguniform"}
+    start = 12_345
+    source = _mc(comparator, start + 131_072)
+    params, batch = source.chunk(start, start + m)
+
+    rng = np.random.default_rng(2024)
+    rng.bit_generator.advance(start * len(dists))
+    units = rng.random((m, len(dists)))
+    expected = ParameterBatch(m, base_row=source.base_row)
+    for j, dist in enumerate(dists):
+        dist.apply_column(expected, dist.column_from_uniform(units[:, j]))
+    assert batch.size == m
+    assert params.columns.keys() == expected.columns.keys()
+    for key, column in expected.columns.items():
+        np.testing.assert_array_equal(params.columns[key], column)
+
+
+def test_chunk_columns_survive_the_next_draw(comparator):
+    """A chunk's columns stay valid until the next-but-one call (the
+    two-slot ring a one-ahead producer relies on)."""
+    rows = 4096
+    source = _mc(comparator, 3 * rows)
+    first, _ = source.chunk(0, rows)
+    kept = {key: column.copy() for key, column in first.columns.items()}
+    second, _ = source.chunk(rows, 2 * rows)
+    for key, column in kept.items():
+        np.testing.assert_array_equal(first.columns[key], column)
+        assert not np.shares_memory(first.columns[key], second.columns[key])
+    third, _ = source.chunk(2 * rows, 3 * rows)
+    assert any(
+        np.shares_memory(first.columns[key], third.columns[key])
+        for key in kept
+    )
+
+
+class _OffsetLog:
+    """Reducer member logging the offsets it folds into a shared list."""
+
+    alignment = 1
+
+    def __init__(self, log: list) -> None:
+        self.log = log
+
+    def fresh(self) -> "_OffsetLog":
+        return _OffsetLog(self.log)
+
+    def update(self, result, offset: int) -> None:
+        self.log.append(offset)
+
+
+_CALLER: "contextvars.ContextVar[str]" = contextvars.ContextVar(
+    "caller", default="unset"
+)
+
+
+class _Prefetchable:
+    """A prefetch-safe source wrapper that records each draw and can
+    fail the draw starting at ``fail_at``."""
+
+    PREFETCH_SAFE = True
+
+    def __init__(self, inner, fail_at: "int | None" = None,
+                 delay_s: float = 0.0) -> None:
+        self.inner = inner
+        self.fail_at = fail_at
+        self.delay_s = delay_s
+        self.started: list[int] = []
+        self.finished: list[int] = []
+        self.threads: set[str] = set()
+        self.contexts: set[str] = set()
+
+    @property
+    def n(self) -> int:
+        return self.inner.n
+
+    @property
+    def seed(self) -> int:
+        return self.inner.seed
+
+    def checkpoint_token(self) -> str:
+        return self.inner.checkpoint_token()
+
+    def chunk(self, start: int, stop: int):
+        self.started.append(start)
+        self.threads.add(threading.current_thread().name)
+        self.contexts.add(_CALLER.get())
+        try:
+            if start == self.fail_at:
+                raise RuntimeError(f"draw failed at row {start}")
+            time.sleep(self.delay_s)
+            return self.inner.chunk(start, stop)
+        finally:
+            self.finished.append(start)
+
+
+def test_prefetched_draws_run_off_thread_in_the_callers_context(comparator):
+    rows = 2048
+    source = _Prefetchable(_mc(comparator, 8 * rows))
+    token = _CALLER.set("study")
+    try:
+        streamed = run_stream(source, _small_reduction(), chunk_rows=rows)
+    finally:
+        _CALLER.reset(token)
+    reference = run_stream(
+        _mc(comparator, 8 * rows), _small_reduction(), chunk_rows=rows
+    )
+    assert streamed.to_state().keys() == reference.to_state().keys()
+    for key, array in reference.to_state().items():
+        np.testing.assert_array_equal(streamed.to_state()[key], array)
+    assert source.started == [rows * i for i in range(8)]
+    assert {name.split("_")[0] for name in source.threads} == {
+        PREFETCH_THREAD_PREFIX
+    }
+    assert source.contexts == {"study"}
+    assert _prefetch_threads() == []
+
+
+def test_non_prefetch_sources_draw_inline(comparator):
+    rows = 2048
+    source = _Prefetchable(_mc(comparator, 4 * rows))
+    source.PREFETCH_SAFE = False
+    run_stream(source, _small_reduction(), chunk_rows=rows)
+    assert source.threads == {threading.current_thread().name}
+
+
+def test_prefetched_draw_failure_surfaces_at_its_chunk(comparator):
+    rows, fail = 1024, 5
+    log: list[int] = []
+    source = _Prefetchable(_mc(comparator, 8 * rows), fail_at=fail * rows)
+    with pytest.raises(RuntimeError, match=f"row {fail * rows}"):
+        run_stream(
+            source, StreamingReduction({"log": _OffsetLog(log)}),
+            chunk_rows=rows,
+        )
+    # Every chunk before the failing one was reduced, none after it
+    # was drawn, and nothing is left running.
+    assert log == [rows * i for i in range(fail)]
+    assert max(source.started) == fail * rows
+    assert sorted(source.started) == sorted(source.finished)
+    assert _prefetch_threads() == []
+
+
+def test_prefetched_draw_failure_keeps_every_earlier_unit(
+    comparator, tmp_path
+):
+    rows, fail = 1024, 5
+    config = Checkpoint(tmp_path / "mc.ckpt", every_rows=rows)
+    source = _Prefetchable(_mc(comparator, 8 * rows), fail_at=fail * rows)
+    with pytest.raises(RuntimeError, match=f"row {fail * rows}"):
+        run_stream(source, _small_reduction(), chunk_rows=rows,
+                   checkpoint=config)
+    journal = CheckpointJournal.open(
+        config, _mc(comparator, 8 * rows), _small_reduction(),
+        n=8 * rows, chunk_rows=rows,
+    )
+    assert journal.resumed_units == fail
+    assert [unit[0] for unit in journal.pending()] == [5, 6, 7]
+
+
+def test_model_error_leaves_no_draw_in_flight_and_a_clean_rerun(
+    comparator, monkeypatch
+):
+    rows = 2048
+    source = _Prefetchable(_mc(comparator, 8 * rows), delay_s=0.02)
+    original = VectorizedEvaluator.reduce_batch
+    calls = []
+
+    def failing(self, params, batch):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ParameterError("model error in chunk 2")
+        return original(self, params, batch)
+
+    monkeypatch.setattr(VectorizedEvaluator, "reduce_batch", failing)
+    with pytest.raises(ParameterError, match="chunk 2"):
+        run_stream(source, _small_reduction(), chunk_rows=rows)
+    # The draw of chunk 3 had started; it finished before the error
+    # left run_stream, and the producer thread is gone.
+    assert source.started == [0, rows, 2 * rows, 3 * rows]
+    assert source.finished == source.started
+    assert _prefetch_threads() == []
+
+    monkeypatch.setattr(VectorizedEvaluator, "reduce_batch", original)
+    rerun = run_stream(source, _small_reduction(), chunk_rows=rows)
+    fresh = run_stream(
+        _mc(comparator, 8 * rows), _small_reduction(), chunk_rows=rows
+    )
+    for key, array in fresh.to_state().items():
+        np.testing.assert_array_equal(rerun.to_state()[key], array)
+
+
+def test_no_prefetch_thread_outlives_a_study_or_engine_close(
+    comparator, monkeypatch
+):
+    engine = EvaluationEngine(cache_size=0, workers=1)
+    seen: set[str] = set()
+    original = MonteCarloChunkSource.chunk
+
+    def spy(self, start, stop):
+        seen.add(threading.current_thread().name)
+        return original(self, start, stop)
+
+    monkeypatch.setattr(MonteCarloChunkSource, "chunk", spy)
+    monte_carlo_stream(
+        comparator, BASELINE, table1_distributions(), n_samples=8192,
+        seed=5, engine=engine, chunk_rows=1024, workers=1,
+    )
+    assert {name.split("_")[0] for name in seen} == {PREFETCH_THREAD_PREFIX}
+    assert _prefetch_threads() == []
+    engine.close()
+    assert _prefetch_threads() == []
+
+
+def test_concurrent_prefetching_streams_on_one_source_stay_exact(comparator):
+    """Four streams over one source instance at once, with a short
+    switch interval: each run's producer thread has its own column
+    ring, so no run reads another's draws."""
+    import sys
+
+    rows = 512
+    source = _mc(comparator, 16 * rows)
+    reference = run_stream(
+        _Prefetchable(_mc(comparator, 16 * rows)), _small_reduction(),
+        chunk_rows=rows,
+    ).to_state()
+    reference_inline = _Prefetchable(_mc(comparator, 16 * rows))
+    reference_inline.PREFETCH_SAFE = False
+    inline = run_stream(
+        reference_inline, _small_reduction(), chunk_rows=rows
+    ).to_state()
+    for key, array in inline.items():
+        np.testing.assert_array_equal(reference[key], array)
+
+    results: list = []
+    errors: list = []
+
+    def study() -> None:
+        try:
+            for _ in range(3):
+                results.append(run_stream(
+                    source, _small_reduction(), chunk_rows=rows
+                ).to_state())
+        except BaseException as exc:  # pragma: no cover - the failure mode
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=study) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(results) == 12
+    for state in results:
+        for key, array in reference.items():
+            np.testing.assert_array_equal(state[key], array)
+    assert _prefetch_threads() == []
