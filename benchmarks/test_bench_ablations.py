@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the load-bearing modelling choices.
 
 Each ablation perturbs one modelling decision and checks the documented
 effect on the headline DNN comparison, quantifying how load-bearing the

@@ -1,44 +1,17 @@
-"""Bench: the serving front-ends under concurrent clients.
+"""Bench: the socket serving tier under concurrent clients.
 
-Drives :func:`repro.engine.service.serving_benchmark` — the same harness
-behind ``greenfpga serve-bench`` — over one shared cell universe in
-four phases (1 serialized vs 8 concurrent clients, cold store vs
-persisted-warm ``.npz``), and
-:func:`repro.engine.serve.bench.latency_benchmark` — 8 and 64 socket
-clients, fault-free and with one injected worker kill per repeat.
+Drives :func:`repro.engine.serve.bench.latency_benchmark` — the harness
+behind ``greenfpga serve-bench`` — with 8 and 64 socket clients,
+fault-free and with one injected worker kill per repeat.
 
-Asserted here: the persisted-warm concurrent phase recomputes *zero*
-rows (every cell is served from the ``.npz``-loaded store, proving
-in-flight deduplication plus persistence work end to end), and served
-columns stay bit-identical across every latency phase including the
-kills.  The throughput ratios and p99 bounds of the same harnesses are
-gated by ``benchmarks/timing_gates.py``.
+Asserted here: served columns stay bit-identical across every phase
+including the kills.  The p99 bounds of the same harness are gated by
+``benchmarks/timing_gates.py``.
 """
 
 from __future__ import annotations
 
 from repro.engine.serve.bench import latency_benchmark
-from repro.engine.service import serving_benchmark
-
-CLIENTS = 8
-REQUESTS_PER_CLIENT = 24
-CELLS_PER_REQUEST = 100
-
-
-def test_serving_persisted_warmth_recomputes_nothing(tmp_path):
-    """1 vs 8 clients, cold vs persisted-warm."""
-    report = serving_benchmark(
-        clients=CLIENTS,
-        requests_per_client=REQUESTS_PER_CLIENT,
-        cells_per_request=CELLS_PER_REQUEST,
-        cache_file=tmp_path / "serving-warmth.npz",
-    )
-
-    unique_cells = REQUESTS_PER_CLIENT * CELLS_PER_REQUEST
-    assert report["persisted_entries"] == unique_cells
-    assert report["warm_concurrent_rows_recomputed"] == 0, (
-        "persisted-warm clients recomputed cells the .npz store already held"
-    )
 
 
 def test_serving_latency_bit_identical_under_kill(tmp_path):

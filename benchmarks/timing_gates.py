@@ -37,13 +37,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import test_bench_engine as eng  # noqa: E402
-import test_bench_serving as srv  # noqa: E402
 import test_bench_vector as vec  # noqa: E402
 from repro.analysis.montecarlo import monte_carlo, monte_carlo_batch  # noqa: E402
 from repro.core.comparison import PlatformComparator  # noqa: E402
 from repro.engine import EvaluationEngine  # noqa: E402
 from repro.engine.serve.bench import latency_benchmark  # noqa: E402
-from repro.engine.service import serving_benchmark  # noqa: E402
 from repro.engine.vector import Checkpoint  # noqa: E402
 from repro.experiments.ext_uncertainty import distributions as table1  # noqa: E402
 
@@ -55,7 +53,7 @@ MAX_SPREAD = 0.25
 
 #: Runs averaged within one repeat for arms that take well under a
 #: second: one such run varies by more than MAX_SPREAD on a shared
-#: 2-core host (serving phases read 0.09-0.16 s back to back).
+#: 2-core host.
 SHORT_RUNS = 5
 
 #: The 1 -> 4 worker scaling gate needs the full-scale stream and the
@@ -94,12 +92,6 @@ GATES = (
     Gate("checkpointed over fault-free", "<=", 1.05),
     # 0.75 x the 6.01x anchor (tier-1 had >= 4x).
     Gate("fused speedup", ">=", 4.51),
-    # 0.75 x the 5.82x anchor (tier-1 had >= 4x).
-    Gate("concurrent speedup", ">=", 4.37),
-    # Tier-1 bound (test_bench_serving.py).
-    Gate("adaptive over eager", "<=", 1.5),
-    # Tier-1 bound (test_bench_serving.py).
-    Gate("warm serialized over cold serialized", "<=", 1.5),
     # 1.25 x the 14.597 ms anchor.
     Gate("8-client fault-free p99 ms", "<=", 18.25),
     # 1.25 x the 109.982 ms anchor.
@@ -122,12 +114,6 @@ def timed(fn, *args, **kwargs) -> float:
     t0 = time.perf_counter()
     fn(*args, **kwargs)
     return time.perf_counter() - t0
-
-
-def phase_sums(runs):
-    """Elapsed seconds per phase, summed over serving-benchmark reports."""
-    return {name: sum(run["phases"][name]["elapsed_s"] for run in runs)
-            for name in runs[0]["phases"]}
 
 
 def heatmap(stack, comparator, tmp):
@@ -229,30 +215,6 @@ def fused(stack, comparator, tmp):
     return repeat
 
 
-def serving(stack, comparator, tmp):
-    def repeat(_):
-        big = phase_sums([
-            serving_benchmark(clients=srv.CLIENTS,
-                              requests_per_client=srv.REQUESTS_PER_CLIENT,
-                              cells_per_request=srv.CELLS_PER_REQUEST)
-            for _ in range(SHORT_RUNS)
-        ])
-        small = phase_sums([
-            serving_benchmark(clients=2, requests_per_client=8,
-                              cells_per_request=50)
-            for _ in range(SHORT_RUNS)
-        ])
-        return {
-            "concurrent speedup": big["warm_serialized_1_windowed"]
-            / big[f"warm_concurrent_{srv.CLIENTS}"],
-            "adaptive over eager": big["warm_serialized_1"]
-            / big["warm_serialized_1_eager"],
-            "warm serialized over cold serialized":
-                small["warm_serialized_1"] / small["cold_serialized_1"],
-        }
-    return repeat
-
-
 def latency(stack, comparator, tmp):
     def repeat(_):
         phases = latency_benchmark()["phases"]
@@ -283,7 +245,7 @@ def median_spread(values) -> tuple[float, float]:
 
 
 WORKLOADS = (heatmap, monte_carlo_runs, streaming, checkpointing, fused,
-             serving, latency, engine_cache)
+             latency, engine_cache)
 
 
 def main() -> int:

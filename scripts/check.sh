@@ -37,19 +37,19 @@ python -m repro.cli audit --parity-values 2 --json "$scratch/audit.json"
 echo
 echo "== registry parity sweep, chain tier (REPRO_KERNEL=numpy) =="
 # The audit above swept the fused tier (the default REPRO_KERNEL
-# resolution); this pass pins the always-available chain fallback so a
-# missing/broken Numba can never hide a parity break in either tier.
+# resolution); this pass pins the NumPy chain, so a parity break in
+# either of the two tiers shows up on its own.
 REPRO_KERNEL=numpy python -m repro.cli audit --parity-only --parity-values 2
 
 echo
 echo "== tier-1: unit + integration tests =="
 python -m pytest tests -x -q \
-    --ignore=tests/test_service.py --ignore=tests/test_store.py \
+    --ignore=tests/test_store.py \
     --ignore=tests/test_serve_chaos.py --ignore=tests/test_checkpoint.py
 
 echo
-echo "== async serving + store test suite =="
-python -m pytest tests/test_service.py tests/test_store.py -x -q
+echo "== result store test suite =="
+python -m pytest tests/test_store.py -x -q
 
 echo
 echo "== serving chaos suite (quick fault-injection scale) =="

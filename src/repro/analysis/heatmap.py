@@ -127,10 +127,10 @@ def heatmap_columns(
 ) -> ScenarioBatch:
     """Validated scenario columns for a full 2-D heatmap grid.
 
-    Shared by :func:`pairwise_heatmap_batch` and the async serving layer
-    (:meth:`repro.engine.service.AsyncEvaluationEngine.heatmap_batch`),
-    so both spellings build — and therefore digest and cache — identical
-    batches (x varies fastest, matching the scalar nesting).
+    The column builder behind :func:`pairwise_heatmap_batch`; callers
+    that evaluate the batch elsewhere build — and therefore digest and
+    cache — the same batch through it (x varies fastest, matching the
+    scalar nesting).
     """
     for axis in (x_axis, y_axis):
         if axis not in _AXIS_APPLIERS:

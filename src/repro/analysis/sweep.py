@@ -191,10 +191,9 @@ def sweep_columns(
 ) -> ScenarioBatch:
     """Validated scenario columns for a one-axis sweep.
 
-    Shared by :func:`sweep_batch` and the async serving layer
-    (:meth:`repro.engine.service.AsyncEvaluationEngine.sweep_batch`), so
-    both spellings build — and therefore digest and cache — identical
-    batches.
+    The column builder behind :func:`sweep_batch`; callers that
+    evaluate the batch elsewhere build — and therefore digest and
+    cache — the same batch through it.
     """
     if axis not in _AXIS_APPLIERS:
         raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")

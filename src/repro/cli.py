@@ -15,8 +15,9 @@ Subcommands:
   reduced chunk-by-chunk (``--chunk-rows``) on ``--mc-workers`` spawn
   processes, so any draw count runs in bounded memory; prints draws/s
   and the peak process-tree RSS.
-* ``greenfpga serve-bench [--clients N]`` — measure async serving
-  throughput (micro-batched concurrent clients vs serialized dispatch).
+* ``greenfpga serve-bench [--clients N ...]`` — measure serving latency
+  (p50/p99) through the socket ``BatchServer``, fault-free and with one
+  injected worker kill; exits non-zero if any response mismatches.
 
 Engine options (shared by every subcommand):
 
@@ -133,15 +134,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve-bench",
-        help="benchmark the async batch-serving front-end",
+        help="latency percentiles of the socket batch server",
     )
-    serve.add_argument("--clients", type=int, default=8, help="concurrent clients")
-    serve.add_argument("--requests", type=int, default=16,
+    serve.add_argument("--clients", type=int, nargs="+", default=None,
+                       metavar="N", help="concurrent client count(s)")
+    serve.add_argument("--requests", type=int, default=None,
                        help="requests per client")
-    serve.add_argument("--cells", type=int, default=100,
+    serve.add_argument("--cells", type=int, default=None,
                        help="scenario cells per request")
-    serve.add_argument("--window-ms", type=float, default=2.0,
-                       help="micro-batching window, milliseconds")
 
     audit = sub.add_parser(
         "audit",
@@ -305,40 +305,44 @@ def _cmd_mc(
 
 
 def _cmd_serve_bench(
-    clients: int,
-    requests: int,
-    cells: int,
-    window_ms: float,
+    clients: "list[int] | None",
+    requests: "int | None",
+    cells: "int | None",
     cache_file: str | None,
 ) -> int:
-    from repro.engine.service import serving_benchmark
+    from repro.engine.serve.bench import latency_benchmark
 
-    report = serving_benchmark(
-        clients=clients,
-        requests_per_client=requests,
-        cells_per_request=cells,
-        batch_window_s=window_ms / 1000.0,
-        cache_file=cache_file,
-    )
+    sizes: dict[str, object] = {"cache_file": cache_file}
+    if clients is not None:
+        sizes["client_counts"] = tuple(clients)
+    if requests is not None:
+        sizes["requests_per_client"] = requests
+    if cells is not None:
+        sizes["cells_per_request"] = cells
+    report = latency_benchmark(**sizes)
     rows = [
-        {"phase": name, **metrics} for name, metrics in report["phases"].items()
+        {
+            "clients": name.removeprefix("clients_"),
+            "phase": phase,
+            **{key: metrics[key] for key in (
+                "requests", "p50_ms", "p99_ms", "worker_deaths",
+                "replays", "mismatches",
+            )},
+        }
+        for name, modes in report["phases"].items()
+        for phase, metrics in modes.items()
     ]
     print(format_table(
         rows,
         title=(
-            f"async serving: {report['total_scenarios']} scenarios, "
-            f"{clients} clients, window {window_ms:g} ms"
+            f"socket serving: {report['workers']} workers, "
+            f"{report['requests_per_client']} requests/client x "
+            f"{report['cells_per_request']} cells, "
+            f"{report['repeats']} repeats per phase"
         ),
     ))
-    print(
-        f"\nwarm concurrent vs windowed serialized dispatch: "
-        f"{report['speedup_concurrent_vs_windowed_serialized_warm']:.2f}x  "
-        f"adaptive vs eager serialized: "
-        f"{report['adaptive_serialized_over_eager_warm']:.2f}x  "
-        f"(persisted entries: {report['persisted_entries']}, "
-        f"warm rows recomputed: {report['warm_concurrent_rows_recomputed']})"
-    )
-    return 0
+    print(f"\nmismatched responses: {report['mismatches']}")
+    return 0 if report["mismatches"] == 0 else 1
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -427,8 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     elif args.command == "serve-bench":
         code = _cmd_serve_bench(
-            args.clients, args.requests, args.cells, args.window_ms,
-            args.cache_file,
+            args.clients, args.requests, args.cells, args.cache_file,
         )
     elif args.command == "audit":
         code = _cmd_audit(args)

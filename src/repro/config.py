@@ -1,10 +1,10 @@
 """Table 1 parameter set: validation, JSON round-trip, suite building.
 
 Every knob of the paper's Table 1 (plus the calibrated extensions this
-reproduction documents in DESIGN.md) is gathered in :class:`Parameters`,
-with the published ranges attached so that values can be validated
-against the table, perturbed for sensitivity studies, and saved/loaded
-as JSON experiment configs.
+reproduction adds where the paper gives no value) is gathered in
+:class:`Parameters`, with the published ranges attached so that values
+can be validated against the table, perturbed for sensitivity studies,
+and saved/loaded as JSON experiment configs.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ TABLE1_RANGES: dict[str, ParameterRange] = {
 class Parameters:
     """All scenario-independent model knobs, JSON-serialisable.
 
-    Field defaults are the calibrated values behind every experiment in
-    EXPERIMENTS.md.  Fields covered by the paper's Table 1 are validated
+    Field defaults are the calibrated values behind every experiment;
+    ``greenfpga run calibration`` checks them against the paper's
+    claims.  Fields covered by the paper's Table 1 are validated
     against :data:`TABLE1_RANGES` by :meth:`validate`.
     """
 

@@ -14,7 +14,8 @@ carries a calibrated absolute ASIC baseline (area, power, node) that sets
 the scale of the experiments; the ratios above are applied to derive the
 iso-performance FPGA.  The baselines are edge/embedded accelerator class
 parts at 10 nm (the paper's stated node), chosen so the reproduced
-crossovers land near the published ones (see EXPERIMENTS.md).
+crossovers land near the published ones (``greenfpga run calibration``
+prints each crossover next to the paper's).
 
 Table 3 industry parts are encoded verbatim (area, TDP, node).
 """

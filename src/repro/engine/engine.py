@@ -22,9 +22,8 @@ primitive behind one batch API with
 
 Evaluation is pure — ``compare()`` depends only on the frozen comparator
 and scenario — so cached, vectorised and parallel execution return
-results bit-identical to the sequential per-point loops.  For awaitable,
-micro-batched serving on top of this engine see
-:class:`repro.engine.service.AsyncEvaluationEngine`.
+results bit-identical to the sequential per-point loops.  For serving
+this engine to many clients over a socket see :mod:`repro.engine.serve`.
 """
 
 from __future__ import annotations
@@ -180,9 +179,9 @@ class EvaluationEngine:
             the kernel; smaller groups (and scenarios the kernel doesn't
             cover, e.g. heterogeneous per-application lifetimes) take
             the scalar path per pair.
-        kernel_tier: Fused kernel tier for the streaming reduce paths
-            (``auto``/``fused``/``numba``/``numpy``); ``None`` honours
-            the ``REPRO_KERNEL`` environment variable.  See
+        kernel_tier: Kernel tier for the streaming reduce paths
+            (``fused`` or ``numpy``); ``None`` honours the
+            ``REPRO_KERNEL`` environment variable, fused when unset.  See
             :mod:`repro.engine.vector.fused`.
         cache_file: Optional ``.npz`` path; when it exists its entries
             are loaded at construction, and :meth:`save_cache` with no
@@ -241,7 +240,7 @@ class EvaluationEngine:
     def kernel_tier_name(self) -> str:
         """Label of the kernel tier streaming reduces resolve to.
 
-        ``fused-numba``/``fused-numpy``/``numpy-chain`` — resolved live
+        ``fused-numpy``/``numpy-chain`` — resolved live
         so an engine with no explicit ``kernel_tier`` reflects the
         current ``REPRO_KERNEL`` environment."""
         return kernel_tier_label(self.kernel_tier)
@@ -922,7 +921,6 @@ class EvaluationEngine:
         chunk_rows: "int | None" = None,
         workers: "int | None" = None,
         checkpoint: "Checkpoint | None" = None,
-        dtype: "type | None" = None,
     ) -> StreamingReduction:
         """Fold a chunk source through the kernels into ``reduction``.
 
@@ -939,18 +937,12 @@ class EvaluationEngine:
         makes the run durable: progress persists atomically on the
         configured cadence and a rerun resumes from completed units —
         still bit-identical to an uninterrupted run.
-
-        ``dtype=np.float32`` opts the fused tier's summary feed into
-        float32 (summaries within ``rtol <= 1e-5`` of a float64 run,
-        win counts still exact); ignored on the chain tier, which is
-        always float64.
         """
         workers = self.stream_workers(workers)
         pool = self._stream_pool_get(workers) if workers > 1 else None
         result = run_stream(
             source, reduction, chunk_rows=chunk_rows, workers=workers,
             pool=pool, checkpoint=checkpoint, kernel_tier=self.kernel_tier,
-            kernel_dtype=dtype if dtype is not None else np.float64,
         )
         self._note_computed(int(source.n))
         return result

@@ -34,6 +34,7 @@ from repro.engine.serve.client import ServeClient
 from repro.engine.serve.faults import FaultPlan
 from repro.engine.serve.server import BatchServer
 from repro.engine.vector.columns import ScenarioBatch
+from repro.errors import ServeError
 
 
 def _request_batches(
@@ -189,9 +190,12 @@ def latency_benchmark(
                     # The injected kill must actually have fired, and
                     # the slot must come back — otherwise this repeat
                     # silently measured the fault-free system.
-                    assert supervisor.worker_deaths >= 1, (
-                        "one-kill phase ran without a worker death"
-                    )
+                    if supervisor.worker_deaths < 1:
+                        raise ServeError(
+                            "one-kill phase ran without a worker death: "
+                            f"worker 0 never reached batch {kill_at_batch} "
+                            "(kill_at_batch); raise --requests or --clients"
+                        )
                     await server.supervisor.wait_for_fleet(workers)
             pooled.append(latencies)
             elapsed_total += float(elapsed)

@@ -253,35 +253,6 @@ class ScenarioBatch:
             scenarios=None,
         )
 
-    @classmethod
-    def concat(cls, batches: Sequence["ScenarioBatch"]) -> "ScenarioBatch":
-        """Fuse several batches into one (row order = input order).
-
-        Used by the async serving layer to coalesce concurrent requests
-        into a single kernel dispatch.  All rows must be covered — the
-        scalar fallback needs originating ``Scenario`` objects, which a
-        fused batch does not carry uniformly; the service dispatches
-        uncovered requests standalone instead.
-        """
-        if not batches:
-            raise ParameterError("concat requires at least one batch")
-        if len(batches) == 1:
-            return batches[0]
-        if not all(b.all_covered for b in batches):
-            raise ParameterError("concat requires fully covered batches")
-        return cls(
-            num_apps=np.concatenate([b.num_apps for b in batches]),
-            volume=np.concatenate([b.volume for b in batches]),
-            lifetime=np.concatenate([b.lifetime for b in batches]),
-            evaluation_years=np.concatenate([b.evaluation_years for b in batches]),
-            app_size_mgates=np.concatenate([b.app_size_mgates for b in batches]),
-            enforce_chip_lifetime=np.concatenate(
-                [b.enforce_chip_lifetime for b in batches]
-            ),
-            covered=np.concatenate([b.covered for b in batches]),
-            scenarios=None,
-        )
-
     def slice_rows(self, start: int, stop: int) -> "ScenarioBatch":
         """Row-range view ``[start, stop)`` (NumPy views, no copy).
 

@@ -631,25 +631,20 @@ class VectorizedEvaluator:
     (the engine owns one and the analysis batch entry points reach it
     through the engine).
 
-    ``kernel_tier`` selects the fused single-pass tier for
-    :meth:`reduce_batch` (``auto``/``fused``/``numba``/``numpy``; default
-    honours the ``REPRO_KERNEL`` environment variable).  ``kernel_dtype``
-    (``float32``/``float64``) is the fused tier's summary precision —
-    see :class:`~repro.engine.vector.fused.FusedKernel`.
+    ``kernel_tier`` selects the tier for :meth:`reduce_batch`: ``fused``
+    (the single-pass :class:`~repro.engine.vector.fused.FusedKernel`) or
+    ``numpy`` (the kernel chain); the default honours the
+    ``REPRO_KERNEL`` environment variable, fused when unset.
     """
 
-    def __init__(
-        self,
-        kernel_tier: "str | None" = None,
-        kernel_dtype: "np.dtype | type" = np.float64,
-    ) -> None:
+    def __init__(self, kernel_tier: "str | None" = None) -> None:
         from repro.engine.vector.fused import make_kernel
 
-        self._fused = make_kernel(kernel_tier, kernel_dtype)
+        self._fused = make_kernel(kernel_tier)
 
     @property
     def kernel_tier_name(self) -> str:
-        """Resolved backend label (``fused-numpy``/``numpy-chain``/...)."""
+        """Resolved tier label (``fused-numpy``/``numpy-chain``)."""
         return self._fused.name if self._fused is not None else "numpy-chain"
 
     def reduce_batch(

@@ -5,44 +5,31 @@ The plain kernel chain (:mod:`repro.engine.vector.kernels` composed by
 to full batch rank and allocates a fresh temporary per expression — on a
 131072-row chunk that is dozens of megabytes of allocation and memory
 traffic per chunk, most of it spent recomputing values that are constant
-across the batch.  This module closes that gap with two interchangeable
-backends behind one :class:`FusedKernel` interface:
+across the batch.  This module closes that gap with one
+:class:`FusedKernel`, a buffer-reuse NumPy evaluator: the kernel chain
+rewritten over a :class:`ScratchPool` of preallocated per-chunk buffers
+with ``out=``/in-place ufuncs, and — crucially — *rank- and
+linearity-aware*: length-1 broadcast parameter columns and value-uniform
+scenario columns are computed as scalars, and the lifecycle algebra over
+genuinely per-row columns flows through deferred linear forms
+(:class:`_Lin`: ``sum(c_i * base_i) + offset``) whose scalar
+coefficients absorb every multiply/add/divide-by-scalar and fold at zero
+full-rank passes.  Full-rank work happens only at nonlinear boundaries
+(yield curves, ceil, products of two per-row chains, the final ratio) —
+on the Table-1 streaming workload that is ~25 vectorised passes per
+chunk instead of the chain's ~150.  Reassociating scalar algebra changes
+rounding, so per-element parity with the chain is ``rtol <= 1e-12``
+(measured ~1e-14) rather than bitwise — but winners are still decided on
+float64 totals and ``tests/test_fused.py`` verifies they match the chain
+bit-for-bit, draw for draw, on the committed studies.  Per-row results
+depend only on the row's values, never on chunk shape, so streaming
+summaries remain bit-identical across any chunk size and worker count.
+After the first chunk the pool serves every request from its free lists:
+zero per-chunk array allocation, verified by ``tracemalloc``.
 
-* **buffer-reuse NumPy** (always available): the kernel chain rewritten
-  over a :class:`ScratchPool` of preallocated per-chunk buffers with
-  ``out=``/in-place ufuncs, and — crucially — *rank- and
-  linearity-aware*: length-1 broadcast parameter columns and
-  value-uniform scenario columns are computed as scalars, and the
-  lifecycle algebra over genuinely per-row columns flows through
-  deferred linear forms (:class:`_Lin`: ``sum(c_i * base_i) + offset``)
-  whose scalar coefficients absorb every multiply/add/divide-by-scalar
-  and fold at zero full-rank passes.  Full-rank work happens only at
-  nonlinear boundaries (yield curves, ceil, products of two per-row
-  chains, the final ratio) — on the Table-1 streaming workload that is
-  ~25 vectorised passes per chunk instead of the chain's ~150.
-  Reassociating scalar algebra changes rounding, so per-element parity
-  with the chain is ``rtol <= 1e-12`` (measured ~1e-14) rather than
-  bitwise — but winners are still decided on float64 totals and
-  ``tests/test_fused.py`` verifies they match the chain bit-for-bit,
-  draw for draw, on the committed studies.  Per-row results depend only
-  on the row's values, never on chunk shape, so streaming summaries
-  remain bit-identical across any chunk size and worker count.  After
-  the first chunk the pool serves every request from its free lists:
-  zero per-chunk array allocation, verified by ``tracemalloc``.
-* **Numba** (optional): an ``@njit(parallel=False, cache=True)``
-  single-pass loop computing per-row FPGA/ASIC totals, ratios and
-  winners in one walk over the 57-column registry slabs.  The import is
-  guarded — an absent Numba is a silent no-op and the tier degrades to
-  the buffer-reuse backend.  Basic arithmetic matches the chain
-  bit-for-bit (same IEEE operation order); transcendentals go through
-  libm instead of NumPy's SIMD loops, so the parity contract for this
-  backend is the registry-wide ``rtol <= 1e-12`` bound with winners
-  decided on float64 totals.
-
-Backend selection is automatic: the ``REPRO_KERNEL`` environment
-variable (``fused``/``numpy``/``auto``, plus ``numba`` to insist on the
-compiled backend) or the ``EvaluationEngine(kernel_tier=)`` knob, with
-the pure-NumPy chain as the always-available fallback (``numpy``).
+Tier selection: the ``REPRO_KERNEL`` environment variable or the
+``EvaluationEngine(kernel_tier=)`` knob picks ``fused`` (this module,
+the default) or ``numpy`` (the plain kernel chain).
 
 Every ``fused_*`` kernel here has a NumPy twin of the same name (minus
 the prefix) in :mod:`repro.engine.vector.kernels` with an identical
@@ -75,19 +62,11 @@ from repro.errors import CapacityError, ParameterError
 from repro.manufacturing.yield_model import YieldModel
 from repro.units import HOURS_PER_YEAR, MM2_PER_CM2, RETICLE_LIMIT_MM2
 
-try:  # guarded: absent Numba must be a silent no-op
-    from numba import njit as _njit  # type: ignore[import-not-found]
-
-    NUMBA_AVAILABLE = True
-except Exception:  # noqa: BLE001 - absent/broken Numba must be a silent no-op
-    _njit = None
-    NUMBA_AVAILABLE = False
-
 #: Environment knob selecting the kernel tier for new evaluators.
 KERNEL_TIER_ENV = "REPRO_KERNEL"
 
 #: Accepted ``REPRO_KERNEL`` / ``kernel_tier=`` spellings.
-KERNEL_TIERS = ("auto", "fused", "numba", "numpy")
+KERNEL_TIERS = ("fused", "numpy")
 
 #: Largest uniform application count the NumPy fused backend serves:
 #: beyond it the worst-case gap between its ``x * count`` shortcut and
@@ -101,56 +80,44 @@ _SEEDS = YIELD_MODEL_CODES[YieldModel.SEEDS]
 
 
 def resolve_kernel_tier(requested: "str | None" = None) -> str:
-    """Resolve a tier request to a concrete backend name.
+    """Resolve a tier request to ``"fused"`` or ``"chain"``.
 
     ``requested`` wins over the ``REPRO_KERNEL`` environment variable;
-    both default to ``auto``.  Returns ``"numba"``, ``"numpy-fused"``
-    or ``"chain"`` (the plain kernel chain, i.e. no fused tier).
-    ``fused``/``auto`` prefer Numba when importable and degrade to the
-    buffer-reuse NumPy backend silently — as does an explicit ``numba``
-    request, per the silent-no-op contract for the missing compiler.
+    an unset or empty request means ``fused``.  ``numpy`` selects the
+    plain kernel chain (no fused tier).
     """
     tier = requested if requested is not None else os.environ.get(KERNEL_TIER_ENV)
-    tier = str(tier).strip().lower() if tier is not None else "auto"
+    tier = str(tier).strip().lower() if tier is not None else ""
     if not tier:
-        tier = "auto"
+        tier = "fused"
     if tier not in KERNEL_TIERS:
         raise ParameterError(
             f"unknown kernel tier {tier!r}; expected one of {KERNEL_TIERS}"
         )
-    if tier == "numpy":
-        return "chain"
-    if tier == "numba" or tier == "auto" or tier == "fused":
-        return "numba" if NUMBA_AVAILABLE else "numpy-fused"
-    raise ParameterError(f"unhandled kernel tier {tier!r}")  # pragma: no cover
+    return "chain" if tier == "numpy" else "fused"
 
 
 def kernel_tier_label(requested: "str | None" = None) -> str:
     """Human-readable name of the tier a request resolves to.
 
-    ``fused-numba`` / ``fused-numpy`` / ``numpy-chain`` — printed by
-    ``greenfpga mc`` and embedded in bench artifacts so they are
-    self-describing.
+    ``fused-numpy`` / ``numpy-chain`` — printed by ``greenfpga mc`` and
+    embedded in bench artifacts so they are self-describing.
     """
-    backend = resolve_kernel_tier(requested)
-    if backend == "chain":
+    if resolve_kernel_tier(requested) == "chain":
         return "numpy-chain"
-    return "fused-numba" if backend == "numba" else "fused-numpy"
+    return FusedKernel.name
 
 
-def make_kernel(
-    requested: "str | None" = None, dtype: "np.dtype | type" = np.float64
-) -> "FusedKernel | None":
+def make_kernel(requested: "str | None" = None) -> "FusedKernel | None":
     """Build a :class:`FusedKernel` for a tier request.
 
     Returns ``None`` when the request resolves to the plain chain
     (``REPRO_KERNEL=numpy``) — callers fall back to the existing
     evaluator path.
     """
-    backend = resolve_kernel_tier(requested)
-    if backend == "chain":
+    if resolve_kernel_tier(requested) == "chain":
         return None
-    return FusedKernel(backend=backend, dtype=dtype)
+    return FusedKernel()
 
 
 # ----------------------------------------------------------------------
@@ -945,37 +912,13 @@ class FusedKernel:
     Build one per worker (the streaming layer keeps one per resolved
     tier per process) and call :meth:`evaluate` per chunk; the scratch
     pool is sized by the first chunk and recycled afterwards.
-
-    ``dtype=np.float32`` opts the *summary feed* (``ratios``) into
-    float32: lifecycle arithmetic and the winner comparison stay in
-    float64 — win counts remain exact and totals bit-identical — while
-    the ratio column reducers consume is downcast once per chunk, so
-    float32 summaries agree with a float64 run to ``rtol <= 1e-5``
-    (the only error source is the final rounding, ~1e-7 relative).
     """
 
-    def __init__(
-        self,
-        backend: str = "numpy-fused",
-        dtype: "np.dtype | type" = np.float64,
-    ) -> None:
-        if backend not in ("numba", "numpy-fused"):
-            raise ParameterError(f"unknown fused backend {backend!r}")
-        dt = np.dtype(dtype)
-        if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ParameterError(
-                f"fused kernel dtype must be float64 or float32, got {dt}"
-            )
-        if backend == "numba" and not NUMBA_AVAILABLE:
-            backend = "numpy-fused"
-        self.backend = backend
-        self.dtype = dt
-        self.pool = ScratchPool()
+    #: Tier label for bench artifacts.
+    name = "fused-numpy"
 
-    @property
-    def name(self) -> str:
-        """Tier label for bench artifacts (``fused-numba``/``fused-numpy``)."""
-        return "fused-numba" if self.backend == "numba" else "fused-numpy"
+    def __init__(self) -> None:
+        self.pool = ScratchPool()
 
     def evaluate(
         self, params: ParameterBatch, batch: ScenarioBatch
@@ -983,8 +926,8 @@ class FusedKernel:
         """One fused pass over a chunk; ``None`` when the tier must yield.
 
         Returns ``None`` for batches with uncovered scenario rows —
-        those need the chain + scalar fallback path — and, on the NumPy
-        backend, for application counts above
+        those need the chain + scalar fallback path — and for
+        application counts above
         :data:`MAX_UNIFORM_FOLD_COUNT`, where its multiply shortcut for
         the per-application fold would leave the parity bound.  Raises
         the same :class:`~repro.errors.CapacityError` family as the
@@ -998,22 +941,11 @@ class FusedKernel:
         if batch.size == 0 or not batch.all_covered:
             return None
         self.pool.reclaim()
-        if self.backend == "numba":
-            try:
-                return self._evaluate_numba(params, batch)
-            except CapacityError:
-                raise
-            except Exception:  # noqa: BLE001 - compiled tier degrades, never fails
-                # Any compiled-path failure degrades to the NumPy
-                # backend for this kernel's remaining lifetime.
-                self.backend = "numpy-fused"
         counts = batch.num_apps
         top = counts[0] if counts.strides[0] == 0 else counts.max()
         if top > MAX_UNIFORM_FOLD_COUNT:
             return None
         return self._evaluate_numpy(params, batch)
-
-    # -- buffer-reuse NumPy backend ------------------------------------
 
     def _side_constants(
         self,
@@ -1221,314 +1153,9 @@ class FusedKernel:
         wins: np.ndarray,
         n: int,
     ) -> FusedResult:
-        if self.dtype == np.float32:
-            narrow = self.pool.take(ratios.shape[0], np.float32)
-            np.copyto(narrow, ratios, casting="same_kind")
-            ratios = narrow
         return FusedResult(
             np.broadcast_to(ratios, (n,)),
             np.broadcast_to(fpga_totals, (n,)),
             np.broadcast_to(asic_totals, (n,)),
             np.broadcast_to(wins, (n,)),
         )
-
-    # -- Numba backend --------------------------------------------------
-
-    def _evaluate_numba(self, p: ParameterBatch, batch: ScenarioBatch) -> FusedResult:
-        pool = self.pool
-        n = batch.size
-        kernel = _get_numba_kernel()
-
-        per_row = [
-            j for j in range(P.N_PARAM_COLS) if p.col(j).shape[0] != 1
-        ]
-        scalars = pool.take(P.N_PARAM_COLS)
-        rowmap = pool.take(P.N_PARAM_COLS, np.int64)
-        rowmap.fill(-1)
-        for j in range(P.N_PARAM_COLS):
-            scalars[j] = p.col(j)[0] if j not in per_row else 0.0
-        rowdata = pool.take(max(1, len(per_row)) * n).reshape(-1, n)
-        for k, j in enumerate(per_row):
-            rowmap[j] = k
-            np.copyto(rowdata[k], p.col(j))
-
-        # Geometry feasibility checks run outside the loop so the jitted
-        # kernel never raises — identical error semantics to the chain.
-        for fpga_side in (True, False):
-            area = p.col(P.F_AREA if fpga_side else P.A_AREA)
-            charge = p.col(P.MFG_CHARGE)
-            if np.any(charge != 0.0):
-                fused_dies_per_wafer_kernel(
-                    area,
-                    p.col(P.F_WAFER_D if fpga_side else P.A_WAFER_D),
-                    p.col(P.MFG_EDGE), p.col(P.MFG_SCRIBE),
-                    ctx=_AffineCtx(pool),
-                )
-                radius = (
-                    np.asarray(
-                        p.col(P.F_WAFER_D if fpga_side else P.A_WAFER_D),
-                        dtype=np.float64,
-                    ) / 2.0 - p.col(P.MFG_EDGE)
-                )
-                if np.any(radius <= 0.0):
-                    raise CapacityError(
-                        "edge exclusion leaves no usable wafer area"
-                    )
-            elif np.any(np.asarray(area, dtype=np.float64) > RETICLE_LIMIT_MM2):
-                worst = float(np.asarray(area).max())
-                raise CapacityError(
-                    f"die area {worst:.0f} mm^2 exceeds the reticle limit "
-                    f"({RETICLE_LIMIT_MM2:.0f} mm^2); split the design "
-                    "across chips"
-                )
-
-        fpga_totals = pool.take(n)
-        asic_totals = pool.take(n)
-        ratios = pool.take(n)
-        wins = pool.take(n, np.bool_)
-        kernel(
-            scalars, rowdata, rowmap,
-            np.ascontiguousarray(batch.num_apps),
-            np.ascontiguousarray(batch.volume),
-            np.ascontiguousarray(batch.lifetime),
-            np.ascontiguousarray(batch.evaluation_years),
-            np.ascontiguousarray(batch.app_size_mgates),
-            np.ascontiguousarray(batch.enforce_chip_lifetime),
-            fpga_totals, asic_totals, ratios, wins,
-        )
-        return self._package(ratios, fpga_totals, asic_totals, wins, n)
-
-
-# ----------------------------------------------------------------------
-# Numba single-pass kernel (compiled lazily, only when importable)
-# ----------------------------------------------------------------------
-
-_NUMBA_KERNEL = None
-
-# Column indices bound as module globals so the jitted kernel folds them
-# into constants at compile time.
-_I_MFG_FAB_CI, _I_MFG_ABATE = P.MFG_FAB_CI, P.MFG_ABATE
-_I_MFG_EDGE, _I_MFG_SCRIBE = P.MFG_EDGE, P.MFG_SCRIBE
-_I_MFG_RHO, _I_MFG_YIELD, _I_MFG_CHARGE = P.MFG_RHO, P.MFG_YIELD_CODE, P.MFG_CHARGE
-_I_PKG_SUB, _I_PKG_ASM_KWH, _I_PKG_ASM_CI = P.PKG_SUB, P.PKG_ASM_KWH, P.PKG_ASM_CI
-_I_PKG_FANOUT, _I_PKG_BASE_KG = P.PKG_FANOUT, P.PKG_BASE_KG
-_I_PKG_MASS_CM2, _I_PKG_BASE_MASS = P.PKG_MASS_CM2, P.PKG_BASE_MASS
-_I_EOL_DELTA, _I_EOL_DISCARD = P.EOL_DELTA, P.EOL_DISCARD
-_I_EOL_CREDIT, _I_EOL_TRANSPORT = P.EOL_CREDIT, P.EOL_TRANSPORT
-_I_DES_ANNUAL_KWH, _I_DES_CI = P.DES_ANNUAL_KWH, P.DES_CI
-_I_DES_AVG_GATES, _I_DES_BETA = P.DES_AVG_GATES, P.DES_BETA
-_I_OP_CI, _I_OP_DUTY, _I_OP_IDLE, _I_OP_PUE = P.OP_CI, P.OP_DUTY, P.OP_IDLE, P.OP_PUE
-_I_AD_CI, _I_AD_CONFIG_KW = P.AD_CI, P.AD_CONFIG_KW
-_I_F_AREA, _I_F_POWER, _I_F_LIFE = P.F_AREA, P.F_POWER, P.F_LIFE
-_I_F_CAPACITY, _I_F_GATES = P.F_CAPACITY, P.F_GATES
-_I_F_EPA, _I_F_GPA = P.F_EPA, P.F_GPA
-_I_F_MPA_NEW, _I_F_MPA_REC = P.F_MPA_NEW, P.F_MPA_REC
-_I_F_DEFECT, _I_F_LINE_YIELD, _I_F_WAFER_D = P.F_DEFECT, P.F_LINE_YIELD, P.F_WAFER_D
-_I_F_TEAM_YEARS, _I_F_DEV_KG, _I_F_CHPU = P.F_TEAM_YEARS, P.F_DEV_KG, P.F_CHPU
-_I_A_AREA, _I_A_POWER, _I_A_LIFE, _I_A_GATES = P.A_AREA, P.A_POWER, P.A_LIFE, P.A_GATES
-_I_A_EPA, _I_A_GPA = P.A_EPA, P.A_GPA
-_I_A_MPA_NEW, _I_A_MPA_REC = P.A_MPA_NEW, P.A_MPA_REC
-_I_A_DEFECT, _I_A_LINE_YIELD, _I_A_WAFER_D = P.A_DEFECT, P.A_LINE_YIELD, P.A_WAFER_D
-_I_A_TEAM_YEARS, _I_A_DEV_KG, _I_A_CHPU = P.A_TEAM_YEARS, P.A_DEV_KG, P.A_CHPU
-_N_COLS = P.N_PARAM_COLS
-_HOURS_PER_YEAR = float(HOURS_PER_YEAR)
-_MM2_PER_CM2 = float(MM2_PER_CM2)
-_GEN_EPS = float(GENERATIONS_EPSILON)
-
-
-def _get_numba_kernel():
-    """Compile (once) and return the single-pass jitted kernel."""
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is not None:
-        return _NUMBA_KERNEL
-    if not NUMBA_AVAILABLE:  # pragma: no cover - guarded by callers
-        raise ParameterError("numba is not importable")
-
-    @_njit(parallel=False, cache=True)
-    def _chip_constants(
-        row, i_area, i_power, i_life, i_gates, i_epa, i_gpa, i_mpa_new,
-        i_mpa_rec, i_defect, i_line_yield, i_wafer_d, i_team_years,
-        i_dev_kg,
-    ):  # pragma: no cover - requires numba
-        area = row[i_area]
-        # -- manufacturing (mirrors manufacturing_per_die_kg) ----------
-        faults = (area / _MM2_PER_CM2) * row[i_defect]
-        code = int(row[_I_MFG_YIELD])
-        if code == 0:  # Murphy
-            if faults < 1.0e-12:
-                statistical = 1.0
-            else:
-                curve = -math.expm1(-faults) / faults
-                statistical = curve**2
-        elif code == 1:  # Poisson
-            statistical = math.exp(-faults)
-        else:  # Seeds
-            statistical = 1.0 / (1.0 + faults)
-        total_yield = statistical * row[i_line_yield]
-        if row[_I_MFG_CHARGE] != 0.0:
-            side_mm = math.sqrt(area) + row[_I_MFG_SCRIBE]
-            footprint_mm2 = side_mm**2
-            usable_d = row[i_wafer_d] - 2.0 * row[_I_MFG_EDGE]
-            area_term = math.pi * (usable_d / 2.0) ** 2 / footprint_mm2
-            edge_term = math.pi * usable_d / math.sqrt(2.0 * footprint_mm2)
-            gross = math.floor(area_term - edge_term)
-            radius_mm = row[i_wafer_d] / 2.0 - row[_I_MFG_EDGE]
-            usable_cm2 = (math.pi * radius_mm**2) / _MM2_PER_CM2
-            area_cm2 = max(usable_cm2 / gross, area / _MM2_PER_CM2)
-        else:
-            area_cm2 = area / _MM2_PER_CM2
-        scale = area_cm2 / total_yield
-        energy = row[i_epa] * row[_I_MFG_FAB_CI] * scale
-        gas = row[i_gpa] * (1.0 - row[_I_MFG_ABATE]) * scale
-        blended = (
-            row[_I_MFG_RHO] * row[i_mpa_rec]
-            + (1.0 - row[_I_MFG_RHO]) * row[i_mpa_new]
-        )
-        mfg = energy + gas + blended * scale
-        # -- packaging (mirrors packaging_per_chip) --------------------
-        pkg_area_cm2 = (area * row[_I_PKG_FANOUT]) / _MM2_PER_CM2
-        substrate = row[_I_PKG_BASE_KG] + row[_I_PKG_SUB] * pkg_area_cm2
-        assembly = row[_I_PKG_ASM_KWH] * row[_I_PKG_ASM_CI]
-        mass_g = row[_I_PKG_BASE_MASS] + row[_I_PKG_MASS_CM2] * pkg_area_cm2
-        pkg = substrate + assembly
-        # -- end of life (mirrors eol_per_chip_kg) ---------------------
-        mass_kg = mass_g / 1000.0
-        delta = row[_I_EOL_DELTA]
-        discard = (1.0 - delta) * row[_I_EOL_DISCARD] * mass_kg
-        credit = delta * row[_I_EOL_CREDIT] * mass_kg
-        transport = row[_I_EOL_TRANSPORT] * mass_kg
-        eol = discard - credit + transport
-        # -- design (mirrors design_project_kg) ------------------------
-        gate_scale = (row[i_gates] / row[_I_DES_AVG_GATES]) ** row[_I_DES_BETA]
-        design = (
-            row[_I_DES_ANNUAL_KWH] * row[i_team_years] * row[_I_DES_CI]
-            * gate_scale
-        )
-        # -- operation (mirrors operation_per_chip_year_kg) ------------
-        idle = (1.0 - row[_I_OP_DUTY]) * row[_I_OP_IDLE]
-        effective_duty = (row[_I_OP_DUTY] + idle) * row[_I_OP_PUE]
-        op_energy = (row[i_power] / 1000.0) * effective_duty * _HOURS_PER_YEAR
-        op = row[_I_OP_CI] * op_energy
-        return design, mfg, pkg, eol, op, row[i_dev_kg], row[i_life]
-
-    @_njit(parallel=False, cache=True)
-    def _kernel(
-        scalars, rowdata, rowmap, num_apps, volume, lifetime, eval_years,
-        app_size, enforce, fpga_totals, asic_totals, ratios, wins,
-    ):  # pragma: no cover - requires numba
-        n = fpga_totals.shape[0]
-        row = np.empty(_N_COLS)
-        for i in range(n):
-            for j in range(_N_COLS):
-                m = rowmap[j]
-                row[j] = rowdata[m, i] if m >= 0 else scalars[j]
-            f_design_c, f_mfg_c, f_pkg_c, f_eol_c, f_op_c, f_dev, f_life = (
-                _chip_constants(
-                    row, _I_F_AREA, _I_F_POWER, _I_F_LIFE, _I_F_GATES,
-                    _I_F_EPA, _I_F_GPA, _I_F_MPA_NEW, _I_F_MPA_REC,
-                    _I_F_DEFECT, _I_F_LINE_YIELD, _I_F_WAFER_D,
-                    _I_F_TEAM_YEARS, _I_F_DEV_KG,
-                )
-            )
-            a_design_c, a_mfg_c, a_pkg_c, a_eol_c, a_op_c, a_dev, a_life = (
-                _chip_constants(
-                    row, _I_A_AREA, _I_A_POWER, _I_A_LIFE, _I_A_GATES,
-                    _I_A_EPA, _I_A_GPA, _I_A_MPA_NEW, _I_A_MPA_REC,
-                    _I_A_DEFECT, _I_A_LINE_YIELD, _I_A_WAFER_D,
-                    _I_A_TEAM_YEARS, _I_A_DEV_KG,
-                )
-            )
-            apps = num_apps[i]
-            vol = volume[i]
-            life_app = lifetime[i]
-            # N_FPGA = ceil(app_size / capacity), 1 when device-sized.
-            size = app_size[i]
-            if size == size:
-                units = int(math.ceil(size / row[_I_F_CAPACITY]))
-                n_fpga = units if units > 1 else 1
-            else:
-                n_fpga = 1
-            # Study horizon and FPGA generations (left-fold, as scalar).
-            total_years = 0.0
-            if apps >= 1:
-                total_years = life_app
-                for _ in range(apps - 1):
-                    total_years = total_years + life_app
-            ev = eval_years[i]
-            horizon = total_years if ev != ev else ev
-            if enforce[i]:
-                g = int(math.ceil(horizon / f_life - _GEN_EPS))
-                fpga_gen = g if g > 1 else 1
-            else:
-                fpga_gen = 1
-            unit_count = vol * n_fpga
-            unit_f = float(unit_count)
-            fleet = float(unit_count * fpga_gen)
-            f_design = 0.0 + f_design_c
-            f_mfg = f_mfg_c * fleet
-            f_pkg = f_pkg_c * fleet
-            f_eol = f_eol_c * fleet
-            op_app = (life_app * unit_f) * f_op_c
-            f_op = 0.0
-            if apps >= 1:
-                f_op = op_app
-                for _ in range(apps - 1):
-                    f_op = f_op + op_app
-            config_hours = row[_I_F_CHPU] * unit_f
-            configuration = (
-                row[_I_AD_CONFIG_KW] * config_hours
-            ) * row[_I_AD_CI]
-            appdev_app = f_dev + configuration
-            f_appdev = 0.0
-            if apps >= 1:
-                f_appdev = appdev_app
-                for _ in range(apps - 1):
-                    f_appdev = f_appdev + appdev_app
-            ftot = (((f_design + f_mfg) + f_pkg) + f_eol) + (f_op + f_appdev)
-
-            g = int(math.ceil(life_app / a_life - _GEN_EPS))
-            asic_gen = g if g > 1 else 1
-            chips = float(vol * asic_gen)
-            vol_f = float(vol)
-            a_design_app = 0.0 + a_design_c
-            a_mfg_app = a_mfg_c * chips
-            a_pkg_app = a_pkg_c * chips
-            a_eol_app = a_eol_c * chips
-            a_op_app = (life_app * vol_f) * a_op_c
-            a_config_hours = row[_I_A_CHPU] * vol_f
-            a_configuration = (
-                row[_I_AD_CONFIG_KW] * a_config_hours
-            ) * row[_I_AD_CI]
-            a_appdev_app = a_dev + a_configuration
-            a_design = 0.0
-            a_mfg = 0.0
-            a_pkg = 0.0
-            a_eol = 0.0
-            a_op = 0.0
-            a_appdev = 0.0
-            if apps >= 1:
-                a_design = a_design_app
-                a_mfg = a_mfg_app
-                a_pkg = a_pkg_app
-                a_eol = a_eol_app
-                a_op = a_op_app
-                a_appdev = a_appdev_app
-                for _ in range(apps - 1):
-                    a_design = a_design + a_design_app
-                    a_mfg = a_mfg + a_mfg_app
-                    a_pkg = a_pkg + a_pkg_app
-                    a_eol = a_eol + a_eol_app
-                    a_op = a_op + a_op_app
-                    a_appdev = a_appdev + a_appdev_app
-            atot = (((a_design + a_mfg) + a_pkg) + a_eol) + (a_op + a_appdev)
-
-            fpga_totals[i] = ftot
-            asic_totals[i] = atot
-            if atot == 0.0:
-                ratios[i] = 1.0 if ftot == 0.0 else math.copysign(np.inf, ftot)
-            else:
-                ratios[i] = ftot / atot
-            wins[i] = ftot < atot
-
-    _NUMBA_KERNEL = _kernel
-    return _NUMBA_KERNEL

@@ -98,29 +98,19 @@ PREFETCH_THREAD_PREFIX = "repro-stream-prefetch"
 #: worker and by fallback paths regardless of the requested tier.
 _EVALUATOR = VectorizedEvaluator(kernel_tier="numpy")
 
-#: Per-thread cache of tier-armed evaluators, keyed by resolved backend
-#: and summary dtype.  Thread-local because a fused kernel's scratch
-#: pool is single-threaded state; resolved per call so ``REPRO_KERNEL``
-#: changes (tests, operators) take effect without a process restart.
+#: Per-thread cache of the fused-tier evaluator.  Thread-local because a
+#: fused kernel's scratch pool is single-threaded state; the tier is
+#: resolved per call so ``REPRO_KERNEL`` changes (tests, operators) take
+#: effect without a process restart.
 _TIERED = threading.local()
 
 
-def _evaluator_for(
-    kernel_tier: "str | None", kernel_dtype: "np.dtype | type | str"
-) -> VectorizedEvaluator:
-    backend = resolve_kernel_tier(kernel_tier)
-    if backend == "chain":
+def _evaluator_for(kernel_tier: "str | None") -> VectorizedEvaluator:
+    if resolve_kernel_tier(kernel_tier) == "chain":
         return _EVALUATOR
-    cache = getattr(_TIERED, "evaluators", None)
-    if cache is None:
-        cache = _TIERED.evaluators = {}
-    key = (backend, np.dtype(kernel_dtype).str)
-    evaluator = cache.get(key)
+    evaluator = getattr(_TIERED, "fused", None)
     if evaluator is None:
-        evaluator = VectorizedEvaluator(
-            kernel_tier=kernel_tier, kernel_dtype=np.dtype(kernel_dtype)
-        )
-        cache[key] = evaluator
+        evaluator = _TIERED.fused = VectorizedEvaluator(kernel_tier="fused")
     return evaluator
 
 
@@ -564,7 +554,6 @@ def _reduce_span(
     chunk_rows: int,
     close_source: bool = True,
     kernel_tier: "str | None" = None,
-    kernel_dtype: str = "<f8",
     prefetch: bool = False,
 ) -> StreamingReduction:
     """Fold one contiguous row span, chunk by chunk.
@@ -592,7 +581,7 @@ def _reduce_span(
     try:
         return _fold_chunks(
             source, reduction, [(start, stop)], chunk_rows,
-            _evaluator_for(kernel_tier, kernel_dtype), prefetch,
+            _evaluator_for(kernel_tier), prefetch,
         )
     finally:
         close = getattr(source, "close", None)
@@ -624,14 +613,12 @@ def run_stream(
     pool: "Executor | None" = None,
     checkpoint: "Checkpoint | None" = None,
     kernel_tier: "str | None" = None,
-    kernel_dtype: "np.dtype | type | str" = np.float64,
 ) -> StreamingReduction:
     """Reduce a chunk source, sequentially or on a process pool.
 
-    ``kernel_tier``/``kernel_dtype`` select the fused kernel tier the
-    chunk workers evaluate through (see
-    :mod:`repro.engine.vector.fused`); the default honours
-    ``REPRO_KERNEL`` in each worker process, chain when unset.
+    ``kernel_tier`` selects the kernel tier the chunk workers evaluate
+    through (see :mod:`repro.engine.vector.fused`); the default honours
+    ``REPRO_KERNEL`` in each worker process, fused when unset.
 
     Returns a **new** reduction (the caller's ``reduction`` is only a
     prototype).  With ``workers > 1`` and a ``pool``, one span task per
@@ -660,7 +647,6 @@ def run_stream(
     n = int(source.n)
     if n < 1:
         raise ParameterError("streaming reduction needs at least one row")
-    dtype_str = np.dtype(kernel_dtype).str
     chunk = aligned_chunk_rows(chunk_rows, reduction.alignment, n)
     if checkpoint is not None:
         journal = CheckpointJournal.open(
@@ -669,14 +655,14 @@ def run_stream(
         return _run_stream_checkpointed(
             source, reduction, journal, chunk,
             workers if pool is not None else 1, pool,
-            kernel_tier, dtype_str,
+            kernel_tier,
         )
     spans = _spans(n, chunk, workers if pool is not None else 1)
     if len(spans) > 1 and _picklable(source, reduction):
         try:
             futures = [
                 pool.submit(_reduce_span, source, reduction.fresh(), start,
-                            stop, chunk, True, kernel_tier, dtype_str)
+                            stop, chunk, True, kernel_tier)
                 for start, stop in spans
             ]
         except BrokenExecutor:
@@ -701,7 +687,6 @@ def run_stream(
                         parts[index] = _reduce_span(
                             source, reduction.fresh(), start, stop, chunk,
                             close_source=False, kernel_tier=kernel_tier,
-                            kernel_dtype=dtype_str,
                         )
             except BaseException:
                 # A model error from one span: cancel unstarted siblings
@@ -719,7 +704,7 @@ def run_stream(
             return merged
     return _reduce_span(
         source, reduction.fresh(), 0, n, chunk,
-        kernel_tier=kernel_tier, kernel_dtype=dtype_str, prefetch=True,
+        kernel_tier=kernel_tier, prefetch=True,
     )
 
 
@@ -731,7 +716,6 @@ def _run_stream_checkpointed(
     workers: int,
     pool: "Executor | None",
     kernel_tier: "str | None" = None,
-    kernel_dtype: str = "<f8",
 ) -> StreamingReduction:
     """Drain a journal's pending units, parallel or sequential.
 
@@ -750,7 +734,7 @@ def _run_stream_checkpointed(
         try:
             futures = [
                 pool.submit(_reduce_span, source, reduction.fresh(), start,
-                            stop, chunk, True, kernel_tier, kernel_dtype)
+                            stop, chunk, True, kernel_tier)
                 for _, start, stop in pending
             ]
         except BrokenExecutor:
@@ -766,7 +750,6 @@ def _run_stream_checkpointed(
                         part = _reduce_span(
                             source, reduction.fresh(), start, stop, chunk,
                             close_source=False, kernel_tier=kernel_tier,
-                            kernel_dtype=kernel_dtype,
                         )
                     journal.complete(index, part)
             except BaseException:
@@ -793,7 +776,7 @@ def _run_stream_checkpointed(
         _fold_chunks(
             source, journal.merged,
             [(start, stop) for _, start, stop in pending], chunk,
-            _evaluator_for(kernel_tier, kernel_dtype), True,
+            _evaluator_for(kernel_tier), True,
             on_span=lambda span: journal.mark(pending[span][0]),
         )
         journal.settle()

@@ -1,12 +1,14 @@
 """Calibration harness: paper-vs-measured for every headline claim.
 
 Collects the quantitative claims of the paper's Section 4 into one table
-(the source of EXPERIMENTS.md) and checks each against the calibrated
-model.  A claim "holds" when the measured value matches the published
+(printed by ``greenfpga run calibration``) and checks each against the
+calibrated model.  A claim "holds" when the measured value matches the published
 one in kind (same winner / crossover exists) and lies within a factor-3
 band — the paper itself stresses relative, not absolute, accuracy
 (Section 5), and its own Fig. 5/Fig. 6 DNN claims are mutually
-inconsistent at the shared baseline (see DESIGN.md Section 5).
+inconsistent at the shared baseline (5 apps, 2 years, 1e6 units: Fig. 5's
+F2A near 1.6 years says the ASIC wins there, Fig. 6's F2A at 2e6 units
+says the FPGA does).
 """
 
 from __future__ import annotations

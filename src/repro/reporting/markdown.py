@@ -1,4 +1,4 @@
-"""Markdown table rendering (for EXPERIMENTS.md style reports)."""
+"""Markdown table rendering for experiment reports."""
 
 from __future__ import annotations
 

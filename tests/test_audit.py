@@ -653,7 +653,7 @@ def test_parity_all_columns_agree():
 
 def test_parity_reports_fused_tier_and_chain_override():
     fused = run_parity(values_per_column=1, columns=[P.OP_CI])
-    assert fused.kernel_tier in ("fused-numpy", "fused-numba")
+    assert fused.kernel_tier == "fused-numpy"
     chain = run_parity(
         values_per_column=1, columns=[P.OP_CI], kernel_tier="numpy"
     )

@@ -113,13 +113,19 @@ def test_cache_file_warms_across_cli_runs(tmp_path, capsys):
 
 def test_serve_bench_command(capsys):
     assert main([
-        "serve-bench", "--clients", "2", "--requests", "3",
-        "--cells", "10", "--window-ms", "1",
+        "serve-bench", "--clients", "2", "--requests", "8", "--cells", "10",
     ]) == 0
     out = capsys.readouterr().out
-    assert "async serving" in out
-    assert "warm_concurrent_2" in out
-    assert "serialized dispatch" in out
+    assert "socket serving" in out
+    for column in ("p50_ms", "p99_ms", "fault_free", "one_kill"):
+        assert column in out
+    assert "mismatched responses: 0" in out
+
+
+def test_serve_bench_rejects_the_removed_window_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["serve-bench", "--window-ms", "1"])
+    capsys.readouterr()
 
 
 def test_serve_bench_persists_to_cache_file(tmp_path, capsys):
@@ -132,12 +138,12 @@ def test_serve_bench_persists_to_cache_file(tmp_path, capsys):
     try:
         assert main([
             "--cache-file", str(cache),
-            "serve-bench", "--clients", "2", "--requests", "3",
-            "--cells", "10", "--window-ms", "1",
+            "serve-bench", "--clients", "2", "--requests", "8",
+            "--cells", "10",
         ]) == 0
         capsys.readouterr()
         store = ShardedResultStore(capacity=4096)
-        assert store.load(cache) == 3 * 10  # the benchmark's cell universe
+        assert store.load(cache) == 8 * 10  # the benchmark's cell universe
     finally:
         reset_default_engine()
 

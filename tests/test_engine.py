@@ -2,14 +2,15 @@
 
 Covers the engine parity guarantee — engine-backed analyses must be
 bit-identical to the seed per-point loops — plus the LRU cache, suite
-memoisation, parallel execution, and the ratio edge-case semantics the
-engine path relies on.
+memoisation, parallel execution, the ratio edge-case semantics the
+engine path relies on, and the shared singletons hammered from threads.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from repro.analysis.montecarlo import (
     monte_carlo,
 )
 from repro.analysis.sensitivity import tornado
-from repro.analysis.sweep import sweep
+from repro.analysis.sweep import sweep, sweep_batch
 from repro.config import Parameters
 from repro.core.comparison import ComparisonResult
 from repro.core.fpga_model import FpgaAssessment
@@ -35,6 +36,7 @@ from repro.engine import (
     build_suite_cached,
     default_engine,
     evaluation_key,
+    reset_default_engine,
     scenario_key,
 )
 from repro.errors import ParameterError
@@ -534,3 +536,100 @@ def test_close_shuts_down_lazy_pool(dnn_comparator):
     assert engine._pool is not None
     engine.close()
     assert engine._pool is None
+
+
+# ----------------------------------------------------------------------
+# Engine concurrency: shared singletons hammered from threads
+# ----------------------------------------------------------------------
+
+BASE = Scenario(num_apps=5, app_lifetime_years=2.0, volume=1_000_000)
+
+
+def _hammer(worker, threads: int = 16):
+    """Run ``worker`` on many threads through a start barrier."""
+    barrier = threading.Barrier(threads)
+    outputs: list[object] = [None] * threads
+    errors: list[BaseException] = []
+
+    def body(slot: int) -> None:
+        try:
+            barrier.wait()
+            outputs[slot] = worker()
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    workers = [
+        threading.Thread(target=body, args=(slot,)) for slot in range(threads)
+    ]
+    for thread in workers:
+        thread.start()
+    for thread in workers:
+        thread.join()
+    assert not errors, errors
+    return outputs
+
+
+def test_build_suite_cached_single_flight_under_threads():
+    """Racing threads must all observe the *same* suite object."""
+    from repro.engine import engine as engine_module
+
+    params = Parameters(duty_cycle=0.123456)
+    with engine_module._SUITE_LOCK:
+        engine_module._SUITE_CACHE.pop(params, None)
+    suites = _hammer(lambda: build_suite_cached(params))
+    assert all(suite is suites[0] for suite in suites)
+    assert suites[0] == params.build_suite()
+
+
+def test_default_engine_singleton_under_threads():
+    reset_default_engine()
+    try:
+        engines = _hammer(default_engine)
+        assert all(engine is engines[0] for engine in engines)
+    finally:
+        reset_default_engine()
+
+
+def test_shared_engine_hammered_from_threads(dnn_comparator):
+    """Concurrent evaluate calls on one engine stay correct and race-free."""
+    engine = EvaluationEngine()
+    scenarios = [
+        Scenario(num_apps=n, app_lifetime_years=1.0, volume=2_000)
+        for n in range(1, 17)
+    ]
+    expected = tuple(dnn_comparator.compare(s) for s in scenarios)
+
+    def worker():
+        return engine.evaluate_many(dnn_comparator, scenarios)
+
+    for results in _hammer(worker, threads=12):
+        assert results == expected
+    # Every thread saw the same 16 cells; they were computed at most once
+    # per racing wave, never corrupted (16 <= computed <= 16 * threads).
+    assert engine.rows_computed >= 16
+    assert engine.cache_stats.hits + engine.cache_stats.misses == 12 * 16
+
+
+def test_store_hammered_by_mixed_batch_and_object_readers(dnn_comparator):
+    """Batch gathers and object materialisation race on one store."""
+    engine = EvaluationEngine(cache_size=64)  # small: forces evictions
+    values = list(range(1, 33))
+    reference = sweep_batch(dnn_comparator, BASE, "num_apps", values,
+                            engine=EvaluationEngine())
+
+    def batch_worker():
+        result = sweep_batch(dnn_comparator, BASE, "num_apps", values,
+                             engine=engine)
+        np.testing.assert_array_equal(result.ratios, reference.ratios)
+        return True
+
+    def object_worker():
+        scenario = BASE.with_num_apps(5)
+        return engine.evaluate(dnn_comparator, scenario).summary()
+
+    outputs = _hammer(
+        lambda: (batch_worker(), object_worker()), threads=8
+    )
+    expected = dnn_comparator.compare(BASE.with_num_apps(5)).summary()
+    for _, summary in outputs:
+        assert summary == expected

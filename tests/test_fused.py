@@ -3,16 +3,12 @@
 The contract under test (see ``repro/engine/vector/fused.py``): the
 fused tier serves values within ``rtol <= 1e-12`` of the kernel chain
 with bit-identical winners, is invariant to chunk size and worker
-count, degrades silently when Numba is absent, allocates nothing
-array-sized per chunk after warmup, and — in the opt-in float32 mode —
-keeps summaries within ``rtol <= 1e-5`` while win counts stay exact.
+count, allocates nothing array-sized per chunk after warmup, and is
+selected by exactly two tier spellings (``fused``, ``numpy``).
 """
 
 from __future__ import annotations
 
-import builtins
-import importlib
-import sys
 import tracemalloc
 
 import numpy as np
@@ -68,16 +64,16 @@ def _source(comparator, n, seed=2024):
 
 def test_resolve_tier_env_and_request(monkeypatch):
     monkeypatch.delenv(KERNEL_TIER_ENV, raising=False)
-    assert resolve_kernel_tier(None) in ("numba", "numpy-fused")
+    assert resolve_kernel_tier(None) == "fused"
     assert resolve_kernel_tier("numpy") == "chain"
 
     monkeypatch.setenv(KERNEL_TIER_ENV, "numpy")
     assert resolve_kernel_tier(None) == "chain"
     # An explicit request wins over the environment.
-    assert resolve_kernel_tier("fused") != "chain"
+    assert resolve_kernel_tier("fused") == "fused"
 
     monkeypatch.setenv(KERNEL_TIER_ENV, "fused")
-    assert resolve_kernel_tier(None) != "chain"
+    assert resolve_kernel_tier(None) == "fused"
 
 
 def test_resolve_tier_rejects_unknown(monkeypatch):
@@ -88,11 +84,44 @@ def test_resolve_tier_rejects_unknown(monkeypatch):
         resolve_kernel_tier(None)
 
 
+def test_exactly_two_tier_spellings(monkeypatch):
+    monkeypatch.delenv(KERNEL_TIER_ENV, raising=False)
+    assert fused_mod.KERNEL_TIERS == ("fused", "numpy")
+    for spelling in ("fused", "numpy"):
+        resolve_kernel_tier(spelling)
+        with EvaluationEngine(kernel_tier=spelling):
+            pass
+
+
+@pytest.mark.parametrize("spelling", ["numba", "auto", "bogus"])
+def test_retired_and_unknown_spellings_list_both_tiers(monkeypatch, spelling):
+    monkeypatch.delenv(KERNEL_TIER_ENV, raising=False)
+    for reject in (
+        lambda: resolve_kernel_tier(spelling),
+        lambda: EvaluationEngine(kernel_tier=spelling),
+    ):
+        with pytest.raises(ParameterError) as info:
+            reject()
+        assert "'fused'" in str(info.value)
+        assert "'numpy'" in str(info.value)
+
+
+@pytest.mark.parametrize("env", [None, "", "  "])
+def test_unset_or_empty_env_means_fused(monkeypatch, env):
+    if env is None:
+        monkeypatch.delenv(KERNEL_TIER_ENV, raising=False)
+    else:
+        monkeypatch.setenv(KERNEL_TIER_ENV, env)
+    assert kernel_tier_label(None) == "fused-numpy"
+    with EvaluationEngine() as engine:
+        assert engine.kernel_tier_name == "fused-numpy"
+
+
 def test_tier_labels(monkeypatch):
     monkeypatch.delenv(KERNEL_TIER_ENV, raising=False)
     assert kernel_tier_label("numpy") == "numpy-chain"
-    assert kernel_tier_label("fused").startswith("fused-")
-    assert kernel_tier_label(None) in ("fused-numba", "fused-numpy")
+    assert kernel_tier_label("fused") == "fused-numpy"
+    assert kernel_tier_label(None) == "fused-numpy"
 
 
 def test_make_kernel_chain_is_none(monkeypatch):
@@ -100,13 +129,14 @@ def test_make_kernel_chain_is_none(monkeypatch):
     assert make_kernel("numpy") is None
     kern = make_kernel("fused")
     assert isinstance(kern, FusedKernel)
-    assert kern.name in ("fused-numba", "fused-numpy")
+    assert kern.name == "fused-numpy"
 
 
 def test_kernel_rejects_bad_backend_and_dtype():
-    with pytest.raises(ParameterError, match="backend"):
+    """One backend, float64 only: the kernel takes no selector at all."""
+    with pytest.raises(TypeError):
         FusedKernel(backend="cuda")
-    with pytest.raises(ParameterError, match="dtype"):
+    with pytest.raises(TypeError):
         FusedKernel(dtype=np.int32)
 
 
@@ -115,51 +145,11 @@ def test_engine_validates_tier_eagerly(monkeypatch):
     with pytest.raises(ParameterError, match="kernel tier"):
         EvaluationEngine(kernel_tier="bogus")
     with EvaluationEngine(kernel_tier="fused") as engine:
-        assert engine.kernel_tier_name.startswith("fused-")
+        assert engine.kernel_tier_name == "fused-numpy"
     # kernel_tier_name resolves live, so the env override shows up.
     monkeypatch.setenv(KERNEL_TIER_ENV, "numpy")
     with EvaluationEngine() as engine:
         assert engine.kernel_tier_name == "numpy-chain"
-
-
-# ----------------------------------------------------------------------
-# Missing Numba: the silent no-op contract, via import blocking
-# ----------------------------------------------------------------------
-
-
-def test_missing_numba_degrades_silently(comparator):
-    real_import = builtins.__import__
-
-    def blocked(name, *args, **kwargs):
-        if name.split(".")[0] == "numba":
-            raise ImportError("numba blocked for test")
-        return real_import(name, *args, **kwargs)
-
-    saved_numba = sys.modules.pop("numba", None)
-    builtins.__import__ = blocked
-    try:
-        mod = importlib.reload(fused_mod)
-        assert mod.NUMBA_AVAILABLE is False
-        # Every fused spelling silently lands on the NumPy backend.
-        assert mod.resolve_kernel_tier("numba") == "numpy-fused"
-        assert mod.resolve_kernel_tier("fused") == "numpy-fused"
-        kern = mod.FusedKernel(backend="numba")
-        assert kern.backend == "numpy-fused"
-        assert kern.name == "fused-numpy"
-        # ... and still serves correct answers.
-        params, batch = _source(comparator, 256).chunk(0, 256)
-        result = kern.evaluate(params, batch)
-        chain = VectorizedEvaluator(kernel_tier="numpy").evaluate_param_batch(
-            params, batch
-        )
-        np.testing.assert_allclose(
-            result.ratios, chain.ratios, rtol=RTOL, atol=0.0
-        )
-    finally:
-        builtins.__import__ = real_import
-        if saved_numba is not None:
-            sys.modules["numba"] = saved_numba
-        importlib.reload(fused_mod)
 
 
 # ----------------------------------------------------------------------
@@ -317,49 +307,6 @@ def test_env_override_reaches_streaming(monkeypatch, comparator):
     assert e_m == v_m
     assert (e_n, e_w) == (v_n, v_w)
     np.testing.assert_array_equal(e_s, v_s)
-
-
-# ----------------------------------------------------------------------
-# float32 summary mode
-# ----------------------------------------------------------------------
-
-
-def test_float32_mode_bounds_and_exact_winners(comparator):
-    n = 8192
-    params, batch = _source(comparator, n).chunk(0, n)
-    f64 = FusedKernel().evaluate(params, batch)
-    f32 = FusedKernel(dtype=np.float32).evaluate(params, batch)
-    assert f32.ratios.dtype == np.float32
-    np.testing.assert_allclose(
-        np.asarray(f32.ratios, dtype=np.float64), f64.ratios,
-        rtol=1e-5, atol=0.0,
-    )
-    # Lifecycle totals and the winner verdicts stay float64-exact.
-    np.testing.assert_array_equal(f32.fpga_totals, f64.fpga_totals)
-    np.testing.assert_array_equal(f32.asic_totals, f64.asic_totals)
-    assert f32.fpga_win_count == f64.fpga_win_count
-    np.testing.assert_array_equal(
-        np.asarray(f32.winners), np.asarray(f64.winners)
-    )
-
-
-def test_float32_streaming_summaries_within_contract(comparator):
-    n = 4096
-    prototype = monte_carlo_reduction(seed=5, quantile_k=n)
-    f64 = run_stream(
-        _source(comparator, n), prototype.fresh(), chunk_rows=512,
-        workers=1, kernel_tier="fused", kernel_dtype=np.float64,
-    )
-    f32 = run_stream(
-        _source(comparator, n), prototype.fresh(), chunk_rows=512,
-        workers=1, kernel_tier="fused", kernel_dtype=np.float32,
-    )
-    m64, n64, w64, s64 = _summary_state(f64)
-    m32, n32, w32, s32 = _summary_state(f32)
-    assert (n64, w64) == (n32, w32)  # win counts exact
-    for key in m64:
-        np.testing.assert_allclose(m32[key], m64[key], rtol=1e-5, atol=1e-12)
-    np.testing.assert_allclose(s32, s64, rtol=1e-5, atol=0.0)
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.core.comparison import PlatformComparator
 from repro.engine.engine import EvaluationEngine
 from repro.engine.serve import protocol
 from repro.engine.serve.backoff import JitteredBackoff
+from repro.engine.serve.bench import latency_benchmark
 from repro.engine.serve.client import ServeClient
 from repro.engine.serve.faults import FaultPlan
 from repro.engine.serve.protocol import (
@@ -32,7 +33,7 @@ from repro.engine.serve.protocol import (
 from repro.engine.serve.server import BatchServer
 from repro.engine.serve.worker import WorkerSpec, worker_main
 from repro.engine.vector.columns import ScenarioBatch
-from repro.errors import ParameterError
+from repro.errors import ParameterError, ServeError
 
 
 def _batch(n: int = 6) -> ScenarioBatch:
@@ -582,3 +583,20 @@ def test_ping_pong_and_unknown_domain_error():
 def test_server_validates_queue_limit():
     with pytest.raises(ParameterError):
         BatchServer(queue_limit=0)
+
+
+def test_latency_benchmark_kill_that_never_fires_is_a_serve_error():
+    """A run too small to reach the injected kill must fail loudly.
+
+    One client sending one request never gets worker 0 to its
+    ``kill_at_batch``-th batch, so the one-kill phase would otherwise
+    report a fault-free run.  The check is a typed error, not an
+    ``assert`` that ``python -O`` strips.
+    """
+    with pytest.raises(ServeError, match="kill_at_batch") as info:
+        latency_benchmark(
+            client_counts=(1,), requests_per_client=1, cells_per_request=5,
+            repeats=1,
+        )
+    assert "--requests" in str(info.value)
+    assert "--clients" in str(info.value)
