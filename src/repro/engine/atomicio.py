@@ -9,12 +9,16 @@ same-directory temporary file, flush + ``fsync`` it, then
 ``os.replace`` it over the destination.  ``os.replace`` is atomic on
 POSIX and Windows for same-filesystem paths (the same-directory tmp
 guarantees that), so a crash at any point leaves either the old file
-or the complete new file, never a torn hybrid.
+or the complete new file, never a torn hybrid.  The tmp name carries
+the process and thread id, so concurrent writers of one path (the
+checkpoint writer thread beside a caller, two threads saving one
+store) each replace from their own tmp file and the last rename wins.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Callable
 from pathlib import Path
 from typing import BinaryIO
@@ -31,7 +35,9 @@ def atomic_write(path: Path, write_body: Callable[[BinaryIO], None]) -> Path:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f"{path.name}.tmp.{os.getpid()}"
+    tmp = path.parent / (
+        f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
+    )
     try:
         with tmp.open("wb") as handle:
             write_body(handle)

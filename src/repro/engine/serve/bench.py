@@ -23,6 +23,7 @@ overhead and tail behaviour, not kernel throughput.
 from __future__ import annotations
 
 import asyncio
+import shutil
 import time
 from pathlib import Path
 
@@ -61,8 +62,14 @@ def _request_batches(
 def _reference_columns(
     domain: str, batches: list[ScenarioBatch], cache_path: Path
 ) -> list[tuple]:
-    """Ground-truth result columns per request; persists the warm store."""
+    """Ground-truth result columns per request; persists the warm store.
+
+    An existing ``cache_path`` is loaded first, so the save adds the
+    benchmark's cells to the store it held instead of replacing it.
+    """
     engine = EvaluationEngine(cache_size=262_144)
+    if cache_path.exists():
+        engine.load_cache(cache_path)
     comparator = PlatformComparator.for_domain(domain)
     reference = []
     for batch in batches:
@@ -143,13 +150,14 @@ def latency_benchmark(
     compared bit-for-bit to a locally computed reference; a mismatch
     anywhere fails the caller's gate via ``mismatches``.
     """
-    own_cache = cache_file is None
-    if own_cache:
+    own_dir = None
+    if cache_file is None:
         import tempfile
 
-        handle = tempfile.NamedTemporaryFile(suffix=".npz", delete=False)
-        handle.close()
-        cache_file = handle.name
+        # A path that does not exist yet: nothing to load, and the
+        # servers' snapshot tmp files land in the same directory.
+        own_dir = Path(tempfile.mkdtemp(prefix="repro-serve-bench-"))
+        cache_file = own_dir / "warm.npz"
     cache_path = Path(cache_file)
 
     batches = _request_batches(requests_per_client, cells_per_request)
@@ -251,5 +259,5 @@ def latency_benchmark(
     try:
         return asyncio.run(run_all())
     finally:
-        if own_cache:
-            cache_path.unlink(missing_ok=True)
+        if own_dir is not None:
+            shutil.rmtree(own_dir, ignore_errors=True)

@@ -55,6 +55,20 @@ while a member whose configuration drifted (a reservoir's ``k``, a
 histogram's bins) is a :class:`~repro.errors.CheckpointMismatchError`
 naming that member.
 
+A flush is split in two.  The **snapshot** runs synchronously at the
+unit boundary: the header fields, a copy of the ``done`` bitmap and the
+reducers' packed state, whose arrays the reducers never write again.
+The **write job** (encode, SHA-256, atomic write) runs in the flushing
+thread when the journal is used directly, so the file is on disk when
+``complete``/``mark``/``flush`` return.  Inside a streaming run
+(:meth:`CheckpointJournal.writing_behind`) it runs on one process-wide
+writer thread while the stream reduces the next unit.  A journal has at
+most one write in flight, and the next flush waits for it, so files
+land in unit order and writes per run are unchanged.  The run waits for
+the last write before it returns or raises.  A write that lags its unit
+costs at most recomputable work: a crash leaves the previous complete
+file, never a torn one.
+
 The driver is :func:`repro.engine.vector.streaming.run_stream`
 (``checkpoint=`` keyword), surfaced as
 ``EvaluationEngine.reduce_stream(checkpoint=...)``,
@@ -64,12 +78,18 @@ The driver is :func:`repro.engine.vector.streaming.run_stream`
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import hashlib
 import json
 import logging
 import math
+import os
 import pickle
+import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,6 +123,30 @@ _DTYPES = frozenset({"|b1", "<i8", "<u8", "<f8"})
 #: is split into ~64 resume units so a crash loses at most ~1.6% of a
 #: long job, while the bitmap and flush overhead stay negligible.
 _DEFAULT_UNITS = 64
+
+#: Name prefix of the process-wide checkpoint writer thread.
+WRITER_THREAD_PREFIX = "repro-checkpoint-writer"
+
+_WRITER_LOCK = threading.Lock()
+#: ``(pid, executor)`` of the writer; a forked child sees another pid
+#: and starts its own (the parent's thread does not survive a fork).
+_WRITER: "tuple[int, ThreadPoolExecutor] | None" = None
+
+
+def _writer() -> ThreadPoolExecutor:
+    """The one writer thread of this process, started on first use.
+
+    One thread serves every journal and run: starting and joining a
+    writer per run raises peak resident memory well above what one
+    long-lived thread costs.
+    """
+    global _WRITER
+    with _WRITER_LOCK:
+        if _WRITER is None or _WRITER[0] != os.getpid():
+            _WRITER = (os.getpid(), ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix=WRITER_THREAD_PREFIX
+            ))
+        return _WRITER[1]
 
 
 @dataclass(frozen=True)
@@ -169,6 +213,9 @@ class CheckpointJournal:
         self.flushes = 0
         self._rows_since_flush = 0
         self._last_flush_s = time.monotonic()
+        #: Write depth: 1 inside :meth:`writing_behind`, else 0.
+        self._behind = False
+        self._inflight: "Future | None" = None
 
     # -- construction ---------------------------------------------------
 
@@ -331,27 +378,90 @@ class CheckpointJournal:
     def settle(self) -> bool:
         """The final write of a run: flush unless the last write already
         covers every marked unit (a unit-cadence run whose last unit
-        was full-size has just written the finished file)."""
+        was full-size has just written the finished file).  Inside
+        :meth:`writing_behind` the write is queued like any other and
+        the block's exit waits for it."""
         return self._rows_since_flush > 0 and self.flush(force=True)
 
     def flush(self, force: bool = False) -> bool:
-        """Atomically rewrite the file if due (or ``force``)."""
+        """Atomically rewrite the file if due (or ``force``).
+
+        Returns whether a write was made.  The call takes a snapshot
+        at the unit boundary: ``meta``, a copy of ``done`` and the
+        reduction's packed state, whose arrays the reducers never
+        write again (they rebind or copy).  The write job (encode,
+        SHA-256, :func:`atomic_write_bytes`) runs here, so the file is
+        on disk when this returns, except inside
+        :meth:`writing_behind`, where it runs on the writer thread
+        while the caller reduces the next unit.  Either way the
+        previous write finishes first (its error raises here), so
+        files land in order.
+        """
         if not force and not self._due():
             return False
         meta = dict(self.identity)
         meta["rows_done"] = int(self.rows_done)
-        arrays: dict[str, np.ndarray] = {"done": self.done}
+        arrays: dict[str, np.ndarray] = {"done": self.done.copy()}
         # Only a finished checkpoint is canonical: cadence writes skip
         # the reservoir sort, which resume does not need.
         state = self.merged.to_state(canonical=self.finished)
         for key, array in state.items():
             arrays[f"s.{key}"] = array
-        payload = _encode(meta, arrays)
-        atomic_write_bytes(self.path, payload)
-        self.flushes += 1
+        self._wait()
+        # The job runs in a copy of this context, so context-scoped
+        # spans of the write nest under the flush on either thread.
+        write = functools.partial(
+            contextvars.copy_context().run, self._write, meta, arrays
+        )
+        if self._behind:
+            self._inflight = _writer().submit(write)
+        else:
+            write()
         self._rows_since_flush = 0
         self._last_flush_s = time.monotonic()
         return True
+
+    def _write(self, meta: dict, arrays: "dict[str, np.ndarray]") -> None:
+        atomic_write_bytes(self.path, _encode(meta, arrays))
+        self.flushes += 1
+
+    def _wait(self) -> None:
+        """Finish the write in flight, if any, raising its error."""
+        inflight, self._inflight = self._inflight, None
+        if inflight is not None:
+            inflight.result()
+
+    @contextmanager
+    def writing_behind(self, *, flush_on_error: bool = False):
+        """Write behind the caller for the duration of one run.
+
+        Inside the block each flush queues its write job on the
+        process-wide writer thread (write depth 1); outside it, writes
+        are synchronous (depth 0).  No write is in flight once the
+        block exits.  On a clean exit a failed write raises its own
+        error.  When an error is already propagating it wins: a failed
+        write is logged.  ``flush_on_error`` then also writes every
+        marked unit, synchronously; only a caller whose merged state
+        holds whole units (merged partials, not rows folded in place)
+        may ask for it.
+        """
+        self._behind = True
+        try:
+            yield self
+        except BaseException as error:
+            self._behind = False
+            try:
+                self._wait()
+                if flush_on_error:
+                    self.flush(force=True)
+            except Exception:  # noqa: BLE001 - the error already propagating wins; the failed write is logged with its traceback, not swallowed
+                logger.exception(
+                    "checkpoint %s: write failed while %s propagated",
+                    self.path, type(error).__name__,
+                )
+            raise
+        self._behind = False
+        self._wait()
 
 
 def _digest(*parts) -> bytes:

@@ -642,7 +642,9 @@ def run_stream(
     validates the job identity, skips completed units, and finishes to
     a result **bit-identical** to an uninterrupted run (the kernels are
     deterministic and the final reduction state is a pure function of
-    which rows were reduced, not of how the work was scheduled).
+    which rows were reduced, not of how the work was scheduled).  Each
+    write runs on the checkpoint writer thread while the next unit is
+    reduced; none is in flight when this returns or raises.
     """
     n = int(source.n)
     if n < 1:
@@ -721,7 +723,10 @@ def _run_stream_checkpointed(
 
     Scheduling mirrors :func:`run_stream`'s span path — one task per
     pending unit, broken-pool spans recomputed in-process — with the
-    journal merging and persisting each finished unit.  An
+    journal merging and persisting each finished unit.  Either path
+    writes behind (:meth:`CheckpointJournal.writing_behind`): a unit's
+    write runs on the writer thread while the next unit is reduced,
+    and no write is in flight when this returns or raises.  An
     already-finished checkpoint returns without touching the source.
     """
     pending = journal.pending()
@@ -741,27 +746,28 @@ def _run_stream_checkpointed(
             futures = []
         if futures:
             lost = 0
-            try:
-                for future, (index, start, stop) in zip(futures, pending):
-                    try:
-                        part = future.result()
-                    except BrokenExecutor:
-                        lost += 1
-                        part = _reduce_span(
-                            source, reduction.fresh(), start, stop, chunk,
-                            close_source=False, kernel_tier=kernel_tier,
-                        )
-                    journal.complete(index, part)
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                # Persist what completed before the failure: a model
-                # error (or Ctrl-C) should not cost the finished units.
-                journal.flush(force=True)
-                raise
-            if lost:
-                STREAM_STATS.note_recovery(lost)
-            journal.settle()
+            # Merged partials hold whole units only, so on an error the
+            # journal persists what completed before it: a model error
+            # (or Ctrl-C) should not cost the finished units.
+            with journal.writing_behind(flush_on_error=True):
+                try:
+                    for future, (index, start, stop) in zip(futures, pending):
+                        try:
+                            part = future.result()
+                        except BrokenExecutor:
+                            lost += 1
+                            part = _reduce_span(
+                                source, reduction.fresh(), start, stop, chunk,
+                                close_source=False, kernel_tier=kernel_tier,
+                            )
+                        journal.complete(index, part)
+                except BaseException:
+                    for future in futures:
+                        future.cancel()
+                    raise
+                if lost:
+                    STREAM_STATS.note_recovery(lost)
+                journal.settle()
             return journal.merged
     try:
         # Fold straight into the journal's merged reduction — no
@@ -773,13 +779,14 @@ def _run_stream_checkpointed(
         # (which runs exactly at unit boundaries): an interruption
         # simply keeps the last cadence flush as the recovery point,
         # which is the documented durability granularity.
-        _fold_chunks(
-            source, journal.merged,
-            [(start, stop) for _, start, stop in pending], chunk,
-            _evaluator_for(kernel_tier), True,
-            on_span=lambda span: journal.mark(pending[span][0]),
-        )
-        journal.settle()
+        with journal.writing_behind():
+            _fold_chunks(
+                source, journal.merged,
+                [(start, stop) for _, start, stop in pending], chunk,
+                _evaluator_for(kernel_tier), True,
+                on_span=lambda span: journal.mark(pending[span][0]),
+            )
+            journal.settle()
     finally:
         close = getattr(source, "close", None)
         if close is not None:

@@ -28,16 +28,21 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import monte_carlo_stream
+from repro.analysis.montecarlo import (
+    monte_carlo_reduction,
+    monte_carlo_stream,
+)
 from repro.core.comparison import PlatformComparator
 from repro.core.scenario import Scenario
 from repro.engine import EvaluationEngine
+from repro.engine.atomicio import atomic_write_bytes
 from repro.engine.serve.faults import FaultPlan
 from repro.engine.vector import (
     BatchResult,
@@ -55,7 +60,12 @@ from repro.engine.vector import (
     run_stream,
     source_token,
 )
-from repro.engine.vector.checkpoint import _decode, _encode
+from repro.engine.vector import checkpoint as checkpoint_module
+from repro.engine.vector.checkpoint import (
+    WRITER_THREAD_PREFIX,
+    _decode,
+    _encode,
+)
 from repro.engine.vector.reducers import REDUCER_REGISTRY
 from repro.errors import (
     CheckpointMismatchError,
@@ -127,13 +137,18 @@ _REDUCER_FACTORIES = {
 }
 
 
-def _chunk(offset: int, rows: int = 64) -> tuple[BatchResult, int]:
-    """A deterministic chunk at ``offset`` with non-finite draws mixed in."""
+def _chunk(
+    offset: int, rows: int = 64, finite: bool = False
+) -> tuple[BatchResult, int]:
+    """A deterministic chunk at ``offset`` with non-finite draws mixed
+    in, unless ``finite`` (a full reservoir then takes its threshold
+    fast path)."""
     rng = np.random.default_rng(1000 + offset)
     ratios = rng.uniform(0.1, 3.5, size=rows)
-    ratios[rng.integers(0, rows)] = np.nan
-    ratios[rng.integers(0, rows)] = np.inf
-    ratios[rng.integers(0, rows)] = -np.inf
+    if not finite:
+        ratios[rng.integers(0, rows)] = np.nan
+        ratios[rng.integers(0, rows)] = np.inf
+        ratios[rng.integers(0, rows)] = -np.inf
     winners = np.where(rng.random(rows) < 0.4, "fpga", "asic").astype("<U4")
     fpga = rng.uniform(1.0, 9.0, size=rows)
     asic = rng.uniform(1.0, 9.0, size=rows)
@@ -223,6 +238,41 @@ def test_moments_from_state_rejects_block_drift():
     state = MomentsReducer(block=64).to_state()
     with pytest.raises(ParameterError, match="block"):
         MomentsReducer(block=128).from_state(state)
+
+
+def test_packed_state_is_never_written_by_later_updates_or_merges():
+    """The arrays a cadence write encodes behind the stream are the
+    reducers' packed state; later updates and merges must rebind or
+    copy, never write into them."""
+    def bundle():
+        reducers = monte_carlo_reduction(
+            seed=7, quantile_k=48, block=64, histogram=(0.0, 4.0, 16)
+        ).reducers
+        return StreamingReduction(
+            {**reducers, "topk": TopKReducer(k=8), "pareto": ParetoReducer()}
+        )
+
+    live = bundle()
+    for offset in range(0, 256, 64):
+        live.update(*_chunk(offset))
+    packed = live.to_state(canonical=False)
+    frozen = {key: array.copy() for key, array in packed.items()}
+    for offset in range(256, 512, 64):
+        live.update(*_chunk(offset, finite=True))
+    other = bundle()
+    for offset in range(512, 768, 64):
+        other.update(*_chunk(offset))
+    live.merge(other)
+    live.update(*_chunk(768, finite=True))
+
+    _assert_states_equal(packed, frozen)
+    later = live.to_state(canonical=False)
+    changed = {
+        key for key in frozen
+        if not np.array_equal(later[key], frozen[key], equal_nan=True)
+    }
+    # Every stateful member moved on, so the check above had teeth.
+    assert {key.partition("::")[0] for key in changed} == set(live.reducers)
 
 
 # ----------------------------------------------------------------------
@@ -992,6 +1042,225 @@ def test_monte_carlo_stream_quantile_k_drift_is_a_typed_mismatch(
         monte_carlo_stream(comparator, BASELINE, table1_distributions(),
                            quantile_k=128, **knobs)
     assert path.read_bytes() == raw
+
+
+# ----------------------------------------------------------------------
+# Write-behind: unit writes on the process-wide writer thread
+# ----------------------------------------------------------------------
+
+
+class _Writes:
+    """A stand-in for the journal's ``atomic_write_bytes`` that records
+    every write: ``events`` holds ``("start" | "end", i)`` per write,
+    ``payloads`` the bytes and ``threads`` the writing thread's name.
+    Each write first sleeps ``delay_s``; the write with 0-based index
+    ``fail_at`` raises :class:`OSError` instead of writing."""
+
+    def __init__(self, monkeypatch, *, delay_s=0.0, fail_at=None) -> None:
+        self.original = checkpoint_module.atomic_write_bytes
+        self.delay_s = delay_s
+        self.fail_at = fail_at
+        self.events: list[tuple[str, int]] = []
+        self.payloads: list[bytes] = []
+        self.threads: list[str] = []
+        monkeypatch.setattr(checkpoint_module, "atomic_write_bytes", self)
+
+    def __call__(self, path, payload):
+        index = len(self.payloads)
+        self.payloads.append(bytes(payload))
+        self.threads.append(threading.current_thread().name)
+        self.events.append(("start", index))
+        try:
+            time.sleep(self.delay_s)
+            if index == self.fail_at:
+                raise OSError(f"injected failure of write {index}")
+            return self.original(path, payload)
+        finally:
+            self.events.append(("end", index))
+
+    def settled(self) -> bool:
+        """Every write finished, one at a time and in order."""
+        return self.events == [
+            (kind, index)
+            for index in range(len(self.payloads))
+            for kind in ("start", "end")
+        ]
+
+
+UNIT_ROWS = 2048  # one 2048-row chunk per unit: 8 units of N_DRAWS
+
+
+def _unit_checkpoint(path) -> Checkpoint:
+    return Checkpoint(path, every_rows=UNIT_ROWS)
+
+
+def test_concurrent_atomic_writes_of_one_path(tmp_path):
+    """Same-path writers in one process each use their own tmp file:
+    none loses its tmp to another's rename, and the last rename wins."""
+    path = tmp_path / "shared.bin"
+    payloads = [bytes([index]) * 65_536 for index in range(4)]
+    errors = []
+
+    def writer(payload):
+        try:
+            for _ in range(50):
+                atomic_write_bytes(path, payload)
+        except BaseException as error:  # surfaced below
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=writer, args=(payload,))
+        for payload in payloads
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the writers finely
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert not list(tmp_path.glob("*.tmp.*"))
+    assert path.read_bytes() in payloads
+
+
+def test_no_write_in_flight_once_run_stream_returns_or_raises(
+    comparator, tmp_path, monkeypatch
+):
+    writes = _Writes(monkeypatch, delay_s=0.01)
+    run_stream(_mc_source(comparator), _mc_bundle(), chunk_rows=2048,
+               checkpoint=_unit_checkpoint(tmp_path / "sequential.ckpt"))
+    assert len(writes.payloads) == N_DRAWS // UNIT_ROWS
+    assert writes.settled()
+    # Inside a run the unit writes go behind the stream.
+    assert all(
+        name.startswith(WRITER_THREAD_PREFIX) for name in writes.threads
+    )
+
+    with EvaluationEngine(cache_size=0, workers=2) as eng:
+        eng.reduce_stream(
+            _mc_source(comparator), _mc_bundle(), chunk_rows=2048,
+            workers=2, checkpoint=_unit_checkpoint(tmp_path / "pool.ckpt"),
+        )
+    assert len(writes.payloads) == 2 * (N_DRAWS // UNIT_ROWS)
+    assert writes.settled()
+
+    dying = _DiesAfter(_mc_source(comparator), healthy=3)
+    with pytest.raises(RuntimeError, match="injected"):
+        run_stream(dying, _mc_bundle(), chunk_rows=2048,
+                   checkpoint=_unit_checkpoint(tmp_path / "dies.ckpt"))
+    assert writes.settled()
+
+
+def test_failed_write_surfaces_from_run_stream(
+    comparator, tmp_path, monkeypatch
+):
+    writes = _Writes(monkeypatch, fail_at=2)
+    path = tmp_path / "mc.ckpt"
+    with pytest.raises(OSError, match="injected failure of write 2"):
+        run_stream(_mc_source(comparator), _mc_bundle(), chunk_rows=2048,
+                   checkpoint=_unit_checkpoint(path))
+    assert writes.settled()
+    # The file is the last write that succeeded: the second unit's.
+    assert path.read_bytes() == writes.payloads[1]
+    meta, arrays = _decode(path.read_bytes())
+    assert meta["rows_done"] == 2 * UNIT_ROWS
+    assert arrays["done"].tolist() == [True, True] + [False] * 6
+
+
+@pytest.mark.parametrize("write_fails", [False, True],
+                         ids=["write-ok", "write-fails"])
+def test_model_error_wins_over_the_write_in_flight(
+    comparator, tmp_path, monkeypatch, caplog, write_fails
+):
+    # Slow writes: the third unit's write is still running when the
+    # fourth chunk's draw error reaches the calling thread.
+    writes = _Writes(monkeypatch, delay_s=0.1,
+                     fail_at=2 if write_fails else None)
+    path = tmp_path / "mc.ckpt"
+    dying = _DiesAfter(_mc_source(comparator), healthy=3)
+    with pytest.raises(RuntimeError, match="injected mid-run failure"):
+        run_stream(dying, _mc_bundle(), chunk_rows=2048,
+                   checkpoint=_unit_checkpoint(path))
+    assert len(writes.payloads) == 3 and writes.settled()
+    kept = 2 if write_fails else 3
+    assert path.read_bytes() == writes.payloads[kept - 1]
+    assert _decode(path.read_bytes())[0]["rows_done"] == kept * UNIT_ROWS
+    # A failed write is logged, never swallowed.
+    assert ("injected failure of write 2" in caplog.text) == write_fails
+
+
+def test_concurrent_checkpointed_studies_share_the_writer(
+    comparator, tmp_path
+):
+    reference = run_stream(
+        _mc_source(comparator), _mc_bundle(), chunk_rows=2048
+    )
+    results = {}
+
+    def study(name):
+        results[name] = run_stream(
+            _mc_source(comparator), _mc_bundle(), chunk_rows=2048,
+            checkpoint=_unit_checkpoint(tmp_path / name),
+        )
+
+    threads = [
+        threading.Thread(target=study, args=(name,))
+        for name in ("a.ckpt", "b.ckpt")
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == ["a.ckpt", "b.ckpt"]
+    for merged in results.values():
+        _assert_states_equal(merged.to_state(), reference.to_state())
+    assert (tmp_path / "a.ckpt").read_bytes() == (
+        tmp_path / "b.ckpt").read_bytes()
+
+
+def test_every_write_behind_payload_is_a_consistent_snapshot(
+    comparator, tmp_path, monkeypatch
+):
+    """Each payload is the state at its own unit boundary, even though
+    it is encoded and written while the stream reduces later units."""
+    writes = _Writes(monkeypatch, delay_s=0.02)
+    # Slow the encode as well: the snapshot-to-encode gap then spans
+    # the next unit's reduction and mark.
+    encode = checkpoint_module._encode
+
+    def slow_encode(meta, arrays):
+        time.sleep(0.02)
+        return encode(meta, arrays)
+
+    monkeypatch.setattr(checkpoint_module, "_encode", slow_encode)
+    run_stream(_mc_source(comparator), _mc_bundle(), chunk_rows=2048,
+               checkpoint=_unit_checkpoint(tmp_path / "mc.ckpt"))
+    monkeypatch.undo()
+    assert len(writes.payloads) == N_DRAWS // UNIT_ROWS == 8
+
+    reference = run_stream(
+        _mc_source(comparator), _mc_bundle(), chunk_rows=2048
+    ).to_state()
+    for index, payload in enumerate(writes.payloads):
+        meta, arrays = _decode(payload)
+        rows = meta["rows_done"]
+        assert rows == (index + 1) * UNIT_ROWS
+        assert int(np.count_nonzero(arrays["done"])) == index + 1
+        assert int(arrays["s.wins::counts"][0]) == rows
+        assert int(arrays["s.moments::counts"][:, 0].sum()) == rows
+        assert int(arrays["s.quantiles::n_seen"][0]) == rows
+        path = tmp_path / f"resume-{index}.ckpt"
+        path.write_bytes(payload)
+        resumed = run_stream(
+            _mc_source(comparator), _mc_bundle(), chunk_rows=2048,
+            checkpoint=_unit_checkpoint(path),
+        )
+        _assert_states_equal(resumed.to_state(), reference)
 
 
 # ----------------------------------------------------------------------

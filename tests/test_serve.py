@@ -22,7 +22,11 @@ from repro.core.comparison import PlatformComparator
 from repro.engine.engine import EvaluationEngine
 from repro.engine.serve import protocol
 from repro.engine.serve.backoff import JitteredBackoff
-from repro.engine.serve.bench import latency_benchmark
+from repro.engine.serve.bench import (
+    _reference_columns,
+    _request_batches,
+    latency_benchmark,
+)
 from repro.engine.serve.client import ServeClient
 from repro.engine.serve.faults import FaultPlan
 from repro.engine.serve.protocol import (
@@ -600,3 +604,29 @@ def test_latency_benchmark_kill_that_never_fires_is_a_serve_error():
         )
     assert "--requests" in str(info.value)
     assert "--clients" in str(info.value)
+
+
+def test_reference_columns_keep_the_store_the_cache_file_held(tmp_path):
+    """``serve-bench --cache-file PATH`` adds its cells to PATH's store
+    instead of replacing it."""
+    comparator = PlatformComparator.for_domain("dnn")
+    earlier = [
+        ScenarioBatch.from_arrays(
+            num_apps=np.arange(1, 13, dtype=np.int64),
+            lifetime=lifetime, volume=2_000_000,
+        )
+        for lifetime in (4.0, 5.0, 6.0, 7.0)
+    ]
+    path = tmp_path / "warm.npz"
+    warm = EvaluationEngine(cache_size=4096)
+    for batch in earlier:
+        warm.evaluate_batch(comparator, batch)
+    warm.save_cache(path)
+
+    _reference_columns("dnn", _request_batches(2, 10), path)
+
+    reloaded = EvaluationEngine(cache_size=4096)
+    assert reloaded.load_cache(path) == 48 + 20
+    for batch in earlier:
+        reloaded.evaluate_batch(comparator, batch)
+    assert reloaded.rows_computed == 0
