@@ -27,7 +27,6 @@ from repro.engine.vector import (
     ScenarioBatch,
     StreamingReduction,
     TopKReducer,
-    VectorizedEvaluator,
 )
 from repro.errors import ParameterError
 
@@ -387,11 +386,6 @@ def explore_batch(
         eng = resolve_engine(engine)
         if not eng.vectorize:
             raise ParameterError("streaming DSE requires vectorize=True")
-        if not VectorizedEvaluator.covers(scenario):
-            raise ParameterError(
-                "streaming DSE requires a kernel-covered scenario "
-                "(uniform per-application lifetimes, integral volume)"
-            )
         spec = domain if isinstance(domain, DomainSpec) else get_domain(domain)
         source = GridChunkSource(
             spec, scenario, grid, base if base is not None else Parameters()

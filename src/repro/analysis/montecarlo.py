@@ -29,7 +29,6 @@ from repro.engine.vector import (
     ReservoirQuantiles,
     ScenarioBatch,
     StreamingReduction,
-    VectorizedEvaluator,
     WinCountReducer,
     extract_row,
 )
@@ -569,7 +568,6 @@ def monte_carlo(
 
 def _columnar_study(
     engine: EvaluationEngine,
-    scenario: Scenario,
     distributions: Sequence[ParameterDistribution],
 ) -> bool:
     """Whether the study can run without per-draw comparator objects."""
@@ -577,7 +575,6 @@ def _columnar_study(
         engine.vectorize
         and distributions
         and all(d.apply_column is not None for d in distributions)
-        and VectorizedEvaluator.covers(scenario)
     )
 
 
@@ -601,8 +598,8 @@ def monte_carlo_batch(
     :func:`monte_carlo` — seeded columnar runs reproduce the scalar
     draws bit-for-bit — but evaluation is columnar end to end:
 
-    * When every distribution provides an ``apply_column`` callback
-      (and the kernel covers the scenario), the draws are sampled
+    * When every distribution provides an ``apply_column`` callback,
+      the draws are sampled
       straight into value columns, written onto a base-plus-overrides
       :class:`~repro.engine.vector.ParameterBatch`, and evaluated
       through :meth:`EvaluationEngine.evaluate_param_batch` — no
@@ -628,8 +625,8 @@ def monte_carlo_batch(
     never materialising more than ``chunk_rows`` rows per worker, multi-
     core by default (``workers``), bypassing the result store — and a
     :class:`StreamingMonteCarloResult` is returned.  Streaming requires
-    the fully columnar path (every distribution with ``apply_column``,
-    a kernel-covered scenario, ``vectorize=True``); anything else
+    the fully columnar path (every distribution with ``apply_column``
+    and ``vectorize=True``); anything else
     raises rather than silently materialising a 100M-row batch.
 
     ``checkpoint=`` (a :class:`~repro.engine.vector.Checkpoint`, only
@@ -644,7 +641,7 @@ def monte_carlo_batch(
     """
     seed = _resolve_seed(seed, allow_unseeded)
     eng = resolve_engine(engine)
-    columnar = _columnar_study(eng, scenario, distributions)
+    columnar = _columnar_study(eng, distributions)
     if checkpoint is not None and (reduce is None or reduce is False):
         raise ParameterError(
             "checkpoint= requires the streaming path (pass reduce=)"
@@ -652,9 +649,8 @@ def monte_carlo_batch(
     if reduce is not None and reduce is not False:
         if not columnar:
             raise ParameterError(
-                "streaming Monte-Carlo requires vectorize=True, "
-                "apply_column on every distribution and a kernel-covered "
-                "scenario"
+                "streaming Monte-Carlo requires vectorize=True and "
+                "apply_column on every distribution"
             )
         _validate_study(distributions, n_samples)
         reduction = (

@@ -56,11 +56,16 @@ def axis_batch(
         )
     num_apps = axis_values.get("num_apps", base_scenario.num_apps)
     lifetime = axis_values.get("lifetime", base_lifetimes[0])
-    volume = axis_values.get("volume", base_scenario.volume)
+    # The volume axis truncates like its scalar applier; a base volume
+    # rides along as is, fractional or not.
+    volume = (
+        np.asarray(axis_values["volume"], dtype=np.int64)
+        if "volume" in axis_values else base_scenario.volume
+    )
     return ScenarioBatch.from_arrays(
         num_apps=np.asarray(num_apps, dtype=np.int64),
         lifetime=np.asarray(lifetime, dtype=np.float64),
-        volume=np.asarray(volume, dtype=np.int64),
+        volume=volume,
         evaluation_years=base_scenario.evaluation_years,
         app_size_mgates=base_scenario.app_size_mgates,
         enforce_chip_lifetime=base_scenario.enforce_chip_lifetime,

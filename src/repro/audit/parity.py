@@ -68,6 +68,15 @@ LIFETIME_SCENARIO = Scenario(
 #: matters when a single application outlives the chip.
 ASIC_LIFE_SCENARIO = Scenario(num_apps=2, app_lifetime_years=9.0, volume=50_000)
 
+#: Per-application lifetimes and a fractional volume: the row shape the
+#: chain folds per step and the fused tier hands to the chain.  Probes
+#: whose column enters a per-application term (operation, app-dev, ASIC
+#: chip lifetime) also run under it; its 9-year application outlives
+#: the ASIC chip.
+HETEROGENEOUS_SCENARIO = Scenario(
+    num_apps=3, app_lifetime_years=(9.0, 2.5, 6.5), volume=50_000.5
+)
+
 #: FPGA capacity only matters when the application has an explicit size.
 CAPACITY_SCENARIO = Scenario(
     num_apps=5, app_lifetime_years=2.0, volume=50_000, app_size_mgates=60.0
@@ -87,6 +96,8 @@ class ColumnProbe:
         prepare: Optional base-comparator transform applied before
             perturbing (e.g. a nonzero recycled fraction so the
             recycled-MPA column is live).
+        per_application: The column enters a per-application term, so
+            the probe also runs under :data:`HETEROGENEOUS_SCENARIO`.
     """
 
     column: int
@@ -94,6 +105,7 @@ class ColumnProbe:
     apply: Callable[[PlatformComparator, float], PlatformComparator]
     scenario: Scenario | None = None
     prepare: Callable[[PlatformComparator], PlatformComparator] | None = None
+    per_application: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -347,21 +359,28 @@ def default_probes() -> tuple[ColumnProbe, ...]:
         ColumnProbe(P.DES_BETA, (0.0, 1.0, 0.8, 0.5),
                     lambda c, v: _design(c, gate_scaling_beta=v)),
         ColumnProbe(P.OP_CI, (20.0, 900.0, 500.0, 200.0),
-                    lambda c, v: _op(c, energy_source=v)),
+                    lambda c, v: _op(c, energy_source=v),
+                    per_application=True),
         ColumnProbe(P.OP_DUTY, (0.05, 1.0, 0.8, 0.5),
-                    lambda c, v: _op_profile(c, duty_cycle=v)),
+                    lambda c, v: _op_profile(c, duty_cycle=v),
+                    per_application=True),
         ColumnProbe(P.OP_IDLE, (0.0, 1.0, 0.6, 0.3),
-                    lambda c, v: _op_profile(c, idle_fraction_of_peak=v)),
+                    lambda c, v: _op_profile(c, idle_fraction_of_peak=v),
+                    per_application=True),
         ColumnProbe(P.OP_PUE, (1.0, 2.0, 1.6, 1.3),
-                    lambda c, v: _op_profile(c, pue=v)),
+                    lambda c, v: _op_profile(c, pue=v),
+                    per_application=True),
         ColumnProbe(P.AD_CI, (20.0, 900.0, 500.0, 200.0),
-                    lambda c, v: _appdev(c, energy_source=v)),
+                    lambda c, v: _appdev(c, energy_source=v),
+                    per_application=True),
         ColumnProbe(P.AD_CONFIG_KW, (50.0, 1000.0, 600.0, 300.0),
-                    lambda c, v: _appdev(c, config_power_w=v)),
+                    lambda c, v: _appdev(c, config_power_w=v),
+                    per_application=True),
         ColumnProbe(P.F_AREA, (50.0, 800.0, 400.0, 150.0),
                     lambda c, v: _fpga(c, area_mm2=v)),
         ColumnProbe(P.F_POWER, (1.0, 120.0, 60.0, 25.0),
-                    lambda c, v: _fpga(c, peak_power_w=v)),
+                    lambda c, v: _fpga(c, peak_power_w=v),
+                    per_application=True),
         ColumnProbe(P.F_LIFE, (3.0, 12.0, 9.0, 6.0),
                     lambda c, v: _fpga(c, chip_lifetime_years=v),
                     scenario=LIFETIME_SCENARIO),
@@ -388,16 +407,19 @@ def default_probes() -> tuple[ColumnProbe, ...]:
                     lambda c, v: _fpga_node(c, wafer_diameter_mm=v)),
         ColumnProbe(P.F_TEAM_YEARS, (1.0, 6.0, 4.0, 2.0), _fpga_team),
         ColumnProbe(P.F_DEV_KG, (0.5, 12.0, 6.0, 3.0),
-                    lambda c, v: _fpga_effort(c, frontend_months=v)),
+                    lambda c, v: _fpga_effort(c, frontend_months=v),
+                    per_application=True),
         ColumnProbe(P.F_CHPU, (0.0, 1.0, 0.5, 0.2),
-                    lambda c, v: _fpga_effort(c, config_hours_per_unit=v)),
+                    lambda c, v: _fpga_effort(c, config_hours_per_unit=v),
+                    per_application=True),
         ColumnProbe(P.A_AREA, (50.0, 600.0, 300.0, 150.0),
                     lambda c, v: _asic(c, area_mm2=v)),
         ColumnProbe(P.A_POWER, (0.5, 50.0, 20.0, 5.0),
-                    lambda c, v: _asic(c, peak_power_w=v)),
+                    lambda c, v: _asic(c, peak_power_w=v),
+                    per_application=True),
         ColumnProbe(P.A_LIFE, (2.0, 6.0, 4.0, 3.0),
                     lambda c, v: _asic(c, chip_lifetime_years=v),
-                    scenario=ASIC_LIFE_SCENARIO),
+                    scenario=ASIC_LIFE_SCENARIO, per_application=True),
         ColumnProbe(P.A_GATES, (100.0, 2000.0, 1000.0, 400.0),
                     lambda c, v: _asic(c, gates_mgates=v)),
         ColumnProbe(P.A_EPA, (0.5, 8.0, 4.0, 2.0),
@@ -417,9 +439,11 @@ def default_probes() -> tuple[ColumnProbe, ...]:
                     lambda c, v: _asic_node(c, wafer_diameter_mm=v)),
         ColumnProbe(P.A_TEAM_YEARS, (1.0, 6.0, 4.0, 2.0), _asic_team),
         ColumnProbe(P.A_DEV_KG, (0.5, 8.0, 4.0, 2.0),
-                    lambda c, v: _asic_effort(c, frontend_months=v)),
+                    lambda c, v: _asic_effort(c, frontend_months=v),
+                    per_application=True),
         ColumnProbe(P.A_CHPU, (0.01, 0.6, 0.3, 0.1),
-                    lambda c, v: _asic_effort(c, config_hours_per_unit=v)),
+                    lambda c, v: _asic_effort(c, config_hours_per_unit=v),
+                    per_application=True),
     )
     if len(probes) != P.N_PARAM_COLS:
         raise ParameterError(
@@ -502,23 +526,14 @@ def _states_equal(a: tuple, b: tuple) -> bool:
     )
 
 
-def _probe_column(
-    probe: ColumnProbe,
-    base: PlatformComparator,
+def _probe_scenario(
+    comps: Sequence[PlatformComparator],
+    scenario: Scenario,
     evaluator: VectorizedEvaluator,
     fused: VectorizedEvaluator,
-    values_per_column: int,
-) -> ColumnReport:
-    """Run one column probe end to end."""
-    name = COLUMN_NAMES[probe.column]
-    prepared = probe.prepare(base) if probe.prepare is not None else base
-    values = probe.values[: max(1, values_per_column)]
-    comps = [prepared, *(probe.apply(prepared, v) for v in values)]
-    scenario = probe.scenario if probe.scenario is not None else DEFAULT_SCENARIO
-
-    rows = np.array([extract_row(c) for c in comps], dtype=np.float64)
-    moved = bool(np.any(rows[1:, probe.column] != rows[0, probe.column]))
-
+) -> tuple[float, float, bool, bool]:
+    """``(kernel err, fused err, outputs changed, stream bit-identical)``
+    of one probe's comparators under one scenario."""
     ratios_s, fpga_s, asic_s, winners_s = _scalar_outputs(comps, scenario)
     params = ParameterBatch.from_comparators(comps)
     batch = ScenarioBatch.tile(scenario, len(comps))
@@ -568,16 +583,40 @@ def _probe_column(
     stream_bitident = _states_equal(
         _reduction_state(streamed), reference
     ) and _states_equal(_reduction_state(merged), reference)
+    return rel_err, fused_rel_err, outputs_changed, stream_bitident
 
+
+def _probe_column(
+    probe: ColumnProbe,
+    base: PlatformComparator,
+    evaluator: VectorizedEvaluator,
+    fused: VectorizedEvaluator,
+    values_per_column: int,
+) -> ColumnReport:
+    """Run one column probe end to end, under each of its scenarios."""
+    name = COLUMN_NAMES[probe.column]
+    prepared = probe.prepare(base) if probe.prepare is not None else base
+    values = probe.values[: max(1, values_per_column)]
+    comps = [prepared, *(probe.apply(prepared, v) for v in values)]
+    scenarios = [probe.scenario if probe.scenario is not None else DEFAULT_SCENARIO]
+    if probe.per_application:
+        scenarios.append(HETEROGENEOUS_SCENARIO)
+
+    rows = np.array([extract_row(c) for c in comps], dtype=np.float64)
+    moved = bool(np.any(rows[1:, probe.column] != rows[0, probe.column]))
+    outcomes = [
+        _probe_scenario(comps, scenario, evaluator, fused)
+        for scenario in scenarios
+    ]
     return ColumnReport(
         column=probe.column,
         name=name,
         n_values=len(values),
         moved=moved,
-        outputs_changed=outputs_changed,
-        kernel_max_rel_err=rel_err,
-        fused_max_rel_err=fused_rel_err,
-        stream_bitident=stream_bitident,
+        outputs_changed=all(o[2] for o in outcomes),
+        kernel_max_rel_err=max(o[0] for o in outcomes),
+        fused_max_rel_err=max(o[1] for o in outcomes),
+        stream_bitident=all(o[3] for o in outcomes),
     )
 
 

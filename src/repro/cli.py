@@ -21,7 +21,9 @@ Subcommands:
 
 Engine options (shared by every subcommand):
 
-* ``--workers N`` — farm scalar cache misses to N worker processes.
+* ``--workers N`` — threads for chunked parameter batches and the
+  default worker count of streamed reductions (``mc --stream`` without
+  ``--mc-workers``).
 * ``--no-vectorize`` — disable the NumPy vector kernel (pure scalar
   path; mainly for debugging and perf comparisons).
 * ``--cache-stats`` — print the shared engine's cache counters after
@@ -54,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="evaluate scalar cache misses on N worker processes",
+        help="threads for chunked parameter batches and default "
+        "streaming worker count (default: every core)",
     )
     parser.add_argument(
         "--no-vectorize",
@@ -225,7 +228,7 @@ def _cmd_run(experiment: str, csv_dir: str | None) -> int:
 
 def _cmd_compare(domain: str, apps: int, lifetime: float, volume: float) -> int:
     scenario = Scenario(
-        num_apps=apps, app_lifetime_years=lifetime, volume=int(volume)
+        num_apps=apps, app_lifetime_years=lifetime, volume=volume
     )
     comparator = PlatformComparator.for_domain(domain)
     result = default_engine().evaluate(comparator, scenario)
@@ -259,7 +262,7 @@ def _cmd_mc(
     from repro.experiments.ext_uncertainty import distributions
 
     scenario = Scenario(
-        num_apps=apps, app_lifetime_years=lifetime, volume=int(volume)
+        num_apps=apps, app_lifetime_years=lifetime, volume=volume
     )
     comparator = PlatformComparator.for_domain(domain)
     engine = default_engine()

@@ -1,14 +1,10 @@
 """Bounded LRU cache with hit/miss accounting.
 
-Historically the engine's only result cache (one finished
-:class:`~repro.core.comparison.ComparisonResult` per key); since the
-array-backed :class:`~repro.engine.store.ShardedResultStore` took over
-the hot path, this class serves as the store's *object side-cache* for
-results that cannot be packed into uniform columns (heterogeneous
-per-application lifetimes).  A plain ``OrderedDict`` guarded by a lock,
-so it can be shared by analysis code running on worker threads; worker
-*processes* never see it — they return results to the parent, which
-inserts them.
+The engine's results live in the array-backed
+:class:`~repro.engine.store.ShardedResultStore`; this module keeps the
+:class:`CacheStats` counters it reports and a small general-purpose
+:class:`LruCache`.  The cache is a plain ``OrderedDict`` guarded by a
+lock, so it can be shared by code running on threads.
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ primitive behind one batch API with
 * memoised :meth:`repro.config.Parameters.build_suite` construction
   (safe under concurrent access), so DSE grids revisiting a
   configuration reuse the same suite object; and
-* opt-in process parallelism (``workers=N``) with chunked dispatch to
-  amortise pickling, for scalar-path misses.
+* the NumPy kernels for every miss group worth a batch: same-comparator
+  groups of at least :data:`MIN_VECTOR_BATCH` scenarios, parameter
+  batches chunked over threads, and streamed reductions on a ``spawn``
+  process pool.
 
 Evaluation is pure — ``compare()`` depends only on the frozen comparator
 and scenario — so cached, vectorised and parallel execution return
@@ -33,14 +35,9 @@ import dataclasses
 import logging
 import multiprocessing
 import os
-import pickle
 import threading
-from collections.abc import Iterable, Sequence
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from collections.abc import Callable, Iterable
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -61,12 +58,12 @@ from repro.engine.store import (  # noqa: F401 (keys re-exported for compat)
     materialise_comparison,
     pack_batch_rows,
     pack_comparison,
-    pack_fallback_row,
     pair_digest,
     param_batch_digests,
     param_digest,
     param_row_digest,
     scenario_key,
+    uniform_lifetime_rows,
 )
 from repro.engine.vector import (
     BatchResult,
@@ -75,7 +72,6 @@ from repro.engine.vector import (
     VectorizedEvaluator,
 )
 from repro.engine.vector.checkpoint import Checkpoint
-from repro.engine.vector.evaluator import _patch_fallback_rows
 from repro.engine.vector.fused import kernel_tier_label
 from repro.engine.vector.kernels import ratio_kernel, winner_kernel
 from repro.engine.vector.reducers import StreamingReduction
@@ -87,10 +83,6 @@ from repro.engine.vector.streaming import (
     run_stream,
 )
 from repro.errors import ParameterError, StoreCorruptError
-
-#: Default chunk size for parallel dispatch — large enough that pickling
-#: a chunk's comparators is amortised over many assessments.
-DEFAULT_CHUNK_SIZE = 32
 
 #: Smallest same-comparator miss group worth routing through the vector
 #: kernel: below this the per-batch NumPy overhead beats the saving.
@@ -105,12 +97,6 @@ PARAM_CHUNK_ROWS = 131_072
 #: Hard cap on parameter-dispatch threads (beyond this the kernels are
 #: memory-bandwidth bound and extra threads only add contention).
 MAX_PARAM_THREADS = 8
-
-
-#: A scenario routes through the packed array store exactly when the
-#: kernel covers it — one definition, shared with the batch path, so the
-#: object side-cache and the packed table never split a key.
-_kernel_packable = VectorizedEvaluator.covers
 
 
 # ----------------------------------------------------------------------
@@ -145,13 +131,6 @@ def build_suite_cached(params: Parameters) -> ModelSuite:
     return suite
 
 
-def _compare_chunk(
-    chunk: Sequence[tuple[PlatformComparator, Scenario]],
-) -> list[ComparisonResult]:
-    """Worker-side body: sequentially assess one chunk of pairs."""
-    return [comparator.compare(scenario) for comparator, scenario in chunk]
-
-
 class EvaluationEngine:
     """Batch evaluator with an array result store and opt-in parallelism.
 
@@ -163,22 +142,19 @@ class EvaluationEngine:
     Args:
         cache_size: Entry bound of the result store (``0`` disables
             caching).
-        workers: ``None`` or ``1`` evaluates in-process; ``N > 1`` farms
-            scalar cache misses out to a :class:`ProcessPoolExecutor` of
-            ``N`` processes.  Results are identical either way.
-        chunk_size: Pairs per parallel task; tune upward for very cheap
-            models to keep pickling overhead negligible.
-        vectorize: Route same-comparator cache-miss batches through the
-            NumPy kernel (:class:`VectorizedEvaluator`).  Results stay
-            bit-identical to the scalar path — the kernel mirrors its
-            operation order exactly — and still populate the store, so
-            scalar and vector callers share warmth.  ``False`` restores
-            the pure scalar path everywhere (including the ``*_batch``
-            APIs, which then columnise scalar results).
-        min_vector_batch: Smallest same-comparator miss group sent to
-            the kernel; smaller groups (and scenarios the kernel doesn't
-            cover, e.g. heterogeneous per-application lifetimes) take
-            the scalar path per pair.
+        workers: Thread count of the chunked parameter-batch dispatch
+            and the default worker count of streamed reductions;
+            ``None`` uses every core (each capped, see
+            :data:`MAX_PARAM_THREADS` and :data:`MAX_STREAM_WORKERS`),
+            ``1`` runs both sequentially.  Results are identical either
+            way.
+        vectorize: Route cache-miss batches through the NumPy kernel
+            (:class:`VectorizedEvaluator`).  Results stay bit-identical
+            to the scalar path — the kernel mirrors its operation order
+            exactly — and still populate the store, so scalar and vector
+            callers share warmth.  ``False`` restores the pure scalar
+            path everywhere (including the ``*_batch`` APIs, which then
+            columnise scalar results).
         kernel_tier: Kernel tier for the streaming reduce paths
             (``fused`` or ``numpy``); ``None`` honours the
             ``REPRO_KERNEL`` environment variable, fused when unset.  See
@@ -193,31 +169,20 @@ class EvaluationEngine:
         self,
         cache_size: int = 4096,
         workers: int | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         vectorize: bool = True,
-        min_vector_batch: int = MIN_VECTOR_BATCH,
         cache_file: "str | Path | None" = None,
         kernel_tier: "str | None" = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
-        if chunk_size < 1:
-            raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-        if min_vector_batch < 1:
-            raise ParameterError(
-                f"min_vector_batch must be >= 1, got {min_vector_batch}"
-            )
         self.workers = workers
-        self.chunk_size = chunk_size
         self.vectorize = vectorize
-        self.min_vector_batch = min_vector_batch
         # Validates the spelling eagerly: a bad tier fails at
         # construction, not mid-stream in a worker process.
         kernel_tier_label(kernel_tier)
         self.kernel_tier = kernel_tier
         self._vector = VectorizedEvaluator()
         self._store = ShardedResultStore(capacity=cache_size)
-        self._pool: ProcessPoolExecutor | None = None
         self._stream_pool: ProcessPoolExecutor | None = None
         self._stream_pool_workers = 0
         self._pool_lock = threading.Lock()
@@ -297,19 +262,16 @@ class EvaluationEngine:
             return 0
 
     def close(self) -> None:
-        """Shut down the worker pools (if any were started).
+        """Shut down the streaming worker pool (if one was started).
 
-        Idempotent and safe under concurrent callers: the pools are
-        detached under a lock, so exactly one caller shuts each down
-        and repeated/racing ``close()`` calls are no-ops.  The engine
-        stays usable afterwards — pools restart lazily on demand.
+        Idempotent and safe under concurrent callers: the pool is
+        detached under a lock, so exactly one caller shuts it down and
+        repeated/racing ``close()`` calls are no-ops.  The engine stays
+        usable afterwards — the pool restarts lazily on demand.
         """
         with self._pool_lock:
-            pool, self._pool = self._pool, None
             stream_pool, self._stream_pool = self._stream_pool, None
             self._stream_pool_workers = 0
-        if pool is not None:
-            pool.shutdown(wait=True)
         if stream_pool is not None:
             stream_pool.shutdown(wait=True)
 
@@ -352,8 +314,9 @@ class EvaluationEngine:
         by earlier calls are served from the result store, with the
         :class:`ComparisonResult` materialised lazily from the packed
         columns (bit-identical to the originally computed object).
-        Misses run in-process, on the worker pool, or through the vector
-        kernel, then populate the store.
+        Misses run through the vector kernel (same-comparator groups of
+        at least :data:`MIN_VECTOR_BATCH`) or the scalar models, then
+        populate the store.
         """
         pair_list = list(pairs)
         if not pair_list:
@@ -364,62 +327,35 @@ class EvaluationEngine:
         for digest, pair in zip(digests, pair_list):
             unique.setdefault(digest, pair)
 
+        keys = np.array(list(unique), dtype=np.uint64)
+        hits, floats, ints = self._store.get_batch(keys[:, 0], keys[:, 1])
         results: dict[tuple[int, int], ComparisonResult] = {}
         misses: list[tuple[tuple[int, int], PlatformComparator, Scenario]] = []
-        packable: list[tuple[int, int]] = []
-        for digest, (comparator, scenario) in unique.items():
-            if _kernel_packable(scenario):
-                packable.append(digest)
+        for j, (digest, (comparator, scenario)) in enumerate(unique.items()):
+            if hits[j]:
+                results[digest] = materialise_comparison(
+                    floats[j], ints[j], scenario
+                )
             else:
-                cached = self._store.get_object(digest)
-                if cached is not None:
-                    results[digest] = cached
-                else:
-                    misses.append((digest, comparator, scenario))
-        if packable:
-            lo = np.fromiter(
-                (d[0] for d in packable), dtype=np.uint64, count=len(packable)
-            )
-            hi = np.fromiter(
-                (d[1] for d in packable), dtype=np.uint64, count=len(packable)
-            )
-            hits, floats, ints = self._store.get_batch(lo, hi)
-            for j, digest in enumerate(packable):
-                comparator, scenario = unique[digest]
-                if hits[j]:
-                    results[digest] = materialise_comparison(
-                        floats[j], ints[j], scenario
-                    )
-                else:
-                    misses.append((digest, comparator, scenario))
+                misses.append((digest, comparator, scenario))
 
+        if misses and self.vectorize:
+            misses = self._vector_compute(misses, results)
         if misses:
-            if self.vectorize:
-                misses = self._vector_compute(misses, results)
-            if misses:
-                computed = self._compute([(c, s) for _, c, s in misses])
-                self._note_computed(len(computed))
-                pack_lo: list[int] = []
-                pack_hi: list[int] = []
-                pack_f: list[np.ndarray] = []
-                pack_i: list[np.ndarray] = []
-                for (digest, comparator, _), result in zip(misses, computed):
-                    results[digest] = result
-                    packed = pack_comparison(result, comparator)
-                    if packed is None:
-                        self._store.put_object(digest, result)
-                    else:
-                        pack_lo.append(digest[0])
-                        pack_hi.append(digest[1])
-                        pack_f.append(packed[0])
-                        pack_i.append(packed[1])
-                if pack_lo:
-                    self._store.put_batch(
-                        np.array(pack_lo, dtype=np.uint64),
-                        np.array(pack_hi, dtype=np.uint64),
-                        np.array(pack_f),
-                        np.array(pack_i),
-                    )
+            self._note_computed(len(misses))
+            packed = []
+            for digest, comparator, scenario in misses:
+                result = results[digest] = comparator.compare(scenario)
+                row = pack_comparison(result, comparator)
+                if row is not None:
+                    packed.append((digest, *row))
+            if packed:
+                self._store.put_batch(
+                    np.array([p[0][0] for p in packed], dtype=np.uint64),
+                    np.array([p[0][1] for p in packed], dtype=np.uint64),
+                    np.array([p[1] for p in packed]),
+                    np.array([p[2] for p in packed]),
+                )
 
         ordered: list[ComparisonResult] = []
         for digest, (_, scenario) in zip(digests, pair_list):
@@ -440,11 +376,11 @@ class EvaluationEngine:
         """Serve miss groups through the vector kernel; return the rest.
 
         Misses are grouped by comparator identity; groups of at least
-        ``min_vector_batch`` kernel-covered scenarios are evaluated as
-        one batch, packed into the store as column rows, and
-        materialised into :class:`ComparisonResult` objects for the
-        caller.  The remainder (small groups, uncovered scenarios) is
-        returned for the scalar/parallel path, preserving batch order.
+        :data:`MIN_VECTOR_BATCH` scenarios are evaluated as one batch,
+        their uniform-lifetime rows packed into the store, and every row
+        materialised into a :class:`ComparisonResult` for the caller.
+        The remainder (small groups) is returned for the scalar path,
+        preserving batch order.
         """
         groups: dict[tuple[int, int], list[int]] = {}
         for index, (_, comparator, _) in enumerate(misses):
@@ -452,31 +388,20 @@ class EvaluationEngine:
 
         handled: set[int] = set()
         for indices in groups.values():
-            covered = [i for i in indices if self._vector.covers(misses[i][2])]
-            if len(covered) < self.min_vector_batch:
+            if len(indices) < MIN_VECTOR_BATCH:
                 continue
-            comparator = misses[covered[0]][1]
-            scenarios = [misses[i][2] for i in covered]
-            batch = self._vector.evaluate_batch(comparator, scenarios)
-            self._note_computed(len(covered))
-            rows = np.arange(len(covered))
-            floats, ints = pack_batch_rows(batch, rows)
+            batch = ScenarioBatch.from_scenarios([misses[i][2] for i in indices])
+            result = self._vector.evaluate_batch(misses[indices[0]][1], batch)
+            self._note_computed(len(indices))
+            rows = np.flatnonzero(uniform_lifetime_rows(batch.lifetime))
+            keys = np.array([misses[i][0] for i in indices], dtype=np.uint64)
             self._store.put_batch(
-                np.fromiter(
-                    (misses[i][0][0] for i in covered),
-                    dtype=np.uint64, count=len(covered),
-                ),
-                np.fromiter(
-                    (misses[i][0][1] for i in covered),
-                    dtype=np.uint64, count=len(covered),
-                ),
-                floats,
-                ints,
+                keys[rows, 0], keys[rows, 1], *pack_batch_rows(result, rows)
             )
-            for row, i in enumerate(covered):
+            for row, i in enumerate(indices):
                 digest, _, scenario = misses[i]
-                results[digest] = batch.comparison(row, scenario)
-                handled.add(i)
+                results[digest] = result.comparison(row, scenario)
+            handled.update(indices)
         if not handled:
             return misses
         return [m for i, m in enumerate(misses) if i not in handled]
@@ -519,35 +444,30 @@ class EvaluationEngine:
         if self._store.capacity == 0:
             self._note_computed(batch.size)
             return self._vector.evaluate_batch(comparator, batch)
-
         lo, hi = batch_digests(comparator, batch)
-        n = batch.size
-        if batch.all_covered:
-            hits, floats, ints = self._store.get_batch(lo, hi)
-        else:
-            hits = np.zeros(n, dtype=bool)
-            floats = np.empty((n, FLOAT_COLS), dtype=np.float64)
-            ints = np.empty((n, INT_COLS), dtype=np.int64)
-            covered_idx = np.nonzero(batch.covered)[0]
-            c_hits, c_floats, c_ints = self._store.get_batch(
-                lo[covered_idx], hi[covered_idx]
-            )
-            hit_rows = covered_idx[c_hits]
-            hits[hit_rows] = True
-            floats[hit_rows] = c_floats[c_hits]
-            ints[hit_rows] = c_ints[c_hits]
-        object_hits: dict[int, ComparisonResult] = {}
-        for i in np.nonzero(~batch.covered)[0]:
-            cached = self._store.get_object((int(lo[i]), int(hi[i])))
-            if cached is not None:
-                object_hits[int(i)] = cached
-                hits[i] = True
-                row_f, row_i = pack_fallback_row(cached)
-                floats[i] = row_f
-                ints[i] = row_i
+        return self._through_store(
+            batch, lo, hi,
+            lambda rows: self._vector.evaluate_batch(comparator, batch.take(rows)),
+        )
 
+    def _through_store(
+        self,
+        batch: ScenarioBatch,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        compute: Callable[[np.ndarray], BatchResult],
+    ) -> BatchResult:
+        """Gather ``batch``'s hits from the store and compute the rest.
+
+        Misses are deduplicated by digest, computed once through
+        ``compute(rows)``, and their uniform-lifetime rows inserted.
+        Ratios and winners are recomputed from the totals with the same
+        kernels the vector path uses, so they are bit-identical to a
+        fresh evaluation.
+        """
+        hits, floats, ints = self._store.get_batch(lo, hi)
         miss_idx = np.nonzero(~hits)[0]
-        fallback: dict[int, ComparisonResult] = dict(object_hits)
+        computed = None
         if miss_idx.size:
             # Sorting on ``lo`` alone is enough: a rare pair of keys that
             # share ``lo`` but not ``hi`` may leave a duplicate unmerged,
@@ -562,49 +482,46 @@ class EvaluationEngine:
             inverse = np.empty(order.size, dtype=np.intp)
             inverse[order] = np.cumsum(head) - 1
             unique_rows = miss_idx[order[head]]
-            computed = self._vector.evaluate_batch(
-                comparator, batch.take(unique_rows)
-            )
+            computed = compute(unique_rows)
             self._note_computed(int(unique_rows.size))
             comp_f, comp_i = pack_batch_rows(
                 computed, np.arange(unique_rows.size)
             )
-            is_fallback = np.zeros(unique_rows.size, dtype=bool)
-            is_fallback[list(computed.fallback)] = True
-            store_rows = np.nonzero(~is_fallback)[0]
-            if store_rows.size:
-                self._store.put_batch(
-                    lo[unique_rows[store_rows]],
-                    hi[unique_rows[store_rows]],
-                    comp_f[store_rows],
-                    comp_i[store_rows],
-                )
-            for r, comparison in computed.fallback.items():
-                key = (int(lo[unique_rows[r]]), int(hi[unique_rows[r]]))
-                self._store.put_object(key, comparison)
+            stored = (
+                slice(None) if batch.lifetime.ndim == 1
+                else uniform_lifetime_rows(batch.lifetime[unique_rows])
+            )
+            self._store.put_batch(
+                lo[unique_rows[stored]], hi[unique_rows[stored]],
+                comp_f[stored], comp_i[stored],
+            )
             floats[miss_idx] = comp_f[inverse]
             ints[miss_idx] = comp_i[inverse]
-            if computed.fallback:
-                for j in np.nonzero(is_fallback[inverse])[0]:
-                    fallback[int(miss_idx[j])] = computed.fallback[
-                        int(inverse[j])
-                    ]
-
-        return self._assemble_batch(batch, floats, ints, fallback)
+        result = self._assemble_batch(batch, floats, ints)
+        if batch.lifetime.ndim == 1:
+            return result
+        # A (n, w) lifetime block: hits are uniform rows, whose packed
+        # per-application column spans the block; heterogeneous rows
+        # never hit and take theirs from the kernel.
+        width = batch.lifetime.shape[1]
+        apps = {
+            k: np.repeat(v[:, None], width, axis=1)
+            for k, v in result.asic_app_components.items()
+        }
+        gens = np.repeat(result.asic_generations[:, None], width, axis=1)
+        if computed is not None:
+            for k, v in apps.items():
+                v[miss_idx] = computed.asic_app_components[k][inverse]
+            gens[miss_idx] = computed.asic_generations[inverse]
+        return dataclasses.replace(
+            result, asic_app_components=apps, asic_generations=gens
+        )
 
     @staticmethod
     def _assemble_batch(
-        batch: ScenarioBatch,
-        floats: np.ndarray,
-        ints: np.ndarray,
-        fallback: dict[int, ComparisonResult],
+        batch: ScenarioBatch, floats: np.ndarray, ints: np.ndarray
     ) -> BatchResult:
-        """Build a :class:`BatchResult` over gathered/scattered columns.
-
-        Ratios and winners are recomputed from the stored totals with
-        the same kernels the vector path uses, so they are bit-identical
-        to a fresh evaluation.
-        """
+        """Build a :class:`BatchResult` over gathered/scattered columns."""
         from repro.engine.store import (
             _COMPONENTS,
             _FT_APP_COMP,
@@ -644,7 +561,6 @@ class EvaluationEngine:
                 name: floats[:, _FT_APP_COMP + j]
                 for j, name in enumerate(_COMPONENTS)
             },
-            fallback=fallback,
         )
 
     def evaluate_pairs_batch(
@@ -685,15 +601,13 @@ class EvaluationEngine:
         draws, DSE grids and tornado endpoints all reduce to a
         :class:`ParameterBatch` against a :class:`ScenarioBatch`.
 
-        * Fully covered batches that fit the result store are keyed by
-          vectorised column-fold digests
+        * Batches that fit the result store are keyed by vectorised
+          column-fold digests
           (:func:`~repro.engine.store.param_batch_digests`) — warm rows
           are answered by the store's batched gather, misses run
           through the kernels and populate it, so a re-run of the same
           seeded study is pure gather.
-        * Batches larger than the store (or with kernel-uncovered
-          scenario rows) bypass it; uncovered rows are patched through
-          the scalar path when the batch carries comparator objects.
+        * Batches larger than the store bypass it.
         * Huge batches are split into per-worker column slices
           (:data:`PARAM_CHUNK_ROWS` rows each, zero-copy views) and
           composed on a thread pool — NumPy releases the GIL in the
@@ -707,8 +621,7 @@ class EvaluationEngine:
         cached), and the *merged reduction* is returned in place of a
         :class:`BatchResult`.  Multi-worker streaming packs the per-row
         columns into a shared-memory block once, so spawn workers slice
-        them zero-copy.  Requires ``vectorize=True`` and a fully
-        kernel-covered scenario batch.
+        them zero-copy.  Requires ``vectorize=True``.
 
         With ``vectorize=False`` the rows are evaluated through the
         scalar object path (requires an extraction-mode batch carrying
@@ -742,36 +655,16 @@ class EvaluationEngine:
                 self.evaluate_pairs(pair_list), list(params.comparators)
             )
 
-        use_store = (
-            0 < batch.size <= self._store.capacity
-            and batch.all_covered
-            and params.digestable
-        )
-        if not use_store:
-            result = self._compute_param_chunks(params, batch)
+        if not (0 < batch.size <= self._store.capacity and params.digestable):
             self._note_computed(batch.size)
-            if not batch.all_covered:
-                if params.comparators is None:
-                    raise ParameterError(
-                        "kernel-uncovered scenario rows need a "
-                        "comparator-backed ParameterBatch"
-                    )
-                _patch_fallback_rows(result, batch, params.comparators)
-            return result
-
+            return self._compute_param_chunks(params, batch)
         lo, hi = param_batch_digests(params, batch)
-        hits, floats, ints = self._store.get_batch(lo, hi)
-        miss = np.nonzero(~hits)[0]
-        if miss.size:
-            computed = self._compute_param_chunks(
-                params.take(miss), batch.take(miss)
-            )
-            self._note_computed(int(miss.size))
-            comp_f, comp_i = pack_batch_rows(computed, np.arange(miss.size))
-            self._store.put_batch(lo[miss], hi[miss], comp_f, comp_i)
-            floats[miss] = comp_f
-            ints[miss] = comp_i
-        return self._assemble_batch(batch, floats, ints, {})
+        return self._through_store(
+            batch, lo, hi,
+            lambda rows: self._compute_param_chunks(
+                params.take(rows), batch.take(rows)
+            ),
+        )
 
     def _reduce_param_batch(
         self,
@@ -785,11 +678,6 @@ class EvaluationEngine:
         if not self.vectorize:
             raise ParameterError(
                 "streaming reduction requires vectorize=True"
-            )
-        if not batch.all_covered:
-            raise ParameterError(
-                "streaming reduction requires kernel-covered scenario rows "
-                "(uniform per-application lifetimes, integral volumes)"
             )
         workers = self.stream_workers(stream_workers)
         # A batch that fits one (aligned) chunk runs as a single
@@ -854,24 +742,6 @@ class EvaluationEngine:
             ) as pool:
                 parts = list(pool.map(piece, ranges))
         return BatchResult.concat(parts)
-
-    def _pool_get(self) -> ProcessPoolExecutor:
-        """The engine's worker pool, started lazily and reused per batch.
-
-        Pinned to the ``spawn`` start method: fork would inherit the
-        parent's suite caches and RNG state, so results (and pool
-        health) could depend on the platform default.  Spawned workers
-        re-import the model stack once per pool, and evaluation is pure,
-        so results are identical under either method — spawn just makes
-        that true by construction everywhere.
-        """
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=multiprocessing.get_context("spawn"),
-                )
-            return self._pool
 
     def _stream_pool_get(self, workers: int) -> ProcessPoolExecutor:
         """The streaming chunk pool (spawn), resized when workers change.
@@ -947,28 +817,6 @@ class EvaluationEngine:
         self._note_computed(int(source.n))
         return result
 
-    def _compute(
-        self, pairs: Sequence[tuple[PlatformComparator, Scenario]]
-    ) -> list[ComparisonResult]:
-        """Assess uncached pairs, parallel when configured and worthwhile."""
-        workers = self.workers or 1
-        if workers <= 1 or len(pairs) <= self.chunk_size:
-            return _compare_chunk(pairs)
-        chunks = [
-            pairs[i : i + self.chunk_size]
-            for i in range(0, len(pairs), self.chunk_size)
-        ]
-        try:
-            chunk_results = list(self._pool_get().map(_compare_chunk, chunks))
-        except (pickle.PicklingError, BrokenExecutor):
-            # Pool infrastructure failures (unpicklable suites, killed
-            # workers) must never change results — discard the pool and
-            # fall back to the sequential path.  Model errors raised by
-            # ``compare()`` itself propagate unchanged.
-            self.close()
-            return _compare_chunk(pairs)
-        return [result for chunk in chunk_results for result in chunk]
-
 
 _DEFAULT_ENGINE: EvaluationEngine | None = None
 _DEFAULT_ENGINE_LOCK = threading.Lock()
@@ -978,8 +826,8 @@ def default_engine() -> EvaluationEngine:
     """The process-wide engine backing analysis calls with no injection.
 
     Created lazily under a lock (safe to race from threads/tasks — every
-    caller observes the same instance); its worker pool (if any) is shut
-    down by an ``atexit`` hook so a lazily-started
+    caller observes the same instance); its streaming pool (if any) is
+    shut down by an ``atexit`` hook so a lazily-started
     :class:`ProcessPoolExecutor` never leaks at interpreter exit.
     """
     global _DEFAULT_ENGINE
@@ -1008,7 +856,7 @@ def configure_default_engine(**kwargs: object) -> EvaluationEngine:
 
     Accepts :class:`EvaluationEngine` constructor arguments (``workers``,
     ``vectorize``, ``cache_size``, ``cache_file``, ...).  The previous
-    default (and its worker pool) is closed.  Returns the new default
+    default (and its streaming pool) is closed.  Returns the new default
     so callers can keep a handle — the CLI uses this for
     ``--workers`` / ``--no-vectorize`` / ``--cache-file``.
     """

@@ -192,11 +192,19 @@ def encode_request(
     *,
     deadline_ms: int = 0,
 ) -> bytes:
-    """One request frame for a fully covered scenario batch."""
-    if not batch.all_covered:
+    """One request frame for a scenario batch.
+
+    The frame carries one lifetime and one int64 volume per row, so
+    batches with per-application lifetimes or fractional volumes are
+    refused.
+    """
+    if batch.lifetime.ndim != 1 or np.any(
+        batch.volume != np.floor(batch.volume)
+    ):
         raise ProtocolError(
-            "the wire protocol carries covered batches only "
-            "(heterogeneous per-application lifetimes are not columnar)"
+            "the wire protocol carries one lifetime and an integral "
+            "volume per row (no per-application lifetimes, no "
+            "fractional volumes)"
         )
     name = domain.encode("utf-8")
     if len(name) > 0xFFFF:

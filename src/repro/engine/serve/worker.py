@@ -103,11 +103,7 @@ def evaluate_job(
         if comparator is None:
             comparator = PlatformComparator.for_domain(domain)
             comparators[domain] = comparator
-        batch = ScenarioBatch(
-            covered=np.ones(columns["num_apps"].shape[0], dtype=bool),
-            scenarios=None,
-            **columns,
-        )
+        batch = ScenarioBatch(**columns)
         ratio_parts, winner_parts, fpga_parts, asic_parts = [], [], [], []
         for start in range(0, batch.size, CANCEL_CHECK_ROWS):
             if deadline is not None and time.monotonic() >= deadline:

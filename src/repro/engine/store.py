@@ -33,9 +33,10 @@ in one capacity-bounded table:
   one ``.npz`` file, so cache warmth survives across processes and CLI
   runs, and a store of any capacity can load it.
 
-Scenarios with heterogeneous per-application lifetimes cannot be packed
-into uniform columns; those few results live in a bounded object
-side-cache (and are not persisted).
+The packed layout holds one per-application column set, so only rows
+whose per-application lifetimes are all equal are stored
+(:func:`uniform_lifetime_rows`); rows with heterogeneous lifetimes are
+evaluated on every request and never cached.
 """
 
 from __future__ import annotations
@@ -56,13 +57,8 @@ from repro.core.fpga_model import FpgaAssessment
 from repro.core.lifecycle import CarbonFootprint
 from repro.core.scenario import Scenario
 from repro.engine.atomicio import atomic_write
-from repro.engine.cache import CacheStats, LruCache
-from repro.engine.vector import (
-    BatchResult,
-    ParameterBatch,
-    ScenarioBatch,
-    VectorizedEvaluator,
-)
+from repro.engine.cache import CacheStats
+from repro.engine.vector import BatchResult, ParameterBatch, ScenarioBatch
 from repro.engine.vector.kernels import chip_generations
 from repro.errors import ParameterError, StoreCorruptError
 
@@ -172,29 +168,18 @@ def comparator_digest(comparator: PlatformComparator) -> tuple[int, int]:
     )
 
 
-def pair_digest(comparator: PlatformComparator, scenario: Scenario) -> tuple[int, int]:
-    """128-bit digest of one assessment, as ``(lo, hi)`` Python ints.
-
-    Folds the normalised scenario fields over the comparator seeds in
-    the same order :func:`batch_digests` folds the batch columns, so a
-    uniform-lifetime scenario digests identically either way (and scalar
-    vs per-application lifetime spellings collide on purpose, exactly
-    like :func:`scenario_key`).
-    """
-    lo, hi = comparator_digest(comparator)
+def _scenario_values(scenario: Scenario) -> list[int]:
+    """The 64-bit words one scenario folds into its digest, in order."""
     lifetimes = scenario.lifetimes
-    uniform = all(t == lifetimes[0] for t in lifetimes)
     values = [int(scenario.num_apps)]
-    if uniform:
+    if lifetimes.count(lifetimes[0]) == len(lifetimes):
         values.append(_float_bits(lifetimes[0]))
     else:
         values.extend(_float_bits(t) for t in lifetimes)
     # Scenario declares volume: int but only validates >= 1, and the
     # scalar models evaluate a fractional volume exactly.  An integral
-    # volume folds as the same int the batch columns carry; a fractional
-    # one folds as tagged float bits, so volume=1000.2 and volume=1000.8
-    # can never share a digest (such scenarios are kernel-uncovered and
-    # digested through this fold on every path).
+    # volume folds as an int; a fractional one folds as tagged float
+    # bits, so volume=1000.2 and volume=1000.8 can never share a digest.
     volume = scenario.volume
     if volume == int(volume):
         values.append(int(volume))
@@ -204,32 +189,72 @@ def pair_digest(comparator: PlatformComparator, scenario: Scenario) -> tuple[int
     values.append(_optional_bits(scenario.evaluation_years))
     values.append(_optional_bits(scenario.app_size_mgates))
     values.append(int(scenario.enforce_chip_lifetime))
+    return values
+
+
+def _fold_values(lo: int, hi: int, values: list[int]) -> tuple[int, int]:
     for value in values:
         lo = _mix_scalar(lo, value)
         hi = _mix_scalar(hi, value)
     return lo, hi
 
 
+def pair_digest(comparator: PlatformComparator, scenario: Scenario) -> tuple[int, int]:
+    """128-bit digest of one assessment, as ``(lo, hi)`` Python ints.
+
+    Folds the normalised scenario fields over the comparator seeds in
+    the same order :func:`batch_digests` folds the batch columns, so a
+    scenario digests identically either way (and scalar vs
+    per-application lifetime spellings collide on purpose, exactly
+    like :func:`scenario_key`).
+    """
+    lo, hi = comparator_digest(comparator)
+    return _fold_values(lo, hi, _scenario_values(scenario))
+
+
+def uniform_lifetime_rows(lifetime: np.ndarray) -> np.ndarray:
+    """Rows whose per-application lifetimes are all equal (bool mask).
+
+    The rows the packed layout can hold: it keeps one per-application
+    column set per entry.
+    """
+    if lifetime.ndim == 1:
+        return np.ones(lifetime.shape[0], dtype=bool)
+    return (lifetime == lifetime[:, :1]).all(axis=1)
+
+
 def _fold_scenario_columns(
     lo: np.ndarray, hi: np.ndarray, batch: ScenarioBatch
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fold the six scenario columns into ``(lo, hi)``, vectorised.
+    """Fold the scenario columns into ``(lo, hi)``, vectorised.
 
-    The column twin of the uniform branch of :func:`pair_digest`; shared
-    by the scenario-space and parameter-space batch digests so the fold
-    order can never drift between them.
+    The column twin of :func:`pair_digest`, shared by the scenario-space
+    and parameter-space batch digests so the fold order can never drift
+    between them.  Rows with heterogeneous lifetimes or a fractional
+    volume fold a different number of words; those rows are refolded
+    from their own seeds through the scalar fold.
     """
+    lifetime = batch.lifetime if batch.lifetime.ndim == 1 else batch.lifetime[:, 0]
     columns = (
         batch.num_apps.astype(np.uint64),
-        np.ascontiguousarray(batch.lifetime, dtype=np.float64).view(np.uint64),
+        np.ascontiguousarray(lifetime, dtype=np.float64).view(np.uint64),
         batch.volume.astype(np.uint64),
         _optional_column_bits(batch.evaluation_years),
         _optional_column_bits(batch.app_size_mgates),
         batch.enforce_chip_lifetime.astype(np.uint64),
     )
+    seed_lo, seed_hi = lo, hi
     for column in columns:
         lo = _mix_columns(lo, column)
         hi = _mix_columns(hi, column)
+    irregular = batch.volume != np.floor(batch.volume)
+    if batch.lifetime.ndim == 2:
+        irregular |= ~uniform_lifetime_rows(batch.lifetime)
+    for i in np.flatnonzero(irregular).tolist():
+        lo[i], hi[i] = _fold_values(
+            int(seed_lo[i]), int(seed_hi[i]),
+            _scenario_values(batch.scenario_at(i)),
+        )
     return lo, hi
 
 
@@ -238,24 +263,14 @@ def batch_digests(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised :func:`pair_digest` over a whole scenario batch.
 
-    Covered (uniform-lifetime) rows are digested as one fold per column;
-    the rare uncovered rows fall back to the scalar fold over their
-    originating :class:`Scenario` objects so every row's digest agrees
-    with the object path bit-for-bit.
+    Every row's digest agrees with the object path bit-for-bit, so
+    in-batch deduplication and store keys are exact for any row.
     """
     n = batch.size
     seed_lo, seed_hi = comparator_digest(comparator)
     lo = np.full(n, seed_lo, dtype=np.uint64)
     hi = np.full(n, seed_hi, dtype=np.uint64)
-    lo, hi = _fold_scenario_columns(lo, hi, batch)
-    if not batch.all_covered:
-        if batch.scenarios is None:  # pragma: no cover - defensive
-            raise ParameterError("uncovered batch rows need Scenario objects")
-        for i in np.nonzero(~batch.covered)[0]:
-            row_lo, row_hi = pair_digest(comparator, batch.scenarios[int(i)])
-            lo[i] = row_lo
-            hi[i] = row_hi
-    return lo, hi
+    return _fold_scenario_columns(lo, hi, batch)
 
 
 # ----------------------------------------------------------------------
@@ -302,31 +317,10 @@ def param_row_digest(
 
     Folds the scenario fields then every model-parameter column in
     registry order over the fixed :data:`PARAM_SPACE_SEED`; the
-    vectorised twin is :func:`param_batch_digests`.  Only covered
-    (uniform-lifetime, integral-volume) scenarios are representable.
+    vectorised twin is :func:`param_batch_digests`.
     """
-    lifetimes = scenario.lifetimes
-    if any(t != lifetimes[0] for t in lifetimes) or (
-        scenario.volume != int(scenario.volume)
-    ):
-        raise ParameterError(
-            "parameter-row digests require uniform lifetimes and an "
-            "integral volume (kernel-covered scenarios)"
-        )
-    lo, hi = PARAM_SPACE_SEED
-    values = [
-        int(scenario.num_apps),
-        _float_bits(lifetimes[0]),
-        int(scenario.volume),
-        _optional_bits(scenario.evaluation_years),
-        _optional_bits(scenario.app_size_mgates),
-        int(scenario.enforce_chip_lifetime),
-    ]
-    values.extend(_float_bits(float(v)) for v in row)
-    for value in values:
-        lo = _mix_scalar(lo, value)
-        hi = _mix_scalar(hi, value)
-    return lo, hi
+    lo, hi = _fold_values(*PARAM_SPACE_SEED, _scenario_values(scenario))
+    return _fold_values(lo, hi, [_float_bits(float(v)) for v in row])
 
 
 def param_batch_digests(
@@ -344,9 +338,6 @@ def param_batch_digests(
     * extraction-mode batches (:meth:`ParameterBatch.from_comparators`)
       seed from :data:`PARAM_SPACE_SEED` and fold every parameter
       column in registry order — the twin of :func:`param_row_digest`.
-
-    Every row must be kernel-covered (the scenario columns cannot
-    represent ragged lifetimes or fractional volumes).
     """
     from repro.engine.vector.params import N_PARAM_COLS
 
@@ -354,10 +345,6 @@ def param_batch_digests(
         raise ParameterError(
             f"parameter batch has {params.size} rows, "
             f"scenario batch has {batch.size}"
-        )
-    if not batch.all_covered:
-        raise ParameterError(
-            "parameter-space digests require fully covered scenario rows"
         )
     n = batch.size
     if params.base is not None:
@@ -420,13 +407,19 @@ _IT_NUM_APPS = 3
 STORE_FORMAT_VERSION = 1
 
 
+def _first_app(column: np.ndarray) -> np.ndarray:
+    """The first application's values of a per-application column."""
+    return column if column.ndim == 1 else column[:, 0]
+
+
 def pack_batch_rows(
     result: BatchResult, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Column blocks for ``rows`` of a kernel-produced :class:`BatchResult`.
 
-    Callers must exclude fallback rows (they have no per-application
-    component columns) — the engine only packs covered rows.
+    The per-application columns are the first application's, which
+    describe the whole row only where :func:`uniform_lifetime_rows`
+    holds — the engine stores only those rows.
     """
     floats = np.empty((rows.size, FLOAT_COLS), dtype=np.float64)
     ints = np.empty((rows.size, INT_COLS), dtype=np.int64)
@@ -435,12 +428,14 @@ def pack_batch_rows(
     for j, name in enumerate(_COMPONENTS):
         floats[:, _FT_FPGA_COMP + j] = result.fpga_components[name][rows]
         floats[:, _FT_ASIC_COMP + j] = result.asic_components[name][rows]
-        floats[:, _FT_APP_COMP + j] = result.asic_app_components[name][rows]
+        floats[:, _FT_APP_COMP + j] = _first_app(
+            result.asic_app_components[name]
+        )[rows]
     floats[:, _FT_FPGA_PC] = result.fpga_per_chip_embodied_kg[rows]
     floats[:, _FT_ASIC_PC] = result.asic_per_chip_embodied_kg[rows]
     ints[:, _IT_N_FPGA] = result.n_fpga[rows]
     ints[:, _IT_FPGA_GEN] = result.fpga_generations[rows]
-    ints[:, _IT_ASIC_GEN] = result.asic_generations[rows]
+    ints[:, _IT_ASIC_GEN] = _first_app(result.asic_generations)[rows]
     ints[:, _IT_NUM_APPS] = result.num_apps[rows]
     return floats, ints
 
@@ -450,17 +445,13 @@ def pack_comparison(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """One packed row for a scalar-path result, or ``None`` if unpackable.
 
-    Unpackable results — kernel-uncovered scenarios (heterogeneous
-    lifetimes, fractional volume), heterogeneous per-application
-    footprints, or no applications at all — belong in the object
-    side-cache instead.
+    A scenario with heterogeneous per-application lifetimes is
+    unpackable (see :func:`uniform_lifetime_rows`).
     """
-    apps = result.asic.per_application
-    if not apps or not VectorizedEvaluator.covers(result.scenario):
+    lifetimes = result.scenario.lifetimes
+    if lifetimes.count(lifetimes[0]) != len(lifetimes):
         return None
-    first = apps[0]
-    if any(app != first for app in apps[1:]):
-        return None
+    first = result.asic.per_application[0]
     floats = np.empty(FLOAT_COLS, dtype=np.float64)
     ints = np.empty(INT_COLS, dtype=np.int64)
     floats[_FT_FPGA_TOTAL] = result.fpga.footprint.total
@@ -477,31 +468,6 @@ def pack_comparison(
         result.scenario.lifetimes[0],
         comparator.asic_device.chip_lifetime_years,
     )
-    ints[_IT_NUM_APPS] = result.scenario.num_apps
-    return floats, ints
-
-
-def pack_fallback_row(result: ComparisonResult) -> tuple[np.ndarray, np.ndarray]:
-    """Column row for an *unpackable* result, for batch-array scatter.
-
-    Mirrors what :func:`repro.engine.vector.evaluator._patch_fallback_rows`
-    writes into a batch's arrays for scalar-fallback rows: totals,
-    components and chip counts are exact, per-application components are
-    zero and ``asic_generations`` is 0 (undefined for ragged lifetimes).
-    Materialisation of such rows is served from the fallback object, so
-    the zero columns are never read back as results.
-    """
-    floats = np.zeros(FLOAT_COLS, dtype=np.float64)
-    ints = np.zeros(INT_COLS, dtype=np.int64)
-    floats[_FT_FPGA_TOTAL] = result.fpga.footprint.total
-    floats[_FT_ASIC_TOTAL] = result.asic.footprint.total
-    for j, name in enumerate(_COMPONENTS):
-        floats[_FT_FPGA_COMP + j] = getattr(result.fpga.footprint, name)
-        floats[_FT_ASIC_COMP + j] = getattr(result.asic.footprint, name)
-    floats[_FT_FPGA_PC] = result.fpga.per_chip_embodied_kg
-    floats[_FT_ASIC_PC] = result.asic.per_chip_embodied_kg
-    ints[_IT_N_FPGA] = result.fpga.n_fpga_per_unit
-    ints[_IT_FPGA_GEN] = result.fpga.generations
     ints[_IT_NUM_APPS] = result.scenario.num_apps
     return floats, ints
 
@@ -566,9 +532,6 @@ class ShardedResultStore:
     Args:
         capacity: Entry bound of the packed table (``0`` disables
             storage entirely while keeping the API and miss counters).
-            The object side-cache for unpackable (ragged-lifetime /
-            fractional-volume) results holds at most an extra
-            ``capacity // 8`` entries on top.
 
     A key may live in two sets of :data:`WAYS` slots, ``lo mod sets``
     and ``hi mod sets``.  A slot holds the ``lo``/``hi`` digest words,
@@ -597,7 +560,6 @@ class ShardedResultStore:
             raise ParameterError(f"cache capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self._sets = -(-capacity // WAYS)
-        self._objects = LruCache(maxsize=max(1, capacity // 8) if capacity else 0)
         self._lock = threading.Lock()
         self._reset()
 
@@ -747,31 +709,15 @@ class ShardedResultStore:
             self._floats[slot] = floats
             self._ints[slot] = ints
 
-    # -- object side-cache (unpackable results) ------------------------
-
-    def get_object(self, digest: tuple[int, int]) -> ComparisonResult | None:
-        """Lookup in the object side-cache (counts one hit or miss)."""
-        result = self._objects.get(digest)
-        with self._lock:
-            if result is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-        return result
-
-    def put_object(self, digest: tuple[int, int], result: ComparisonResult) -> None:
-        """Store one unpackable result (ragged per-application data)."""
-        self._objects.put(digest, result)
-
     # -- bookkeeping ----------------------------------------------------
 
     def stats(self) -> CacheStats:
-        """Counters across the packed table and the object side-cache."""
+        """Hit/miss counters and entry count of the table."""
         with self._lock:
             return CacheStats(
                 hits=self._hits,
                 misses=self._misses,
-                size=self._size + len(self._objects),
+                size=self._size,
                 maxsize=self.capacity,
             )
 
@@ -779,7 +725,6 @@ class ShardedResultStore:
         """Drop every entry and reset the counters."""
         with self._lock:
             self._reset()
-        self._objects.clear()
 
     # -- persistence -----------------------------------------------------
 
@@ -787,8 +732,7 @@ class ShardedResultStore:
         """Write every packed entry to one compressed ``.npz`` file.
 
         Entries are written oldest-first so a capacity-constrained
-        :meth:`load` keeps the most recently used ones.  The object
-        side-cache (ragged scenarios) is not persisted.
+        :meth:`load` keeps the most recently used ones.
 
         The write is crash-safe: the dump goes to a same-directory tmp
         file that is fsynced and atomically renamed over ``path``

@@ -6,12 +6,19 @@ instead consumes whole batches of scenarios as NumPy columns — one array
 per scenario field — so a 10k-cell heatmap or a 10k-draw Monte-Carlo run
 becomes a handful of array expressions instead of 10k object walks.
 
-A :class:`ScenarioBatch` can be built two ways:
+Every valid ``Scenario`` has a row: volumes are a float64 column (the
+scalar models accept fractional volumes), and per-application lifetimes
+are one ``(n,)`` column when every row's lifetimes are equal or an
+``(n, w)`` block when some row's differ.  In the block, application
+``j`` of a row reads column ``min(j, w - 1)``; a row's trailing
+columns repeat its last lifetime.
+
+A :class:`ScenarioBatch` can be built three ways:
 
 * :meth:`ScenarioBatch.from_scenarios` — from existing ``Scenario``
-  objects (the engine fast path).  Rows whose per-application lifetimes
-  are heterogeneous are marked uncovered; the engine falls back to the
-  scalar path for those pairs.
+  objects (the engine fast path);
+* :meth:`ScenarioBatch.tile` — one scenario repeated as stride-0
+  columns (the parameter-space workloads);
 * :meth:`ScenarioBatch.from_arrays` — directly from axis arrays (the
   analysis batch entry points), never materialising ``Scenario`` objects
   at all.  Validation is vectorised and mirrors ``Scenario.__post_init__``.
@@ -19,7 +26,6 @@ A :class:`ScenarioBatch` can be built two ways:
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -29,29 +35,38 @@ from repro.core.scenario import Scenario
 from repro.errors import ParameterError
 
 
+def _width(lifetimes: tuple[float, ...]) -> int:
+    """Lifetime columns one row needs: its last change plus one."""
+    k = len(lifetimes)
+    if lifetimes.count(lifetimes[-1]) == k:
+        return 1
+    while lifetimes[k - 2] == lifetimes[k - 1]:
+        k -= 1
+    return k
+
+
+def _lifetime_row(lifetimes: tuple[float, ...], width: int) -> list[float]:
+    """``lifetimes`` padded or cut to ``width`` columns."""
+    last = len(lifetimes) - 1
+    return [lifetimes[min(j, last)] for j in range(width)]
+
+
 @dataclass(frozen=True)
 class ScenarioBatch:
     """N scenarios as columns, ready for the vector kernel.
 
     Attributes:
         num_apps: ``N_app`` per row (int64).
-        volume: ``N_vol`` per row (int64).
-        lifetime: Uniform per-application lifetime per row (float64).
-            Only meaningful where :attr:`covered` is True.
+        volume: ``N_vol`` per row (float64; fractional volumes are
+            valid scenarios).
+        lifetime: Per-application lifetimes (float64): ``(n,)`` when
+            each row's applications share one lifetime, else ``(n, w)``
+            with application ``j`` reading column ``min(j, w - 1)``.
         evaluation_years: Horizon override per row; ``nan`` means "derive
             from the application lifetimes" (the ``None`` spelling).
         app_size_mgates: Application size per row; ``nan`` means "sized
             to the device" (``N_FPGA`` = 1).
         enforce_chip_lifetime: Fig. 9 repurchase semantics per row.
-        covered: True where the kernel can evaluate the row (uniform
-            per-application lifetimes and an integral volume — the
-            int64 volume column cannot represent the fractional volumes
-            ``Scenario`` tolerates).  Everything else is scalar-path
-            territory.
-        scenarios: The originating ``Scenario`` objects when built via
-            :meth:`from_scenarios` (needed for the scalar fallback);
-            ``None`` for pure-array batches, which are covered by
-            construction.
     """
 
     num_apps: np.ndarray
@@ -60,8 +75,6 @@ class ScenarioBatch:
     evaluation_years: np.ndarray
     app_size_mgates: np.ndarray
     enforce_chip_lifetime: np.ndarray
-    covered: np.ndarray
-    scenarios: tuple[Scenario, ...] | None = None
 
     @property
     def size(self) -> int:
@@ -71,26 +84,21 @@ class ScenarioBatch:
     def __len__(self) -> int:
         return self.size
 
-    @property
-    def all_covered(self) -> bool:
-        """True when every row is kernel-evaluable."""
-        return bool(self.covered.all())
-
     def scenario_at(self, index: int) -> Scenario:
-        """The ``Scenario`` object behind row ``index``.
-
-        Returns the originating object when one exists, otherwise
-        rebuilds an equivalent scenario from the columns (pure-array
-        batches are always uniform, so this is lossless).
-        """
-        if self.scenarios is not None:
-            return self.scenarios[index]
+        """An equivalent ``Scenario`` rebuilt from row ``index``."""
+        row = np.atleast_1d(self.lifetime[index]).tolist()
+        lifetimes = tuple(
+            row[min(j, len(row) - 1)] for j in range(int(self.num_apps[index]))
+        )
+        volume = float(self.volume[index])
         evaluation = float(self.evaluation_years[index])
         app_size = float(self.app_size_mgates[index])
         return Scenario(
-            num_apps=int(self.num_apps[index]),
-            app_lifetime_years=float(self.lifetime[index]),
-            volume=int(self.volume[index]),
+            num_apps=len(lifetimes),
+            app_lifetime_years=(
+                lifetimes[0] if _width(lifetimes) == 1 else lifetimes
+            ),
+            volume=int(volume) if volume.is_integer() else volume,
             evaluation_years=None if np.isnan(evaluation) else evaluation,
             app_size_mgates=None if np.isnan(app_size) else app_size,
             enforce_chip_lifetime=bool(self.enforce_chip_lifetime[index]),
@@ -102,18 +110,12 @@ class ScenarioBatch:
 
         The scenario axis of parameter-space batches: a Monte-Carlo run
         perturbs model parameters under one fixed deployment, so its
-        scenario columns are constant.  Covered (uniform-lifetime,
-        integral-volume) scenarios tile without keeping any ``Scenario``
-        objects; uncovered ones keep the originating object per row so
-        the scalar fallback still works.
+        scenario columns are constant.
         """
         if n < 1:
             raise ParameterError(f"tile needs n >= 1, got {n}")
         lifetimes = scenario.lifetimes
-        uniform = (
-            all(t == lifetimes[0] for t in lifetimes)
-            and scenario.volume == int(scenario.volume)
-        )
+        width = _width(lifetimes)
 
         # Stride-0 broadcast views instead of materialised np.full
         # columns: a tiled batch is constant by construction, so the
@@ -124,12 +126,17 @@ class ScenarioBatch:
         # and rank-aware evaluators can detect the uniformity in O(1)
         # from ``strides[0] == 0``.
         def const(value, dtype) -> np.ndarray:
-            return np.broadcast_to(np.asarray(value).astype(dtype), (n,))
+            value = np.asarray(value).astype(dtype)
+            return np.broadcast_to(value, (n, *value.shape))
 
         return cls(
             num_apps=const(scenario.num_apps, np.int64),
-            volume=const(scenario.volume, np.int64),
-            lifetime=const(lifetimes[0], np.float64),
+            volume=const(scenario.volume, np.float64),
+            lifetime=const(
+                lifetimes[0] if width == 1
+                else _lifetime_row(lifetimes, width),
+                np.float64,
+            ),
             evaluation_years=const(
                 np.nan if scenario.evaluation_years is None
                 else scenario.evaluation_years,
@@ -141,45 +148,38 @@ class ScenarioBatch:
                 np.float64,
             ),
             enforce_chip_lifetime=const(scenario.enforce_chip_lifetime, bool),
-            covered=const(uniform, bool),
-            scenarios=None if uniform else (scenario,) * n,
         )
 
     @classmethod
     def from_scenarios(cls, scenarios: Sequence[Scenario]) -> "ScenarioBatch":
-        """Columnise existing ``Scenario`` objects.
-
-        Rows with heterogeneous per-application lifetimes keep their
-        first lifetime in the column but are flagged uncovered.
-        """
+        """Columnise existing ``Scenario`` objects."""
         scenarios = tuple(scenarios)
         n = len(scenarios)
         first = scenarios[0] if scenarios else None
         if n > 1 and all(s is first for s in scenarios):
             # Multi-comparator batches (Monte-Carlo, DSE) reuse one
-            # scenario object across every row — columnise it once and
-            # keep the originating objects for the scalar fallback.
-            batch = cls.tile(first, n)
-            return dataclasses.replace(batch, scenarios=scenarios)
+            # scenario object across every row — columnise it once.
+            return cls.tile(first, n)
         num_apps = np.empty(n, dtype=np.int64)
-        volume = np.empty(n, dtype=np.int64)
-        lifetime = np.empty(n, dtype=np.float64)
+        volume = np.empty(n, dtype=np.float64)
         evaluation = np.empty(n, dtype=np.float64)
         app_size = np.empty(n, dtype=np.float64)
         enforce = np.empty(n, dtype=bool)
-        covered = np.empty(n, dtype=bool)
         for i, s in enumerate(scenarios):
-            lifetimes = s.lifetimes
-            first = lifetimes[0]
             num_apps[i] = s.num_apps
             volume[i] = s.volume
-            lifetime[i] = first
             evaluation[i] = np.nan if s.evaluation_years is None else s.evaluation_years
             app_size[i] = np.nan if s.app_size_mgates is None else s.app_size_mgates
             enforce[i] = s.enforce_chip_lifetime
-            covered[i] = (
-                all(t == first for t in lifetimes)
-                and s.volume == int(s.volume)
+        width = max((_width(s.lifetimes) for s in scenarios), default=1)
+        if width == 1:
+            lifetime = np.array(
+                [s.lifetimes[0] for s in scenarios], dtype=np.float64
+            )
+        else:
+            lifetime = np.array(
+                [_lifetime_row(s.lifetimes, width) for s in scenarios],
+                dtype=np.float64,
             )
         return cls(
             num_apps=num_apps,
@@ -188,8 +188,6 @@ class ScenarioBatch:
             evaluation_years=evaluation,
             app_size_mgates=app_size,
             enforce_chip_lifetime=enforce,
-            covered=covered,
-            scenarios=scenarios,
         )
 
     @classmethod
@@ -197,19 +195,20 @@ class ScenarioBatch:
         cls,
         num_apps: "np.ndarray | Sequence[int] | int",
         lifetime: "np.ndarray | Sequence[float] | float",
-        volume: "np.ndarray | Sequence[int] | int",
+        volume: "np.ndarray | Sequence[float] | float",
         evaluation_years: "np.ndarray | float | None" = None,
         app_size_mgates: "np.ndarray | float | None" = None,
         enforce_chip_lifetime: "np.ndarray | bool" = False,
     ) -> "ScenarioBatch":
         """Build a batch straight from axis arrays (no ``Scenario`` objects).
 
-        Scalars broadcast against array inputs.  Validation mirrors
+        Scalars broadcast against array inputs; every row has one
+        lifetime shared by its applications.  Validation mirrors
         ``Scenario.__post_init__`` but runs vectorised, once per batch.
         """
         num_apps_a = np.atleast_1d(np.asarray(num_apps, dtype=np.int64))
         lifetime_a = np.atleast_1d(np.asarray(lifetime, dtype=np.float64))
-        volume_a = np.atleast_1d(np.asarray(volume, dtype=np.int64))
+        volume_a = np.atleast_1d(np.asarray(volume, dtype=np.float64))
         evaluation_a = np.atleast_1d(
             np.asarray(
                 np.nan if evaluation_years is None else evaluation_years,
@@ -232,8 +231,11 @@ class ScenarioBatch:
             raise ParameterError(
                 f"num_apps must be >= 1, got {int(num_apps_a.min())}"
             )
-        if np.any(volume_a < 1):
-            raise ParameterError(f"volume must be >= 1, got {int(volume_a.min())}")
+        bad_volume = ~((volume_a >= 1.0) & (volume_a < np.inf))
+        if np.any(bad_volume):
+            raise ParameterError(
+                f"volume must be finite and >= 1, got {volume_a[bad_volume][0]}"
+            )
         if np.any(~(lifetime_a > 0.0)):
             raise ParameterError("application lifetime must be > 0")
         finite_eval = evaluation_a[~np.isnan(evaluation_a)]
@@ -249,8 +251,6 @@ class ScenarioBatch:
             evaluation_years=np.ascontiguousarray(evaluation_a),
             app_size_mgates=np.ascontiguousarray(app_size_a),
             enforce_chip_lifetime=np.ascontiguousarray(enforce_a),
-            covered=np.ones(num_apps_a.shape, dtype=bool),
-            scenarios=None,
         )
 
     def slice_rows(self, start: int, stop: int) -> "ScenarioBatch":
@@ -267,19 +267,10 @@ class ScenarioBatch:
             evaluation_years=self.evaluation_years[rows],
             app_size_mgates=self.app_size_mgates[rows],
             enforce_chip_lifetime=self.enforce_chip_lifetime[rows],
-            covered=self.covered[rows],
-            scenarios=(
-                None if self.scenarios is None else self.scenarios[start:stop]
-            ),
         )
 
     def take(self, indices: np.ndarray) -> "ScenarioBatch":
-        """Row subset (used to split covered / fallback rows)."""
-        scenarios = (
-            None
-            if self.scenarios is None
-            else tuple(self.scenarios[int(i)] for i in indices)
-        )
+        """Row subset (used to evaluate a batch's store misses)."""
         return ScenarioBatch(
             num_apps=self.num_apps[indices],
             volume=self.volume[indices],
@@ -287,6 +278,4 @@ class ScenarioBatch:
             evaluation_years=self.evaluation_years[indices],
             app_size_mgates=self.app_size_mgates[indices],
             enforce_chip_lifetime=self.enforce_chip_lifetime[indices],
-            covered=self.covered[indices],
-            scenarios=scenarios,
         )

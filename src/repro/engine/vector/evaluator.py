@@ -18,7 +18,7 @@ computes whole batches as array math in two regimes:
 The scenario composition mirrors the scalar models' operation order —
 including the per-application left-folds via :class:`FoldPlan` — so the
 same-comparator path reproduces the scalar results bit-for-bit, which is
-what lets the engine fast path share its LRU cache with scalar callers.
+what lets the engine fast path share its result store with scalar callers.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def comparator_constants(
     Every number here is produced by the same code the scalar path runs
     (`per_chip_embodied`, `project_kg`, `per_chip_year_kg`, ...), so the
     vectorized composition built on top is bit-identical to
-    :meth:`PlatformComparator.compare` for covered scenarios.
+    :meth:`PlatformComparator.compare`.
     """
     suite = comparator.suite
     fpga_device = comparator.fpga_device
@@ -264,16 +264,15 @@ class BatchResult:
     asic_per_chip_embodied_kg: np.ndarray
     n_fpga: np.ndarray
     fpga_generations: np.ndarray
-    #: Per-application ASIC chip generations.  ``0`` marks rows where a
-    #: single per-application value is undefined (heterogeneous
-    #: lifetimes, served by the scalar fallback).
+    #: Per-application ASIC chip generations, shaped like the batch's
+    #: ``lifetime`` column: ``(n,)``, or ``(n, w)`` with application
+    #: ``j`` in column ``min(j, w - 1)``.
     asic_generations: np.ndarray
     num_apps: np.ndarray
-    #: Per-application ASIC component arrays (uniform applications), for
-    #: materialising ``AsicAssessment.per_application``.
+    #: Per-application ASIC component arrays, shaped like
+    #: :attr:`asic_generations`, for materialising
+    #: ``AsicAssessment.per_application``.
     asic_app_components: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
-    #: Rows computed via the scalar fallback keep their full results.
-    fallback: dict[int, ComparisonResult] = field(repr=False, default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -290,16 +289,12 @@ class BatchResult:
 
     def fpga_footprint(self, index: int) -> CarbonFootprint:
         """Materialise the FPGA footprint of one row."""
-        if index in self.fallback:
-            return self.fallback[index].fpga.footprint
         return CarbonFootprint(
             **{k: float(v[index]) for k, v in self.fpga_components.items()}
         )
 
     def asic_footprint(self, index: int) -> CarbonFootprint:
         """Materialise the ASIC footprint of one row."""
-        if index in self.fallback:
-            return self.fallback[index].asic.footprint
         return CarbonFootprint(
             **{k: float(v[index]) for k, v in self.asic_components.items()}
         )
@@ -307,34 +302,36 @@ class BatchResult:
     def comparison(self, index: int, scenario: Scenario) -> ComparisonResult:
         """Materialise one row as a full :class:`ComparisonResult`.
 
-        Used by the engine fast path to populate the LRU cache; the
+        Used by the engine fast path to answer object callers; the
         result is indistinguishable from the scalar path's.
         """
-        if index in self.fallback:
-            return self.fallback[index]
         fpga = FpgaAssessment(
             footprint=self.fpga_footprint(index),
             per_chip_embodied_kg=float(self.fpga_per_chip_embodied_kg[index]),
             n_fpga_per_unit=int(self.n_fpga[index]),
             generations=int(self.fpga_generations[index]),
         )
-        app_footprint = CarbonFootprint(
-            **{k: float(v[index]) for k, v in self.asic_app_components.items()}
-        )
+        app_columns = {
+            k: np.atleast_1d(v[index])
+            for k, v in self.asic_app_components.items()
+        }
+        width = max((v.shape[0] for v in app_columns.values()), default=1)
+        footprints = [
+            CarbonFootprint(**{k: float(v[j]) for k, v in app_columns.items()})
+            for j in range(width)
+        ]
+        last = width - 1
         asic = AsicAssessment(
             footprint=self.asic_footprint(index),
             per_chip_embodied_kg=float(self.asic_per_chip_embodied_kg[index]),
-            per_application=(app_footprint,) * int(self.num_apps[index]),
+            per_application=tuple(
+                footprints[min(j, last)] for j in range(int(self.num_apps[index]))
+            ),
         )
         return ComparisonResult(scenario=scenario, fpga=fpga, asic=asic)
 
     def slice_rows(self, start: int, stop: int) -> "BatchResult":
-        """Row-range view ``[start, stop)`` of this result.
-
-        Array fields are NumPy views (no copy); the fallback dict is
-        re-keyed to the slice.  Used by the async serving layer to hand
-        each coalesced client request its own rows of a fused batch.
-        """
+        """Row-range view ``[start, stop)`` of this result (no copy)."""
         rows = slice(start, stop)
         return BatchResult(
             ratios=self.ratios[rows],
@@ -352,11 +349,6 @@ class BatchResult:
             asic_app_components={
                 k: v[rows] for k, v in self.asic_app_components.items()
             },
-            fallback={
-                i - start: r
-                for i, r in self.fallback.items()
-                if start <= i < stop
-            },
         )
 
     @classmethod
@@ -364,8 +356,8 @@ class BatchResult:
         """Fuse per-chunk results into one (row order = input order).
 
         The row-wise inverse of :meth:`slice_rows`, used by the engine's
-        chunked parameter-batch dispatch; fallback rows are re-keyed by
-        their chunk offsets.
+        chunked parameter-batch dispatch (chunks of one batch share its
+        lifetime width).
         """
         if not parts:
             raise ParameterError("concat requires at least one BatchResult")
@@ -382,12 +374,6 @@ class BatchResult:
                 for k in keys
             }
 
-        fallback: dict[int, ComparisonResult] = {}
-        offset = 0
-        for part in parts:
-            for i, result in part.fallback.items():
-                fallback[offset + i] = result
-            offset += part.size
         return cls(
             ratios=cat("ratios"),
             winners=cat("winners"),
@@ -402,21 +388,21 @@ class BatchResult:
             asic_generations=cat("asic_generations"),
             num_apps=cat("num_apps"),
             asic_app_components=cat_components("asic_app_components"),
-            fallback=fallback,
         )
 
     @classmethod
     def from_results(
         cls,
         comparisons: Sequence[ComparisonResult],
-        comparators: "Sequence[PlatformComparator] | PlatformComparator | None" = None,
+        comparators: "Sequence[PlatformComparator] | PlatformComparator",
     ) -> "BatchResult":
         """Columnise scalar results (the ``vectorize=False`` spelling).
 
         ``comparators`` (one shared or one per row) supplies the ASIC
         chip lifetimes needed to reconstruct :attr:`asic_generations`,
-        which :class:`ComparisonResult` does not carry; without it (or
-        for heterogeneous-lifetime rows) those entries are ``0``.
+        which :class:`ComparisonResult` does not carry.  The
+        per-application columns take the shape
+        :meth:`ScenarioBatch.from_scenarios` gives the lifetimes.
         """
         n = len(comparisons)
         components = CarbonFootprint.COMPONENTS
@@ -427,10 +413,15 @@ class BatchResult:
         ratios = np.empty(n)
         n_fpga = np.empty(n, dtype=np.int64)
         fpga_gen = np.empty(n, dtype=np.int64)
-        asic_gen = np.zeros(n, dtype=np.int64)
         num_apps = np.empty(n, dtype=np.int64)
         fpga_pc = np.empty(n)
         asic_pc = np.empty(n)
+        lifetime = ScenarioBatch.from_scenarios(
+            [c.scenario for c in comparisons]
+        ).lifetime
+        block = lifetime.reshape(n, -1)
+        asic_gen = np.empty(block.shape, dtype=np.int64)
+        app_components = {k: np.empty(block.shape) for k in components}
         for i, c in enumerate(comparisons):
             for k in components:
                 fpga_components[k][i] = getattr(c.fpga.footprint, k)
@@ -443,18 +434,19 @@ class BatchResult:
             num_apps[i] = c.scenario.num_apps
             fpga_pc[i] = c.fpga.per_chip_embodied_kg
             asic_pc[i] = c.asic.per_chip_embodied_kg
-            if comparators is not None:
-                comparator = (
-                    comparators
-                    if isinstance(comparators, PlatformComparator)
-                    else comparators[i]
-                )
-                lifetimes = c.scenario.lifetimes
-                if all(t == lifetimes[0] for t in lifetimes):
-                    asic_gen[i] = chip_generations(
-                        lifetimes[0],
-                        comparator.asic_device.chip_lifetime_years,
-                    )
+            comparator = (
+                comparators
+                if isinstance(comparators, PlatformComparator)
+                else comparators[i]
+            )
+            chip_life = comparator.asic_device.chip_lifetime_years
+            apps = c.asic.per_application
+            for j, years in enumerate(block[i].tolist()):
+                asic_gen[i, j] = chip_generations(years, chip_life)
+                app = apps[min(j, len(apps) - 1)]
+                for k in components:
+                    app_components[k][i, j] = getattr(app, k)
+        shape = lifetime.shape
         return cls(
             ratios=ratios,
             winners=winner_kernel(fpga_totals, asic_totals),
@@ -466,10 +458,11 @@ class BatchResult:
             asic_per_chip_embodied_kg=asic_pc,
             n_fpga=n_fpga,
             fpga_generations=fpga_gen,
-            asic_generations=asic_gen,
+            asic_generations=asic_gen.reshape(shape),
             num_apps=num_apps,
-            asic_app_components={},
-            fallback=dict(enumerate(comparisons)),
+            asic_app_components={
+                k: v.reshape(shape) for k, v in app_components.items()
+            },
         )
 
 
@@ -481,13 +474,17 @@ def _compose(
     Operation order mirrors :meth:`FpgaLifecycleModel.assess` /
     :meth:`AsicLifecycleModel.assess` exactly (including the
     per-application left-folds), so given exact constants the outputs are
-    bit-identical to the scalar path.
+    bit-identical to the scalar path.  A ``(n, w)`` lifetime block makes
+    every per-application term a per-step fold operand.
     """
     n = batch.size
     num_apps = batch.num_apps
     volume = batch.volume
-    vol_f = volume.astype(np.float64)
     lifetime = batch.lifetime
+
+    def per_app(x: "Column") -> "Column":
+        # Row columns against a (n, w) lifetime block broadcast per row.
+        return x if lifetime.ndim == 1 else np.reshape(x, (-1, 1))
 
     # N_FPGA = ceil(app_size / capacity), 1 when sized to the device.
     capacity = np.broadcast_to(
@@ -498,25 +495,26 @@ def _compose(
     units = np.maximum(1, np.ceil(safe_size / capacity).astype(np.int64))
     n_fpga = np.where(sized, units, 1)
 
-    unit_count = volume * n_fpga
-    unit_f = unit_count.astype(np.float64)
+    # Chip counts multiply as float64 (exact for integral counts, and a
+    # same-dtype multiply skips NumPy's mixed-type casting loop).
+    unit_f = volume * n_fpga.astype(np.float64)
     zeros = np.zeros(n)
 
     # Per-application terms, folded num_apps times per row through one
     # shared plan (the scalar models' repeated ``+=``, bit for bit).
-    op_app = (lifetime * unit_f) * fpga.op_per_chip_year_kg
+    op_app = (lifetime * per_app(unit_f)) * per_app(fpga.op_per_chip_year_kg)
     config_hours = fpga.appdev_config_hours_per_unit * unit_f
     configuration = (fpga.appdev_config_kw * config_hours) * fpga.appdev_intensity
     appdev_app = fpga.appdev_dev_kg + configuration
 
-    asic_gen = generations_kernel(lifetime, asic.chip_lifetime_years)
-    chips = (volume * asic_gen).astype(np.float64)
+    asic_gen = generations_kernel(lifetime, per_app(asic.chip_lifetime_years))
+    chips = per_app(volume) * asic_gen.astype(np.float64)
     a_design_app = zeros + asic.design_kg
-    a_mfg_app = asic.mfg_per_chip_kg * chips
-    a_pkg_app = asic.pkg_per_chip_kg * chips
-    a_eol_app = asic.eol_per_chip_kg * chips
-    a_op_app = (lifetime * vol_f) * asic.op_per_chip_year_kg
-    a_config_hours = asic.appdev_config_hours_per_unit * vol_f
+    a_mfg_app = per_app(asic.mfg_per_chip_kg) * chips
+    a_pkg_app = per_app(asic.pkg_per_chip_kg) * chips
+    a_eol_app = per_app(asic.eol_per_chip_kg) * chips
+    a_op_app = (lifetime * per_app(volume)) * per_app(asic.op_per_chip_year_kg)
+    a_config_hours = asic.appdev_config_hours_per_unit * volume
     a_configuration = (asic.appdev_config_kw * a_config_hours) * asic.appdev_intensity
     a_appdev_app = asic.appdev_dev_kg + a_configuration
 
@@ -537,7 +535,7 @@ def _compose(
         generations_kernel(horizon, fpga.chip_lifetime_years),
         1,
     )
-    fleet = (unit_count * fpga_gen).astype(np.float64)
+    fleet = unit_f * fpga_gen.astype(np.float64)
 
     f_design = zeros + fpga.design_kg
     f_mfg = fpga.mfg_per_chip_kg * fleet
@@ -547,6 +545,7 @@ def _compose(
 
     asic_totals = (((a_design + a_mfg) + a_pkg) + a_eol) + (a_op + a_appdev)
 
+    app_shape = asic_gen.shape
     return BatchResult(
         ratios=ratio_kernel(fpga_totals, asic_totals),
         winners=winner_kernel(fpga_totals, asic_totals),
@@ -575,52 +574,14 @@ def _compose(
         asic_generations=asic_gen,
         num_apps=num_apps.copy(),
         asic_app_components={
-            "design": a_design_app,
+            "design": np.broadcast_to(per_app(a_design_app), app_shape),
             "manufacturing": a_mfg_app,
             "packaging": a_pkg_app,
             "eol": a_eol_app,
-            "appdev": a_appdev_app,
+            "appdev": np.broadcast_to(per_app(a_appdev_app), app_shape),
             "operational": a_op_app,
         },
-        fallback={},
     )
-
-
-def _patch_fallback_rows(
-    result: BatchResult,
-    batch: ScenarioBatch,
-    comparators: "Sequence[PlatformComparator] | PlatformComparator",
-) -> BatchResult:
-    """Recompute uncovered rows through the scalar path, in place.
-
-    ``comparators`` is either one comparator (same-comparator batches) or
-    a per-row sequence.  The composed arrays for uncovered rows are
-    overwritten with scalar results and the full ``ComparisonResult`` is
-    kept for materialisation.
-    """
-    indices = np.nonzero(~batch.covered)[0]
-    if indices.size == 0:
-        return result
-    for i in (int(j) for j in indices):
-        comparator = (
-            comparators if isinstance(comparators, PlatformComparator)
-            else comparators[i]
-        )
-        comparison = comparator.compare(batch.scenario_at(i))
-        result.fallback[i] = comparison
-        for k in CarbonFootprint.COMPONENTS:
-            result.fpga_components[k][i] = getattr(comparison.fpga.footprint, k)
-            result.asic_components[k][i] = getattr(comparison.asic.footprint, k)
-        result.fpga_totals[i] = comparison.fpga.footprint.total
-        result.asic_totals[i] = comparison.asic.footprint.total
-        result.ratios[i] = comparison.ratio
-        result.winners[i] = comparison.winner
-        result.fpga_per_chip_embodied_kg[i] = comparison.fpga.per_chip_embodied_kg
-        result.asic_per_chip_embodied_kg[i] = comparison.asic.per_chip_embodied_kg
-        result.n_fpga[i] = comparison.fpga.n_fpga_per_unit
-        result.fpga_generations[i] = comparison.fpga.generations
-        result.asic_generations[i] = 0  # undefined for ragged lifetimes
-    return result
 
 
 class VectorizedEvaluator:
@@ -629,7 +590,9 @@ class VectorizedEvaluator:
     Stateless apart from the memoised per-comparator constants and the
     optional fused kernel's scratch pool; safe to share from one thread
     (the engine owns one and the analysis batch entry points reach it
-    through the engine).
+    through the engine).  Every valid scenario row is in-kernel: horizon
+    overrides, chip-lifetime enforcement, application sizing, fractional
+    volumes and per-application lifetimes.
 
     ``kernel_tier`` selects the tier for :meth:`reduce_batch`: ``fused``
     (the single-pass :class:`~repro.engine.vector.fused.FusedKernel`) or
@@ -657,29 +620,14 @@ class VectorizedEvaluator:
         :class:`~repro.engine.vector.fused.FusedResult` (ratios, totals,
         winners, exact win count — everything a
         :class:`~repro.engine.vector.reducers.StreamingReducer`
-        consumes); batches the fused tier cannot serve (uncovered rows)
-        fall back to the chain transparently.
+        consumes); batches the fused tier yields (per-application
+        lifetimes, very large application counts) run on the chain.
         """
         if self._fused is not None:
             result = self._fused.evaluate(params, batch)
             if result is not None:
                 return result
         return self.evaluate_param_batch(params, batch)
-
-    @staticmethod
-    def covers(scenario: Scenario) -> bool:
-        """Whether the kernel evaluates ``scenario``.
-
-        Heterogeneous per-application lifetimes and fractional volumes
-        (which the int64 volume column would silently truncate) take the
-        scalar fallback; everything else — horizon overrides,
-        chip-lifetime enforcement, application sizing — is in-kernel.
-        """
-        lifetimes = scenario.lifetimes
-        return (
-            all(t == lifetimes[0] for t in lifetimes)
-            and scenario.volume == int(scenario.volume)
-        )
 
     def evaluate_batch(
         self,
@@ -690,8 +638,7 @@ class VectorizedEvaluator:
 
         Per-chip constants come from the scalar sub-models (computed once
         per comparator, memoised), so results are bit-identical to
-        :meth:`PlatformComparator.compare` for covered rows; uncovered
-        rows fall back to the scalar path transparently.
+        :meth:`PlatformComparator.compare`.
         """
         batch = (
             scenarios
@@ -699,8 +646,7 @@ class VectorizedEvaluator:
             else ScenarioBatch.from_scenarios(tuple(scenarios))
         )
         fpga_side, asic_side = comparator_constants(comparator)
-        result = _compose(fpga_side, asic_side, batch)
-        return _patch_fallback_rows(result, batch, comparator)
+        return _compose(fpga_side, asic_side, batch)
 
     def evaluate_param_batch(
         self, params: ParameterBatch, batch: ScenarioBatch
@@ -712,12 +658,6 @@ class VectorizedEvaluator:
         per-row extraction.  Broadcast (length-1) parameter columns keep
         unperturbed sub-models scalar; per-row columns vectorise them.
         Parity with the scalar object path is ``rtol <= 1e-12``.
-
-        Rows the kernel does not cover are composed anyway (their
-        values are garbage); callers owning comparator objects must
-        patch them via the scalar fallback — the engine's
-        :meth:`~repro.engine.engine.EvaluationEngine.evaluate_param_batch`
-        does this when the batch carries comparators.
         """
         if params.size != batch.size:
             raise ParameterError(
@@ -741,8 +681,6 @@ class VectorizedEvaluator:
         is ``rtol <= 1e-12``.
         """
         pair_list = list(pairs)
-        comparators = [c for c, _ in pair_list]
         batch = ScenarioBatch.from_scenarios(tuple(s for _, s in pair_list))
-        params = ParameterBatch.from_comparators(comparators)
-        result = self.evaluate_param_batch(params, batch)
-        return _patch_fallback_rows(result, batch, comparators)
+        params = ParameterBatch.from_comparators([c for c, _ in pair_list])
+        return self.evaluate_param_batch(params, batch)

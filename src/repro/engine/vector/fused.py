@@ -925,8 +925,8 @@ class FusedKernel:
     ) -> "FusedResult | None":
         """One fused pass over a chunk; ``None`` when the tier must yield.
 
-        Returns ``None`` for batches with uncovered scenario rows —
-        those need the chain + scalar fallback path — and for
+        Returns ``None`` for batches with a per-application ``(n, w)``
+        lifetime block — the chain folds those per step — and for
         application counts above
         :data:`MAX_UNIFORM_FOLD_COUNT`, where its multiply shortcut for
         the per-application fold would leave the parity bound.  Raises
@@ -938,7 +938,7 @@ class FusedKernel:
                 f"parameter batch has {params.size} rows, "
                 f"scenario batch has {batch.size}"
             )
-        if batch.size == 0 or not batch.all_covered:
+        if batch.size == 0 or batch.lifetime.ndim != 1:
             return None
         self.pool.reclaim()
         counts = batch.num_apps

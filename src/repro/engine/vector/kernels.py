@@ -68,19 +68,19 @@ class FoldPlan:
     """Shared schedule for row-wise per-application left folds.
 
     The scalar lifecycle models accumulate per-application terms with
-    repeated ``+=`` over identical addends; ``count * x`` rounds
-    differently for counts >= 4, so bit-parity requires reproducing the
-    fold.  A plan is built once per ``counts`` column: rows are ordered
-    by descending count, so the rows still folding at step ``k`` (those
-    with ``count >= k``) form a prefix.  The plan records that prefix's
-    length at each distinct count, so it stays O(rows) in memory however
-    large the counts are.  :meth:`fold` then folds any number of
-    operands together with one in-place add per step over the active
-    prefix of a stacked tile — ``max(count) - 1`` Python-level steps per
-    tile and ``sum(count - 1)`` element adds per operand.  Every element
-    receives the same additions in the same order as the scalar fold, so
-    results are bit-identical to it.  Uniform counts (including
-    stride-0 :meth:`ScenarioBatch.tile` columns) skip the permutation.
+    repeated ``+=``; ``count * x`` rounds differently for counts >= 4,
+    so bit-parity requires reproducing the fold.  A plan is built once
+    per ``counts`` column: rows are ordered by descending count, so the
+    rows still folding at step ``k`` (those with ``count >= k``) form a
+    prefix.  The plan records that prefix's length at each distinct
+    count, so it stays O(rows) in memory however large the counts are.
+    :meth:`fold` then folds any number of operands together with one
+    in-place add per step over the active prefix of a stacked tile —
+    ``max(count) - 1`` Python-level steps per tile and
+    ``sum(count - 1)`` element adds per operand.  Every element receives
+    the same additions in the same order as the scalar fold, so results
+    are bit-identical to it.  Uniform counts (including stride-0
+    :meth:`ScenarioBatch.tile` columns) skip the permutation.
     """
 
     __slots__ = ("size", "order", "levels")
@@ -113,17 +113,25 @@ class FoldPlan:
     def fold(self, *operands: np.ndarray) -> np.ndarray:
         """Fold each operand ``count`` times per row; ``(m, n)`` result.
 
-        Operands are 1-D float columns of the plan's length or of
-        length 1 (broadcast); row ``j`` of the result is the fold of
-        operand ``j``, and rows with ``count < 1`` are ``0.0``.
+        An operand is a float column of the plan's length or of length
+        1 (broadcast), or a per-step ``(n, w)`` block whose step ``k``
+        adds column ``min(k, w - 1)`` (per-application lifetimes).  Row
+        ``j`` of the result is the fold of operand ``j``, and rows with
+        ``count < 1`` are ``0.0``.
         """
         n = self.size
         m = len(operands)
         out = np.zeros((m, n))
-        cols = [
-            np.broadcast_to(np.asarray(x, dtype=np.float64).reshape(-1), (n,))
-            for x in operands
-        ]
+        cols = []
+        blocks = []  # (operand, (n, w) block) of the per-step operands
+        for j, x in enumerate(operands):
+            x = np.asarray(x, dtype=np.float64)
+            if x.ndim == 2:
+                blocks.append((j, np.broadcast_to(x, (n, x.shape[1]))))
+                cols.append(blocks[-1][1][:, 0])
+            else:
+                cols.append(np.broadcast_to(x.reshape(-1), (n,)))
+        width = max((block.shape[1] for _, block in blocks), default=1)
         order = self.order
         levels = self.levels
         active = levels[0][1] if levels else 0
@@ -131,6 +139,7 @@ class FoldPlan:
             t1 = min(t0 + self.TILE_ROWS, active)
             addend = np.empty((m, t1 - t0))
             if order is None:
+                rows = None
                 for j, col in enumerate(cols):
                     addend[j] = col[t0:t1]
                 acc = out[:, t0:t1]
@@ -149,12 +158,26 @@ class FoldPlan:
                     break
                 head = acc[:, :live]
                 tail = addend[:, :live]
-                for _ in range(done, count):
+                for step in range(done, count):
+                    if step < width:
+                        self._load_step(addend, blocks, step, rows, t0, live)
                     np.add(head, tail, out=head)
                 done = count
             if order is not None:
                 out[:, rows] = acc
         return out
+
+    @staticmethod
+    def _load_step(addend, blocks, step, rows, t0, live) -> None:
+        """Refresh the per-step operands' addends for application ``step``."""
+        for j, block in blocks:
+            if step < block.shape[1]:
+                column = block[:, step]
+                if rows is None:
+                    addend[j, :live] = column[t0:t0 + live]
+                else:
+                    np.take(column, rows[:live], out=addend[j, :live],
+                            mode="clip")
 
 
 def repeat_add(x: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -375,8 +375,8 @@ class ParameterBatch:
       evaluated once and broadcast.
     * :meth:`from_comparators` — one extracted row per comparator
       object (DSE grids, tornado endpoints, the object-path engine
-      API); keeps the comparators for the scalar fallback of
-      kernel-uncovered scenario rows.
+      API); keeps the comparators for the engine's ``vectorize=False``
+      object path.
 
     Column arrays are float64 and either length ``n`` (per-row values)
     or length 1 (broadcast); :meth:`col` returns them as-is, so kernel

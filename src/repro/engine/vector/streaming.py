@@ -21,9 +21,11 @@ Chunk sources
   columns are packed once into one
   :class:`multiprocessing.shared_memory.SharedMemory` block; workers
   attach by name and slice NumPy views straight out of the block
-  (zero-copy, nothing re-pickled per chunk).
+  (zero-copy, nothing re-pickled per chunk); each column keeps its
+  shape, so an ``(n, w)`` per-application lifetime block travels as is.
 * :class:`MonteCarloChunkSource` — the fully out-of-core spelling for
-  Monte-Carlo studies: no input columns exist anywhere.  Each chunk
+  Monte-Carlo studies (any valid scenario, tiled per chunk): no input
+  columns exist anywhere.  Each chunk
   *generates* its own draws from a seeded per-chunk RNG stream —
   ``PCG64(seed)`` advanced by ``start * n_distributions`` draws — which
   bit-reproduces the sequential draw order of
@@ -197,7 +199,7 @@ class SharedArrayChunkSource:
     """Multi-process chunk source over one shared-memory column block.
 
     :meth:`pack` copies every per-row column — parameter overrides and
-    scenario columns — into a single
+    scenario columns, each in its own shape — into a single
     :class:`~multiprocessing.shared_memory.SharedMemory` segment once;
     broadcast (length-1) columns and the base parameter row travel
     inline in the pickled source, which is otherwise just the segment
@@ -212,7 +214,7 @@ class SharedArrayChunkSource:
 
     _SCENARIO_FIELDS = (
         ("num_apps", np.int64),
-        ("volume", np.int64),
+        ("volume", np.float64),
         ("lifetime", np.float64),
         ("evaluation_years", np.float64),
         ("app_size_mgates", np.float64),
@@ -222,7 +224,7 @@ class SharedArrayChunkSource:
     def __init__(self) -> None:
         self.n = 0
         self._shm_name: str | None = None
-        self._specs: dict[str, tuple[str, int, int]] = {}
+        self._specs: dict[str, tuple[str, tuple[int, ...], int]] = {}
         self._inline: dict[int, np.ndarray] = {}
         self._base_row: np.ndarray | None = None
         self._param_keys: tuple[int, ...] = ()
@@ -238,10 +240,6 @@ class SharedArrayChunkSource:
             raise ParameterError(
                 f"parameter batch has {params.size} rows, "
                 f"scenario batch has {batch.size}"
-            )
-        if not batch.all_covered:
-            raise ParameterError(
-                "shared-memory streaming requires a fully covered batch"
             )
         source = cls()
         source.n = batch.size
@@ -272,7 +270,7 @@ class SharedArrayChunkSource:
                                   buffer=shm.buf, offset=offset)
                 view[:] = array
                 del view
-                source._specs[name] = (array.dtype.str, array.shape[0], offset)
+                source._specs[name] = (array.dtype.str, array.shape, offset)
                 offset += array.nbytes
         except BaseException:
             # Nobody owns the segment yet — unlink here or leak it.  The
@@ -318,8 +316,8 @@ class SharedArrayChunkSource:
         return self._shm
 
     def _view(self, name: str) -> np.ndarray:
-        dtype, length, offset = self._specs[name]
-        return np.ndarray((length,), dtype=np.dtype(dtype),
+        dtype, shape, offset = self._specs[name]
+        return np.ndarray(shape, dtype=np.dtype(dtype),
                           buffer=self._attach().buf, offset=offset)
 
     def chunk(self, start: int, stop: int) -> tuple[ParameterBatch, ScenarioBatch]:
@@ -338,9 +336,7 @@ class SharedArrayChunkSource:
             name: self._view(f"s_{name}")[start:stop]
             for name, _ in self._SCENARIO_FIELDS
         }
-        batch = ScenarioBatch(
-            covered=np.ones(m, dtype=bool), scenarios=None, **fields
-        )
+        batch = ScenarioBatch(**fields)
         return params, batch
 
     def close(self) -> None:

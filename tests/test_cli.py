@@ -21,6 +21,31 @@ def test_compare_command(capsys):
     assert "winner" in out.lower()
 
 
+def test_fractional_volume_reaches_the_model(monkeypatch, capsys):
+    """``--volume 1500.7`` runs with 1500.7 units, not a truncated 1500,
+    in both ``compare`` and ``mc``."""
+    import repro.analysis.montecarlo as montecarlo
+    from repro.engine import EvaluationEngine
+
+    seen = []
+    evaluate = EvaluationEngine.evaluate
+    monkeypatch.setattr(
+        EvaluationEngine, "evaluate",
+        lambda self, c, s: seen.append(s.volume) or evaluate(self, c, s),
+    )
+    monte_carlo_batch = montecarlo.monte_carlo_batch
+    monkeypatch.setattr(
+        montecarlo, "monte_carlo_batch",
+        lambda c, s, *a, **k: seen.append(s.volume) or monte_carlo_batch(
+            c, s, *a, **k
+        ),
+    )
+    assert main(["compare", "--volume", "1500.7"]) == 0
+    assert main(["mc", "--draws", "20", "--volume", "1500.7"]) == 0
+    assert seen == [1500.7, 1500.7]
+    assert "N_vol=1500.7" in capsys.readouterr().out
+
+
 def test_compare_default_arguments(capsys):
     assert main(["compare"]) == 0
     assert "ratio" in capsys.readouterr().out

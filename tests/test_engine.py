@@ -177,25 +177,10 @@ def test_clear_cache_resets(dnn_comparator, small_scenario):
 def test_engine_argument_validation():
     with pytest.raises(ParameterError):
         EvaluationEngine(workers=0)
-    with pytest.raises(ParameterError):
-        EvaluationEngine(chunk_size=0)
 
 
 def test_default_engine_is_shared_singleton():
     assert default_engine() is default_engine()
-
-
-def test_parallel_workers_match_serial(dnn_comparator):
-    scenarios = [
-        Scenario(num_apps=n, app_lifetime_years=1.0, volume=10_000)
-        for n in range(1, 9)
-    ]
-    serial = EvaluationEngine().evaluate_many(dnn_comparator, scenarios)
-    parallel = EvaluationEngine(workers=2, chunk_size=2).evaluate_many(
-        dnn_comparator, scenarios
-    )
-    for s, p in zip(serial, parallel):
-        assert s.summary() == p.summary()
 
 
 # ----------------------------------------------------------------------
@@ -524,18 +509,6 @@ def test_default_engine_close_is_registered_at_exit():
     finally:
         atexit.register = real_register
     assert engine_module.reset_default_engine in recorded
-
-
-def test_close_shuts_down_lazy_pool(dnn_comparator):
-    engine = EvaluationEngine(workers=2, chunk_size=1, vectorize=False)
-    scenarios = [
-        Scenario(num_apps=n, app_lifetime_years=1.0, volume=100)
-        for n in range(1, 5)
-    ]
-    engine.evaluate_many(dnn_comparator, scenarios)  # starts the pool
-    assert engine._pool is not None
-    engine.close()
-    assert engine._pool is None
 
 
 # ----------------------------------------------------------------------

@@ -123,18 +123,32 @@ def test_digest_distinguishes_columns_and_values(dnn_comparator, scenario):
     assert len({a, b, c}) == 3
 
 
-def test_param_row_digest_rejects_uncovered_scenarios(dnn_comparator):
-    ragged = Scenario(num_apps=2, app_lifetime_years=[1.0, 2.0], volume=10)
-    with pytest.raises(ParameterError):
-        param_row_digest(extract_row(dnn_comparator), ragged)
+def test_param_row_digest_folds_heterogeneous_scenarios(dnn_comparator):
+    """Ragged lifetimes and fractional volumes digest like any scenario:
+    the batch fold reproduces the scalar one, and neither collides with
+    the uniform spelling of the first lifetime."""
+    ragged = Scenario(num_apps=2, app_lifetime_years=[1.0, 2.0], volume=10.5)
+    uniform = Scenario(num_apps=2, app_lifetime_years=1.0, volume=10)
+    row = extract_row(dnn_comparator)
+    params = ParameterBatch.from_comparators([dnn_comparator] * 2)
+    batch = ScenarioBatch.from_scenarios((ragged, uniform))
+    lo, hi = param_batch_digests(params, batch)
+    assert (int(lo[0]), int(hi[0])) == param_row_digest(row, ragged)
+    assert (int(lo[1]), int(hi[1])) == param_row_digest(row, uniform)
+    assert param_row_digest(row, ragged) != param_row_digest(row, uniform)
 
 
-def test_param_batch_digests_rejects_uncovered_rows(dnn_comparator):
+def test_param_batch_digests_fold_heterogeneous_rows_like_param_digest(
+    dnn_comparator,
+):
     ragged = Scenario(num_apps=2, app_lifetime_years=[1.0, 2.0], volume=10)
     params = ParameterBatch.from_comparator(dnn_comparator, 2)
-    batch = ScenarioBatch.from_scenarios((ragged, ragged))
-    with pytest.raises(ParameterError):
-        param_batch_digests(params, batch)
+    params.set_col(pcols.OP_CI, np.array([0.25, 0.5]))
+    batch = ScenarioBatch.tile(ragged, 2)
+    lo, hi = param_batch_digests(params, batch)
+    for i, value in enumerate((0.25, 0.5)):
+        expected = param_digest(dnn_comparator, ragged, {pcols.OP_CI: value})
+        assert (int(lo[i]), int(hi[i])) == expected
 
 
 # ----------------------------------------------------------------------
@@ -176,15 +190,14 @@ def test_scenario_batch_tile_matches_from_scenarios(scenario):
     tiled = ScenarioBatch.tile(scenario, 5)
     listed = ScenarioBatch.from_scenarios((scenario,) * 5)
     for field in ("num_apps", "volume", "lifetime", "evaluation_years",
-                  "app_size_mgates", "enforce_chip_lifetime", "covered"):
+                  "app_size_mgates", "enforce_chip_lifetime"):
         np.testing.assert_array_equal(
             getattr(tiled, field), getattr(listed, field)
         )
-    assert tiled.scenarios is None  # covered tiles carry no objects
     ragged = Scenario(num_apps=2, app_lifetime_years=[1.0, 2.0], volume=10)
-    uncovered = ScenarioBatch.tile(ragged, 3)
-    assert not uncovered.covered.any()
-    assert uncovered.scenarios == (ragged,) * 3
+    ragged_tile = ScenarioBatch.tile(ragged, 3)
+    np.testing.assert_array_equal(ragged_tile.lifetime, [[1.0, 2.0]] * 3)
+    assert ragged_tile.scenario_at(2).lifetimes == ragged.lifetimes
 
 
 # ----------------------------------------------------------------------
@@ -230,17 +243,17 @@ def test_columnar_monte_carlo_needs_every_apply_column(
                                rtol=1.0e-12, atol=0.0)
 
 
-def test_columnar_monte_carlo_uncovered_scenario_takes_object_route(
+def test_columnar_monte_carlo_runs_heterogeneous_scenarios(
     dnn_comparator, intensity_dist
 ):
-    ragged = Scenario(num_apps=2, app_lifetime_years=[1.0, 2.0], volume=10)
+    ragged = Scenario(num_apps=2, app_lifetime_years=[1.0, 2.0], volume=10.5)
     classic = monte_carlo(dnn_comparator, ragged, [intensity_dist],
                           n_samples=10, seed=5,
                           engine=EvaluationEngine(vectorize=False))
     batch = monte_carlo_batch(dnn_comparator, ragged, [intensity_dist],
                               n_samples=10, seed=5,
                               engine=EvaluationEngine())
-    assert batch.sample_columns is None  # legacy route
+    assert batch.sample_columns is not None  # columnar route
     np.testing.assert_allclose(batch.ratios, classic.ratios,
                                rtol=1.0e-12, atol=0.0)
 
@@ -323,7 +336,7 @@ def test_mixed_scenario_and_param_rows_evict_per_shard(
         draws = monte_carlo_batch(dnn_comparator, scenario,
                                   [intensity_dist], **mc_kwargs)
     stats = engine.cache_stats
-    assert stats.size <= 48 + 48 // 8  # packed table + object side-cache
+    assert stats.size <= 48
 
     cold_grid = reference.evaluate_batch(dnn_comparator, scenarios)
     np.testing.assert_array_equal(grid.ratios, cold_grid.ratios)

@@ -76,7 +76,7 @@ def test_request_frame_round_trips_bit_identically():
     np.testing.assert_array_equal(decoded.num_apps, batch.num_apps)
     np.testing.assert_array_equal(decoded.lifetime, batch.lifetime)
     np.testing.assert_array_equal(decoded.volume, batch.volume)
-    assert decoded.all_covered
+    assert decoded.volume.dtype == np.float64
 
 
 def test_request_round_trip_preserves_optional_columns():
@@ -114,8 +114,11 @@ def test_encode_request_rejects_uncovered_batches():
     ragged = ScenarioBatch.from_scenarios(
         (Scenario(num_apps=2, app_lifetime_years=[1.0, 2.0], volume=10),)
     )
-    with pytest.raises(ProtocolError, match="covered"):
+    with pytest.raises(ProtocolError, match="per-application"):
         protocol.encode_request(1, "dnn", ragged)
+    fractional = ScenarioBatch.from_arrays(num_apps=2, lifetime=1.0, volume=10.5)
+    with pytest.raises(ProtocolError, match="fractional"):
+        protocol.encode_request(1, "dnn", fractional)
 
 
 def test_response_error_retry_deadline_frames_round_trip():

@@ -70,9 +70,8 @@ def test_digest_accepts_float_volumes_like_the_scalar_models(dnn_comparator):
     """``Scenario`` tolerates float volumes (only ``>= 1`` is checked,
     and the CLI parses ``--volume`` as float); the digest must fold them
     without raising, treat integral floats as their int spelling, and
-    keep *fractional* volumes distinct — the int64 batch columns cannot
-    represent them, so they are kernel-uncovered and must never collide
-    in the store."""
+    keep *fractional* volumes distinct, so they never collide in the
+    store."""
     import dataclasses
 
     base = Scenario(num_apps=5, app_lifetime_years=2.0, volume=1_000_000)
@@ -96,22 +95,45 @@ def test_digest_accepts_float_volumes_like_the_scalar_models(dnn_comparator):
     assert first.ratio != second.ratio  # the old collision served one result
 
 
-def test_fractional_volume_takes_the_exact_scalar_path(dnn_comparator):
-    """The int64 volume column would truncate 1000.7 -> 1000; such rows
-    must be kernel-uncovered and produce exact scalar results on the
-    batch path too."""
+def test_fractional_volume_is_exact_on_the_kernel(dnn_comparator):
+    """The float64 volume column keeps 1000.7 (an int column would
+    truncate it to 1000): batch rows equal the scalar model bit for bit,
+    cold and warm."""
     import dataclasses
 
     fractional = dataclasses.replace(
         Scenario(num_apps=2, app_lifetime_years=1.0, volume=1000), volume=1000.7
     )
     batch = ScenarioBatch.from_scenarios((fractional,) * 2)
-    assert not batch.covered.any()
+    np.testing.assert_array_equal(batch.volume, [1000.7, 1000.7])
     engine = EvaluationEngine()
-    result = engine.evaluate_batch(dnn_comparator, batch)
     direct = dnn_comparator.compare(fractional)
-    assert result.comparison(0, fractional) == direct
-    assert float(result.ratios[0]) == direct.ratio
+    for _ in range(2):
+        result = engine.evaluate_batch(dnn_comparator, batch)
+        assert result.comparison(0, fractional) == direct
+        assert float(result.ratios[0]) == direct.ratio
+    assert engine.cache_stats.hits == 2  # uniform rows are cached
+
+
+def test_row_digests_are_pinned(dnn_comparator):
+    """Persisted stores key rows by these digests: the constants were
+    produced before the volume column became float64 and lifetimes could
+    form an (n, w) block, so a stored uniform row stays a hit."""
+    batch = ScenarioBatch.from_scenarios([
+        Scenario(num_apps=5, app_lifetime_years=2.0, volume=1_000_000),
+        Scenario(num_apps=2, app_lifetime_years=0.5, volume=7,
+                 evaluation_years=9.0, app_size_mgates=60.0,
+                 enforce_chip_lifetime=True),
+        Scenario(num_apps=3, app_lifetime_years=[1.0, 2.0, 2.0], volume=10),
+        Scenario(num_apps=3, app_lifetime_years=2.0, volume=10.5),
+    ])
+    lo, hi = batch_digests(dnn_comparator, batch)
+    assert [(int(a), int(b)) for a, b in zip(lo, hi)] == [
+        (0x5676937F852A7F23, 0x474954D50067DA74),
+        (0x5239073343BF7748, 0x2354DD0A1A271CAC),
+        (8237797599769520117, 910428276349878130),
+        (13538796134984334950, 5082259247362771973),
+    ]
 
 
 def test_digest_normalises_lifetime_spellings(dnn_comparator):
@@ -729,11 +751,16 @@ def test_engine_save_cache_requires_a_path(dnn_comparator):
         engine.save_cache()
 
 
-def test_engine_ragged_scenarios_use_object_cache(dnn_comparator):
+def test_engine_ragged_scenarios_are_evaluated_not_cached(dnn_comparator):
+    """The packed layout holds one per-application column set, so rows
+    with heterogeneous lifetimes are recomputed on every request."""
     ragged = Scenario(num_apps=2, app_lifetime_years=[1.0, 2.0], volume=100)
     engine = EvaluationEngine()
     first = engine.evaluate(dnn_comparator, ragged)
     second = engine.evaluate(dnn_comparator, ragged)
     assert first == second == dnn_comparator.compare(ragged)
+    batch = engine.evaluate_batch(dnn_comparator, [ragged] * 9)
+    assert batch.comparison(8, ragged) == first
     stats = engine.cache_stats
-    assert stats.misses == 1 and stats.hits == 1
+    assert stats.hits == 0 and stats.size == 0
+    assert engine.rows_computed == 3  # in-batch duplicates computed once

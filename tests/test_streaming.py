@@ -446,14 +446,6 @@ def test_streaming_validates_reduction_members_and_chunk_rows(
 
 
 def test_streaming_requires_columnar_path(comparator, engine):
-    ragged = Scenario(
-        num_apps=2, app_lifetime_years=(1.0, 2.0), volume=1000
-    )
-    with pytest.raises(ParameterError, match="kernel-covered"):
-        monte_carlo_stream(
-            comparator, ragged, table1_distributions(), n_samples=64,
-            engine=engine,
-        )
     no_column = [
         ParameterDistribution("x", 0.1, 0.9, lambda c, v: c)  # no apply_column
     ]
@@ -523,7 +515,10 @@ def test_shared_memory_workers_match_sequential(comparator):
 
 def test_shared_chunk_source_round_trips_columns(comparator):
     n = 1024
-    params, batch = _perturbed_param_batch(comparator, n)
+    params, _ = _perturbed_param_batch(comparator, n)
+    ragged = Scenario(num_apps=3, app_lifetime_years=(1.0, 3.0, 3.0),
+                      volume=10.5)
+    batch = ScenarioBatch.from_scenarios([BASELINE, ragged] * (n // 2))
     source = SharedArrayChunkSource.pack(params, batch)
     try:
         chunk_params, chunk_batch = source.chunk(100, 612)
@@ -538,19 +533,25 @@ def test_shared_chunk_source_round_trips_columns(comparator):
         np.testing.assert_array_equal(
             chunk_batch.num_apps, reference_b.num_apps
         )
-        assert chunk_batch.all_covered
+        # the (n, w) per-application lifetime block keeps its shape
+        np.testing.assert_array_equal(chunk_batch.lifetime, reference_b.lifetime)
+        np.testing.assert_array_equal(chunk_batch.volume, reference_b.volume)
+        assert chunk_batch.lifetime.shape == (512, 2)
     finally:
         source.close()
 
 
-def test_reduce_mode_rejects_uncovered_rows(comparator, engine):
-    ragged = Scenario(num_apps=2, app_lifetime_years=(1.0, 3.0), volume=10)
+def test_reduce_mode_streams_heterogeneous_rows(comparator, engine):
+    ragged = Scenario(num_apps=2, app_lifetime_years=(1.0, 3.0), volume=10.5)
     params = ParameterBatch.from_comparators([comparator] * 4)
     batch = ScenarioBatch.from_scenarios((ragged,) * 4)
-    with pytest.raises(ParameterError, match="covered"):
-        engine.evaluate_param_batch(
-            params, batch, reduce=monte_carlo_reduction(seed=0)
-        )
+    merged = engine.evaluate_param_batch(
+        params, batch, reduce=monte_carlo_reduction(seed=0)
+    )
+    assert merged["wins"].n == 4
+    assert merged["moments"].moments()["mean"] == pytest.approx(
+        comparator.compare(ragged).ratio, rel=1e-12
+    )
 
 
 # ----------------------------------------------------------------------
@@ -595,10 +596,15 @@ def test_explore_batch_streaming_matches_materialized(engine):
         np.testing.assert_allclose(point.ratio, twin.ratio, rtol=1e-12)
 
 
-def test_explore_batch_streaming_rejects_uncovered_scenario(engine):
-    ragged = Scenario(num_apps=2, app_lifetime_years=(1.0, 2.0), volume=10)
-    with pytest.raises(ParameterError, match="kernel-covered"):
-        explore_batch("dnn", ragged, GRID, engine=engine, reduce=True)
+def test_explore_batch_streams_heterogeneous_scenario(engine):
+    ragged = Scenario(num_apps=2, app_lifetime_years=(1.0, 2.0), volume=10.5)
+    materialized = explore_batch("dnn", ragged, GRID, engine=engine)
+    streamed = explore_batch(
+        "dnn", ragged, GRID, engine=engine, reduce=True, chunk_rows=7,
+        workers=1,
+    )
+    assert streamed.best().overrides == materialized.best().overrides
+    assert streamed.best().ratio == materialized.best().ratio
 
 
 # ----------------------------------------------------------------------
@@ -621,7 +627,6 @@ def test_stream_worker_resolution_validates_and_caps():
 
 def test_engine_pools_are_pinned_to_spawn():
     with EvaluationEngine(workers=2) as eng:
-        assert eng._pool_get()._mp_context.get_start_method() == "spawn"
         assert (
             eng._stream_pool_get(2)._mp_context.get_start_method() == "spawn"
         )
@@ -720,8 +725,7 @@ def test_run_stream_recovers_sigkilled_worker_bit_identically(comparator):
 
 def test_engine_close_is_idempotent_under_concurrent_callers(comparator):
     eng = EvaluationEngine(cache_size=0, workers=2)
-    # start both pools so close() has real work to race over
-    eng._pool_get()
+    # start the pool so close() has real work to race over
     eng._stream_pool_get(2)
     errors: list[BaseException] = []
 
@@ -738,7 +742,7 @@ def test_engine_close_is_idempotent_under_concurrent_callers(comparator):
     for thread in threads:
         thread.join()
     assert not errors
-    assert eng._pool is None and eng._stream_pool is None
+    assert eng._stream_pool is None
     # the engine stays usable: pools restart lazily on demand
     result = monte_carlo_stream(
         comparator, BASELINE, table1_distributions(), n_samples=1024,

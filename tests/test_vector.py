@@ -113,15 +113,19 @@ def test_evaluate_batch_accepts_column_batches(evaluator, dnn_comparator):
     np.testing.assert_array_equal(a.asic_totals, b.asic_totals)
 
 
-def test_heterogeneous_lifetimes_take_scalar_fallback(evaluator, dnn_comparator):
+def test_heterogeneous_lifetimes_run_on_the_kernel(evaluator, dnn_comparator):
     scenarios = [
         Scenario(num_apps=2, app_lifetime_years=[1.0, 2.5], volume=1_000),
         Scenario(num_apps=3, app_lifetime_years=2.0, volume=1_000),
         Scenario(num_apps=3, app_lifetime_years=[1.0, 2.0, 4.0], volume=77),
     ]
-    assert not evaluator.covers(scenarios[0])
-    assert evaluator.covers(scenarios[1])
-    batch = evaluator.evaluate_batch(dnn_comparator, scenarios)
+    columns = ScenarioBatch.from_scenarios(scenarios)
+    # One (n, w) block: application j reads column min(j, w - 1).
+    np.testing.assert_array_equal(
+        columns.lifetime, [[1.0, 2.5, 2.5], [2.0, 2.0, 2.0], [1.0, 2.0, 4.0]]
+    )
+    batch = evaluator.evaluate_batch(dnn_comparator, columns)
+    assert batch.asic_generations.shape == (3, 3)
     for i, scenario in enumerate(scenarios):
         reference = dnn_comparator.compare(scenario)
         assert batch.ratios[i] == reference.ratio
@@ -411,16 +415,22 @@ def test_engine_vectorized_results_equal_scalar_engine(dnn_comparator):
         assert v == s
 
 
-def test_engine_small_batches_skip_the_kernel(dnn_comparator, small_scenario):
-    """Below min_vector_batch the scalar path runs (same results)."""
-    engine = EvaluationEngine(min_vector_batch=1_000_000)
-    direct = dnn_comparator.compare(small_scenario)
-    assert engine.evaluate(dnn_comparator, small_scenario) == direct
+def test_engine_small_batches_skip_the_kernel(dnn_comparator, monkeypatch):
+    """Below MIN_VECTOR_BATCH the scalar path runs (same results)."""
+    from repro.engine.engine import MIN_VECTOR_BATCH
 
+    scenarios = [
+        Scenario(num_apps=n, app_lifetime_years=1.0, volume=10_000)
+        for n in range(1, MIN_VECTOR_BATCH)
+    ]
+    engine = EvaluationEngine()
 
-def test_engine_validates_min_vector_batch():
-    with pytest.raises(ParameterError):
-        EvaluationEngine(min_vector_batch=0)
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a group below MIN_VECTOR_BATCH hit the kernel")
+
+    monkeypatch.setattr(engine._vector, "evaluate_batch", no_kernel)
+    results = engine.evaluate_many(dnn_comparator, scenarios)
+    assert results == tuple(dnn_comparator.compare(s) for s in scenarios)
 
 
 def test_engine_evaluate_batch_scalar_spelling_matches(dnn_comparator):
@@ -448,13 +458,21 @@ def test_engine_evaluate_batch_scalar_spelling_matches(dnn_comparator):
 
 
 def test_sweep_batch_matches_sweep(dnn_comparator, baseline_scenario):
+    """A fractional base volume rides along unchanged on both paths."""
     values = [1, 2, 3, 4, 5, 6, 7, 8]
-    classic = sweep(dnn_comparator, baseline_scenario, "num_apps", values)
-    batch = sweep_batch(dnn_comparator, baseline_scenario, "num_apps", values)
-    np.testing.assert_array_equal(batch.ratios, np.array(classic.ratios))
-    np.testing.assert_array_equal(batch.fpga_totals, np.array(classic.fpga_totals))
-    np.testing.assert_array_equal(batch.asic_totals, np.array(classic.asic_totals))
-    assert list(batch.winners) == [classic.winner_at(i) for i in range(len(values))]
+    for base in (baseline_scenario, baseline_scenario.with_volume(1000.5)):
+        classic = sweep(dnn_comparator, base, "num_apps", values)
+        batch = sweep_batch(dnn_comparator, base, "num_apps", values)
+        np.testing.assert_array_equal(batch.ratios, np.array(classic.ratios))
+        np.testing.assert_array_equal(
+            batch.fpga_totals, np.array(classic.fpga_totals)
+        )
+        np.testing.assert_array_equal(
+            batch.asic_totals, np.array(classic.asic_totals)
+        )
+        assert list(batch.winners) == [
+            classic.winner_at(i) for i in range(len(values))
+        ]
 
 
 def test_sweep_batch_rejects_bad_axis(dnn_comparator, baseline_scenario):
@@ -621,13 +639,19 @@ def test_from_arrays_broadcasts_scalars():
     )
     assert batch.size == 3
     np.testing.assert_array_equal(batch.volume, [100, 100, 100])
-    assert batch.all_covered
+    assert batch.volume.dtype == np.float64
     scenario = batch.scenario_at(1)
     assert scenario == Scenario(num_apps=2, app_lifetime_years=2.0, volume=100)
 
 
 def test_identical_scenario_fast_path_marks_coverage():
+    """The identical-object fast path (a tile) builds the same row shape
+    as the per-row path: a lifetime column for uniform scenarios, a
+    per-application block for ragged ones."""
     uniform = Scenario(num_apps=3, app_lifetime_years=2.0, volume=10)
     ragged = Scenario(num_apps=2, app_lifetime_years=[1.0, 3.0], volume=10)
-    assert ScenarioBatch.from_scenarios([uniform] * 5).all_covered
-    assert not ScenarioBatch.from_scenarios([ragged] * 5).covered.any()
+    assert ScenarioBatch.from_scenarios([uniform] * 5).lifetime.shape == (5,)
+    fast = ScenarioBatch.from_scenarios([ragged] * 5)
+    slow = ScenarioBatch.from_scenarios([ragged, dataclasses.replace(ragged)])
+    assert fast.lifetime.shape == (5, 2)
+    np.testing.assert_array_equal(fast.lifetime[:2], slow.lifetime)
