@@ -11,7 +11,6 @@ from repro.audit.checks.checkpoint import CheckpointContractChecker
 from repro.audit.checks.coverage import CoverageChecker
 from repro.audit.checks.exceptions import ExceptionHygieneChecker
 from repro.audit.checks.floatsum import FloatAccumulationChecker
-from repro.audit.checks.fused import FusedTwinChecker
 from repro.audit.checks.rng import RngDisciplineChecker
 from repro.audit.checks.sharedmem import SharedMemoryChecker
 from repro.audit.checks.spawn import SpawnSafetyChecker
@@ -21,7 +20,6 @@ __all__ = [
     "CoverageChecker",
     "ExceptionHygieneChecker",
     "FloatAccumulationChecker",
-    "FusedTwinChecker",
     "RngDisciplineChecker",
     "SharedMemoryChecker",
     "SpawnSafetyChecker",
@@ -39,5 +37,4 @@ def all_checkers():
         FloatAccumulationChecker(),
         ExceptionHygieneChecker(),
         CheckpointContractChecker(),
-        FusedTwinChecker(),
     )

@@ -46,7 +46,7 @@ from repro.config import Parameters
 from repro.core.comparison import ComparisonResult, PlatformComparator
 from repro.core.scenario import Scenario
 from repro.core.suite import ModelSuite
-from repro.engine.cache import CacheStats, LruCache  # noqa: F401 (re-export)
+from repro.engine.cache import CacheStats
 from repro.engine.store import (  # noqa: F401 (keys re-exported for compat)
     FLOAT_COLS,
     INT_COLS,

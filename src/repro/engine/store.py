@@ -59,7 +59,7 @@ from repro.core.scenario import Scenario
 from repro.engine.atomicio import atomic_write
 from repro.engine.cache import CacheStats
 from repro.engine.vector import BatchResult, ParameterBatch, ScenarioBatch
-from repro.engine.vector.kernels import chip_generations
+from repro.engine.vector.model import chip_generations
 from repro.errors import ParameterError, StoreCorruptError
 
 # ----------------------------------------------------------------------
@@ -145,8 +145,13 @@ def _optional_bits(value: float | None) -> int:
     return _NONE_BITS if value is None else _float_bits(value)
 
 
+def _bits(column: np.ndarray) -> np.ndarray:
+    """Native-order IEEE-754 bits of a float column (uint64 view)."""
+    return np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
+
+
 def _optional_column_bits(column: np.ndarray) -> np.ndarray:
-    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64).copy()
+    bits = _bits(column).copy()
     bits[np.isnan(column)] = np.uint64(_NONE_BITS)
     return bits
 
@@ -232,29 +237,59 @@ def _fold_scenario_columns(
     and parameter-space batch digests so the fold order can never drift
     between them.  Rows with heterogeneous lifetimes or a fractional
     volume fold a different number of words; those rows are refolded
-    from their own seeds through the scalar fold.
+    from their own seeds, column-wise, in groups that share one word
+    layout (a tiled batch is one group).
     """
-    lifetime = batch.lifetime if batch.lifetime.ndim == 1 else batch.lifetime[:, 0]
-    columns = (
-        batch.num_apps.astype(np.uint64),
-        np.ascontiguousarray(lifetime, dtype=np.float64).view(np.uint64),
-        batch.volume.astype(np.uint64),
+    n = batch.size
+    block = batch.lifetime.reshape(n, -1)
+    apps = batch.num_apps
+    tail = (
         _optional_column_bits(batch.evaluation_years),
         _optional_column_bits(batch.app_size_mgates),
         batch.enforce_chip_lifetime.astype(np.uint64),
     )
     seed_lo, seed_hi = lo, hi
-    for column in columns:
+    for column in (
+        apps.astype(np.uint64), _bits(block[:, 0]),
+        batch.volume.astype(np.uint64), *tail,
+    ):
         lo = _mix_columns(lo, column)
         hi = _mix_columns(hi, column)
-    irregular = batch.volume != np.floor(batch.volume)
-    if batch.lifetime.ndim == 2:
-        irregular |= ~uniform_lifetime_rows(batch.lifetime)
-    for i in np.flatnonzero(irregular).tolist():
-        lo[i], hi[i] = _fold_values(
-            int(seed_lo[i]), int(seed_hi[i]),
-            _scenario_values(batch.scenario_at(i)),
-        )
+    fractional = batch.volume != np.floor(batch.volume)
+    heterogeneous = np.zeros(n, dtype=bool)
+    if block.shape[1] > 1:
+        # A row's lifetimes are its first num_apps applications' columns.
+        heterogeneous = (
+            (block != block[:, :1]) & (np.arange(block.shape[1]) < apps[:, None])
+        ).any(axis=1)
+    irregular = np.flatnonzero(fractional | heterogeneous)
+    if irregular.size == 0:
+        return lo, hi
+    # Word layout: per-application lifetime words (0: one shared
+    # lifetime word) and the fractional-volume tag.
+    layout = np.where(heterogeneous, apps, 0)[irregular] * 2 + fractional[irregular]
+    for key in np.unique(layout).tolist():
+        rows = irregular[layout == key]
+        width, tagged = divmod(key, 2)
+        words = [apps[rows].astype(np.uint64)]
+        words += [
+            _bits(block[rows, min(j, block.shape[1] - 1)])
+            for j in range(max(width, 1))
+        ]
+        if tagged:
+            words += [
+                np.full(rows.size, _FRACTIONAL_VOLUME_TAG, dtype=np.uint64),
+                _bits(batch.volume[rows]),
+            ]
+        else:
+            words.append(batch.volume[rows].astype(np.uint64))
+        words += [column[rows] for column in tail]
+        group_lo, group_hi = seed_lo[rows], seed_hi[rows]
+        for word in words:
+            group_lo = _mix_columns(group_lo, word)
+            group_hi = _mix_columns(group_hi, word)
+        lo[rows] = group_lo
+        hi[rows] = group_hi
     return lo, hi
 
 
@@ -352,19 +387,10 @@ def param_batch_digests(
         folds: list[np.ndarray] = []
         for index in sorted(params.overrides):
             folds.append(np.full(1, index, dtype=np.uint64))
-            folds.append(
-                np.ascontiguousarray(
-                    params.overrides[index], dtype=np.float64
-                ).view(np.uint64)
-            )
+            folds.append(_bits(params.overrides[index]))
     elif len(params.columns) == N_PARAM_COLS:
         seed_lo, seed_hi = PARAM_SPACE_SEED
-        folds = [
-            np.ascontiguousarray(params.col(i), dtype=np.float64).view(
-                np.uint64
-            )
-            for i in range(N_PARAM_COLS)
-        ]
+        folds = [_bits(params.col(i)) for i in range(N_PARAM_COLS)]
     else:
         raise ParameterError(
             "parameter batch is not digestable: needs a base comparator "

@@ -1,6 +1,8 @@
 """Vectorized NumPy evaluation kernel behind the evaluation engine.
 
-See :mod:`repro.engine.vector.evaluator` for the design rationale.
+See :mod:`repro.engine.vector.model` for the lifecycle model both
+kernel tiers interpret, and :mod:`repro.engine.vector.evaluator` for
+the evaluation regimes.
 """
 
 from repro.engine.vector.checkpoint import (
@@ -12,7 +14,6 @@ from repro.engine.vector.checkpoint import (
 from repro.engine.vector.columns import ScenarioBatch
 from repro.engine.vector.evaluator import (
     BatchResult,
-    SideConstants,
     VectorizedEvaluator,
     comparator_constants,
 )
@@ -50,18 +51,11 @@ from repro.engine.vector.streaming import (
 )
 from repro.engine.vector.kernels import (
     YIELD_MODEL_CODES,
-    design_project_kg,
-    die_yield_kernel,
-    dies_per_wafer_kernel,
-    eol_per_chip_kg,
-    manufacturing_per_die_kg,
-    operation_per_chip_year_kg,
-    packaging_per_chip,
     ratio_kernel,
     repeat_add,
-    wafer_area_per_die_kernel,
     winner_kernel,
 )
+from repro.engine.vector.model import SideConstants
 
 __all__ = [
     "ArrayChunkSource",
@@ -102,15 +96,7 @@ __all__ = [
     "VectorizedEvaluator",
     "YIELD_MODEL_CODES",
     "comparator_constants",
-    "design_project_kg",
-    "die_yield_kernel",
-    "dies_per_wafer_kernel",
-    "eol_per_chip_kg",
-    "manufacturing_per_die_kg",
-    "operation_per_chip_year_kg",
-    "packaging_per_chip",
     "ratio_kernel",
     "repeat_add",
-    "wafer_area_per_die_kernel",
     "winner_kernel",
 ]

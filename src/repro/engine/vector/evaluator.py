@@ -1,24 +1,28 @@
 """Vectorized batch evaluation of FPGA-vs-ASIC comparisons.
 
 The scalar path rebuilds dataclass pyramids per scenario; this module
-computes whole batches as array math in two regimes:
+evaluates whole batches by running the one vector lifecycle model
+(:mod:`repro.engine.vector.model`) on its eager NumPy interpreter, in
+two regimes:
 
 * **same-comparator batches** (heatmap grids, sweeps): the per-chip
-  constants — manufacturing, packaging, EOL, design, operation and
-  app-dev coefficients — depend only on the device pair and suite, so
-  they are computed *once* through the scalar sub-models (guaranteeing
-  bit-parity) and the scenario composition is vectorised;
+  constants depend only on the device pair and suite, so they are
+  computed *once* through the scalar sub-models
+  (:func:`comparator_constants`, guaranteeing bit-parity) and only the
+  scenario composition runs on the model;
 * **multi-comparator batches** (Monte-Carlo draws, DSE grids): each row
-  carries its own suite, so the per-chip constants themselves are
-  computed through the array kernels in :mod:`repro.engine.vector.kernels`
-  from extracted model-parameter columns.  Parity with the scalar path is
-  within ``rtol=1e-12`` (NumPy transcendentals may differ from libm by an
-  ulp); everything else is exact.
+  carries its own suite, so the model's side-constant extraction
+  computes the per-chip constants from the parameter columns too.
+  Parity with the scalar path is within ``rtol=1e-12`` (NumPy
+  transcendentals may differ from libm by an ulp); everything else is
+  exact.
 
-The scenario composition mirrors the scalar models' operation order —
-including the per-application left-folds via :class:`FoldPlan` — so the
+The composition mirrors the scalar models' operation order — including
+the per-application left-folds via :class:`FoldPlan` — so the
 same-comparator path reproduces the scalar results bit-for-bit, which is
-what lets the engine fast path share its result store with scalar callers.
+what lets the engine fast path share its result store with scalar
+callers.  :meth:`VectorizedEvaluator.reduce_batch` runs the same model
+on the fused tier's deferred interpreter instead.
 """
 
 from __future__ import annotations
@@ -35,52 +39,13 @@ from repro.core.fpga_model import FpgaAssessment, FpgaLifecycleModel
 from repro.core.lifecycle import CarbonFootprint
 from repro.core.scenario import Scenario
 from repro.data.grid import carbon_intensity_kg_per_kwh
-from repro.data.reports import DesignHouseReport, get_report
-from repro.data.warm import WarmFactors, get_material
+from repro.engine.vector import model
 from repro.engine.vector.columns import ScenarioBatch
-from repro.engine.vector.kernels import (
-    FoldPlan,
-    chip_generations,
-    design_project_kg,
-    eol_per_chip_kg,
-    generations_kernel,
-    manufacturing_per_die_kg,
-    operation_per_chip_year_kg,
-    packaging_per_chip,
-    ratio_kernel,
-    winner_kernel,
-)
-from repro.engine.vector import params as P
+from repro.engine.vector.kernels import NumpyOps, ratio_kernel, winner_kernel
+from repro.engine.vector.model import EAGER, SideConstants, chip_generations
 from repro.engine.vector.params import ParameterBatch
 from repro.errors import ParameterError
 from repro.units import watts_to_kw
-
-
-#: ArrayLike scalar-or-column type for per-side constants.
-Column = "float | np.ndarray"
-
-
-@dataclass(frozen=True)
-class SideConstants:
-    """Per-chip constants of one platform side (scalars or row columns).
-
-    Scalar fields broadcast over the scenario batch (same-comparator
-    path); ndarray fields carry one value per row (multi-comparator
-    path).  Either way the composition kernel is identical.
-    """
-
-    design_kg: Column
-    mfg_per_chip_kg: Column
-    pkg_per_chip_kg: Column
-    eol_per_chip_kg: Column
-    per_chip_embodied_kg: Column
-    op_per_chip_year_kg: Column
-    appdev_dev_kg: Column
-    appdev_config_kw: Column
-    appdev_config_hours_per_unit: Column
-    appdev_intensity: Column
-    chip_lifetime_years: Column
-    capacity_mgates: Column | None = None  # FPGA only
 
 
 @functools.lru_cache(maxsize=256)
@@ -144,103 +109,7 @@ def comparator_constants(
 
 
 # ----------------------------------------------------------------------
-# Parameter-space side constants (columnar)
-# ----------------------------------------------------------------------
-
-# The model-parameter column registry and extraction live in
-# :mod:`repro.engine.vector.params`; this module only composes columns.
-
-
-def _kernel_side_constants(
-    p: ParameterBatch, *, fpga_side: bool
-) -> SideConstants:
-    """Per-chip constant columns for one side, via the array kernels.
-
-    Columns come from a :class:`ParameterBatch`, so each one is either a
-    per-row array or a length-1 broadcast value.  Sub-models whose
-    inputs are all broadcast values produce broadcast constants — a
-    Monte-Carlo batch perturbing only the operational intensity computes
-    manufacturing/packaging/EOL/design once, not per draw.  The
-    manufacturing kernel masks rows internally, so its inputs are
-    broadcast to a common shape first.
-    """
-    if fpga_side:
-        area = p.col(P.F_AREA)
-        power = p.col(P.F_POWER)
-        life = p.col(P.F_LIFE)
-        gates = p.col(P.F_GATES)
-        epa, gpa = p.col(P.F_EPA), p.col(P.F_GPA)
-        mpa_new, mpa_rec = p.col(P.F_MPA_NEW), p.col(P.F_MPA_REC)
-        defect, line_yield = p.col(P.F_DEFECT), p.col(P.F_LINE_YIELD)
-        wafer_d = p.col(P.F_WAFER_D)
-        team_years = p.col(P.F_TEAM_YEARS)
-        dev_kg = p.col(P.F_DEV_KG)
-        chpu = p.col(P.F_CHPU)
-        capacity = p.col(P.F_CAPACITY)
-    else:
-        area = p.col(P.A_AREA)
-        power = p.col(P.A_POWER)
-        life = p.col(P.A_LIFE)
-        gates = p.col(P.A_GATES)
-        epa, gpa = p.col(P.A_EPA), p.col(P.A_GPA)
-        mpa_new, mpa_rec = p.col(P.A_MPA_NEW), p.col(P.A_MPA_REC)
-        defect, line_yield = p.col(P.A_DEFECT), p.col(P.A_LINE_YIELD)
-        wafer_d = p.col(P.A_WAFER_D)
-        team_years = p.col(P.A_TEAM_YEARS)
-        dev_kg = p.col(P.A_DEV_KG)
-        chpu = p.col(P.A_CHPU)
-        capacity = None
-
-    (
-        b_area, b_epa, b_gpa, b_mpa_new, b_mpa_rec, b_defect, b_line_yield,
-        b_wafer_d, b_fab_ci, b_abate, b_edge, b_scribe, b_rho, b_yield,
-        b_charge,
-    ) = np.broadcast_arrays(
-        area, epa, gpa, mpa_new, mpa_rec, defect, line_yield, wafer_d,
-        p.col(P.MFG_FAB_CI), p.col(P.MFG_ABATE), p.col(P.MFG_EDGE),
-        p.col(P.MFG_SCRIBE), p.col(P.MFG_RHO), p.col(P.MFG_YIELD_CODE),
-        p.col(P.MFG_CHARGE),
-    )
-    mfg = manufacturing_per_die_kg(
-        b_area, b_epa, b_gpa, b_mpa_new, b_mpa_rec, b_defect, b_line_yield,
-        b_wafer_d, b_fab_ci, b_abate, b_edge, b_scribe, b_rho, b_yield,
-        b_charge != 0.0,
-    )
-    pkg, mass_g = packaging_per_chip(
-        area, p.col(P.PKG_SUB), p.col(P.PKG_ASM_KWH), p.col(P.PKG_ASM_CI),
-        p.col(P.PKG_FANOUT), p.col(P.PKG_BASE_KG), p.col(P.PKG_MASS_CM2),
-        p.col(P.PKG_BASE_MASS),
-    )
-    eol = eol_per_chip_kg(
-        mass_g, p.col(P.EOL_DELTA), p.col(P.EOL_DISCARD),
-        p.col(P.EOL_CREDIT), p.col(P.EOL_TRANSPORT),
-    )
-    design = design_project_kg(
-        gates, p.col(P.DES_ANNUAL_KWH), team_years, p.col(P.DES_CI),
-        p.col(P.DES_AVG_GATES), p.col(P.DES_BETA),
-    )
-    op = operation_per_chip_year_kg(
-        power, p.col(P.OP_DUTY), p.col(P.OP_IDLE), p.col(P.OP_PUE),
-        p.col(P.OP_CI),
-    )
-    return SideConstants(
-        design_kg=design,
-        mfg_per_chip_kg=mfg,
-        pkg_per_chip_kg=pkg,
-        eol_per_chip_kg=eol,
-        per_chip_embodied_kg=(mfg + pkg) + eol,
-        op_per_chip_year_kg=op,
-        appdev_dev_kg=dev_kg,
-        appdev_config_kw=p.col(P.AD_CONFIG_KW),
-        appdev_config_hours_per_unit=chpu,
-        appdev_intensity=p.col(P.AD_CI),
-        chip_lifetime_years=life,
-        capacity_mgates=capacity,
-    )
-
-
-# ----------------------------------------------------------------------
-# Composition: scenario accounting over constants
+# Batch results
 # ----------------------------------------------------------------------
 
 
@@ -281,11 +150,6 @@ class BatchResult:
 
     def __len__(self) -> int:
         return self.size
-
-    @property
-    def fpga_advantage_kg(self) -> np.ndarray:
-        """ASIC total minus FPGA total per row (positive = FPGA wins)."""
-        return self.asic_totals - self.fpga_totals
 
     def fpga_footprint(self, index: int) -> CarbonFootprint:
         """Materialise the FPGA footprint of one row."""
@@ -469,118 +333,35 @@ class BatchResult:
 def _compose(
     fpga: SideConstants, asic: SideConstants, batch: ScenarioBatch
 ) -> BatchResult:
-    """Scenario accounting over per-chip constants, as array math.
-
-    Operation order mirrors :meth:`FpgaLifecycleModel.assess` /
-    :meth:`AsicLifecycleModel.assess` exactly (including the
-    per-application left-folds), so given exact constants the outputs are
-    bit-identical to the scalar path.  A ``(n, w)`` lifetime block makes
-    every per-application term a per-step fold operand.
-    """
+    """The model's composition on the eager interpreter, as a BatchResult."""
     n = batch.size
-    num_apps = batch.num_apps
-    volume = batch.volume
-    lifetime = batch.lifetime
-
-    def per_app(x: "Column") -> "Column":
-        # Row columns against a (n, w) lifetime block broadcast per row.
-        return x if lifetime.ndim == 1 else np.reshape(x, (-1, 1))
-
-    # N_FPGA = ceil(app_size / capacity), 1 when sized to the device.
-    capacity = np.broadcast_to(
-        np.asarray(fpga.capacity_mgates, dtype=np.float64), (n,)
-    )
-    sized = ~np.isnan(batch.app_size_mgates)
-    safe_size = np.where(sized, batch.app_size_mgates, capacity)
-    units = np.maximum(1, np.ceil(safe_size / capacity).astype(np.int64))
-    n_fpga = np.where(sized, units, 1)
-
-    # Chip counts multiply as float64 (exact for integral counts, and a
-    # same-dtype multiply skips NumPy's mixed-type casting loop).
-    unit_f = volume * n_fpga.astype(np.float64)
     zeros = np.zeros(n)
-
-    # Per-application terms, folded num_apps times per row through one
-    # shared plan (the scalar models' repeated ``+=``, bit for bit).
-    op_app = (lifetime * per_app(unit_f)) * per_app(fpga.op_per_chip_year_kg)
-    config_hours = fpga.appdev_config_hours_per_unit * unit_f
-    configuration = (fpga.appdev_config_kw * config_hours) * fpga.appdev_intensity
-    appdev_app = fpga.appdev_dev_kg + configuration
-
-    asic_gen = generations_kernel(lifetime, per_app(asic.chip_lifetime_years))
-    chips = per_app(volume) * asic_gen.astype(np.float64)
-    a_design_app = zeros + asic.design_kg
-    a_mfg_app = per_app(asic.mfg_per_chip_kg) * chips
-    a_pkg_app = per_app(asic.pkg_per_chip_kg) * chips
-    a_eol_app = per_app(asic.eol_per_chip_kg) * chips
-    a_op_app = (lifetime * per_app(volume)) * per_app(asic.op_per_chip_year_kg)
-    a_config_hours = asic.appdev_config_hours_per_unit * volume
-    a_configuration = (asic.appdev_config_kw * a_config_hours) * asic.appdev_intensity
-    a_appdev_app = asic.appdev_dev_kg + a_configuration
-
-    (
-        total_years, f_op, f_appdev,
-        a_design, a_mfg, a_pkg, a_eol, a_op, a_appdev,
-    ) = FoldPlan(num_apps).fold(
-        lifetime, op_app, appdev_app,
-        a_design_app, a_mfg_app, a_pkg_app, a_eol_app, a_op_app, a_appdev_app,
+    ops = NumpyOps(batch.num_apps, batch.lifetime.ndim)
+    life = model.compose(
+        ops, fpga, asic, batch.volume, batch.lifetime,
+        batch.evaluation_years, batch.app_size_mgates,
+        batch.enforce_chip_lifetime, zeros,
     )
-
-    # FPGA chip generations over the study horizon (Fig. 9 semantics).
-    horizon = np.where(
-        np.isnan(batch.evaluation_years), total_years, batch.evaluation_years
-    )
-    fpga_gen = np.where(
-        batch.enforce_chip_lifetime,
-        generations_kernel(horizon, fpga.chip_lifetime_years),
-        1,
-    )
-    fleet = unit_f * fpga_gen.astype(np.float64)
-
-    f_design = zeros + fpga.design_kg
-    f_mfg = fpga.mfg_per_chip_kg * fleet
-    f_pkg = fpga.pkg_per_chip_kg * fleet
-    f_eol = fpga.eol_per_chip_kg * fleet
-    fpga_totals = (((f_design + f_mfg) + f_pkg) + f_eol) + (f_op + f_appdev)
-
-    asic_totals = (((a_design + a_mfg) + a_pkg) + a_eol) + (a_op + a_appdev)
-
-    app_shape = asic_gen.shape
+    asic_gen = life.asic_generations.astype(np.int64)
+    per_app = dict(life.asic_per_app)
+    for k in ("design", "appdev"):  # row columns: one value per application
+        per_app[k] = np.broadcast_to(ops.app(per_app[k]), asic_gen.shape)
     return BatchResult(
-        ratios=ratio_kernel(fpga_totals, asic_totals),
-        winners=winner_kernel(fpga_totals, asic_totals),
-        fpga_totals=fpga_totals,
-        asic_totals=asic_totals,
-        fpga_components={
-            "design": f_design,
-            "manufacturing": f_mfg,
-            "packaging": f_pkg,
-            "eol": f_eol,
-            "appdev": f_appdev,
-            "operational": f_op,
-        },
-        asic_components={
-            "design": a_design,
-            "manufacturing": a_mfg,
-            "packaging": a_pkg,
-            "eol": a_eol,
-            "appdev": a_appdev,
-            "operational": a_op,
-        },
+        ratios=ratio_kernel(life.fpga_total, life.asic_total),
+        winners=winner_kernel(life.fpga_total, life.asic_total),
+        fpga_totals=life.fpga_total,
+        asic_totals=life.asic_total,
+        fpga_components=life.fpga,
+        asic_components=life.asic,
         fpga_per_chip_embodied_kg=zeros + fpga.per_chip_embodied_kg,
         asic_per_chip_embodied_kg=zeros + asic.per_chip_embodied_kg,
-        n_fpga=n_fpga,
-        fpga_generations=fpga_gen,
+        n_fpga=np.broadcast_to(life.n_fpga, (n,)).astype(np.int64),
+        fpga_generations=np.broadcast_to(
+            life.fpga_generations, (n,)
+        ).astype(np.int64),
         asic_generations=asic_gen,
-        num_apps=num_apps.copy(),
-        asic_app_components={
-            "design": np.broadcast_to(per_app(a_design_app), app_shape),
-            "manufacturing": a_mfg_app,
-            "packaging": a_pkg_app,
-            "eol": a_eol_app,
-            "appdev": np.broadcast_to(per_app(a_appdev_app), app_shape),
-            "operational": a_op_app,
-        },
+        num_apps=batch.num_apps.copy(),
+        asic_app_components=per_app,
     )
 
 
@@ -664,8 +445,8 @@ class VectorizedEvaluator:
                 f"parameter batch has {params.size} rows, "
                 f"scenario batch has {batch.size}"
             )
-        fpga_side = _kernel_side_constants(params, fpga_side=True)
-        asic_side = _kernel_side_constants(params, fpga_side=False)
+        fpga_side = model.side_constants(EAGER, params, fpga_side=True)
+        asic_side = model.side_constants(EAGER, params, fpga_side=False)
         return _compose(fpga_side, asic_side, batch)
 
     def evaluate_pairs_batch(

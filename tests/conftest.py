@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from repro.core.comparison import PlatformComparator
 from repro.core.scenario import Scenario
@@ -10,6 +15,19 @@ from repro.core.suite import ModelSuite
 from repro.data.nodes import get_node
 from repro.devices.asic import AsicDevice
 from repro.devices.fpga import FpgaDevice
+
+# Tier-1 passes or fails on behaviour alone: every @given test draws the
+# same examples on every run, and no example database is written.
+# Hypothesis still caches the literals it mines from local source; that
+# cache goes to a session directory deleted at exit, not the checkout.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    shutil.rmtree(_HYPOTHESIS_HOME, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

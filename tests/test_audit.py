@@ -19,7 +19,6 @@ from repro.audit.checks.checkpoint import CheckpointContractChecker
 from repro.audit.checks.coverage import CoverageChecker
 from repro.audit.checks.exceptions import ExceptionHygieneChecker
 from repro.audit.checks.floatsum import FloatAccumulationChecker
-from repro.audit.checks.fused import FusedTwinChecker
 from repro.audit.checks.rng import RngDisciplineChecker
 from repro.audit.checks.sharedmem import SharedMemoryChecker
 from repro.audit.checks.spawn import SpawnSafetyChecker
@@ -458,110 +457,6 @@ def test_checkpoint_registry_reducers_all_satisfy_contract():
 
 
 # ----------------------------------------------------------------------
-# GF-FUSE
-# ----------------------------------------------------------------------
-
-
-def _fused_findings(modules):
-    return {f.symbol: f for f in FusedTwinChecker().check_project(modules)}
-
-
-def test_fused_flags_kernel_without_twin():
-    by_symbol = _fused_findings(
-        [
-            _module(
-                """
-                def fused_orphan_kernel(a, b, *, ctx):
-                    return a + b
-                """,
-                relpath="engine/vector/fused.py",
-            )
-        ]
-    )
-    finding = by_symbol["fused_orphan_kernel"]
-    assert finding.check == "GF-FUSE"
-    assert "no module-level NumPy twin" in finding.message
-
-
-def test_fused_flags_positional_signature_drift():
-    by_symbol = _fused_findings(
-        [
-            _module(
-                """
-                def fused_ratio(fpga_totals, asic_totals, *, pool):
-                    return fpga_totals / asic_totals
-                """,
-                relpath="engine/vector/fused.py",
-            ),
-            _module(
-                """
-                def ratio(asic_totals, fpga_totals):
-                    return fpga_totals / asic_totals
-                """,
-                relpath="engine/vector/kernels.py",
-            ),
-        ]
-    )
-    finding = by_symbol["fused_ratio"]
-    assert "drifted" in finding.message
-    assert "engine/vector/kernels.py" in finding.message
-
-
-def test_fused_accepts_matching_twins_with_kwonly_plumbing():
-    # Keyword-only plumbing (ctx/pool) differs by design; positional
-    # agreement is what the parity sweep relies on.
-    assert not _fused_findings(
-        [
-            _module(
-                """
-                def fused_ratio(fpga_totals, asic_totals, *, ctx, pool=None):
-                    return fpga_totals / asic_totals
-                """,
-                relpath="engine/vector/fused.py",
-            ),
-            _module(
-                """
-                def ratio(fpga_totals, asic_totals):
-                    return fpga_totals / asic_totals
-                """,
-                relpath="engine/vector/kernels.py",
-            ),
-        ]
-    )
-
-
-def test_fused_skips_test_modules():
-    assert not _fused_findings(
-        [
-            _module(
-                """
-                def fused_fake_kernel(a, b):
-                    return a + b
-                """,
-                relpath="tests/test_mod.py",
-            )
-        ]
-    )
-
-
-def test_fused_shipped_tree_is_clean():
-    # Every shipped fused_* kernel has a signature-matched chain twin —
-    # and the check is not vacuous: the fused tier ships real kernels.
-    import ast as ast_mod
-
-    from repro.audit.linter import collect_modules
-
-    modules = collect_modules()
-    assert not list(FusedTwinChecker().check_project(modules))
-    fused = next(m for m in modules if m.relpath == "engine/vector/fused.py")
-    n_kernels = sum(
-        isinstance(node, ast_mod.FunctionDef) and node.name.startswith("fused_")
-        for node in fused.tree.body
-    )
-    assert n_kernels >= 10
-
-
-# ----------------------------------------------------------------------
 # Baseline reconciliation
 # ----------------------------------------------------------------------
 
@@ -632,7 +527,7 @@ def test_shipped_tree_is_lint_clean():
 def test_all_checkers_have_distinct_ids():
     checkers = all_checkers()
     ids = [c.id for c in checkers]
-    assert len(set(ids)) == len(ids) == 8
+    assert len(set(ids)) == len(ids) == 7
 
 
 # ----------------------------------------------------------------------
@@ -661,17 +556,24 @@ def test_parity_reports_fused_tier_and_chain_override():
     assert chain.ok, chain.render()
 
 
+def _skew_operation(monkeypatch, interpreter):
+    """Scale the shared operation sub-model by 1.01 when ``interpreter``
+    (a class, or a tuple of them) runs it."""
+    from repro.engine.vector import model
+
+    real = model.operation_per_chip_year_kg
+
+    def skewed(ops, *args):
+        out = real(ops, *args)
+        return ops.mul(out, 1.01) if isinstance(ops, interpreter) else out
+
+    monkeypatch.setattr(model, "operation_per_chip_year_kg", skewed)
+
+
 def test_parity_catches_skewed_fused_kernel(monkeypatch):
-    import repro.engine.vector.fused as fused_mod
+    from repro.engine.vector.fused import DeferredOps
 
-    real = fused_mod.fused_operation_per_chip_year_kg
-
-    def skewed(*args, **kwargs):
-        return fused_mod._mul(kwargs["ctx"], real(*args, **kwargs), 1.01)
-
-    monkeypatch.setattr(
-        fused_mod, "fused_operation_per_chip_year_kg", skewed
-    )
+    _skew_operation(monkeypatch, DeferredOps)
     report = run_parity(values_per_column=1, columns=[P.OP_CI])
     assert not report.ok
     assert report.columns[0].fused_max_rel_err > KERNEL_RTOL
@@ -680,19 +582,25 @@ def test_parity_catches_skewed_fused_kernel(monkeypatch):
 
 
 def test_parity_catches_skewed_kernel(monkeypatch):
-    # The evaluator imports kernels by name, so the skew must be
-    # injected into the evaluator module's globals.
-    import repro.engine.vector.evaluator as vec_evaluator
+    from repro.engine.vector.kernels import NumpyOps
 
-    real = vec_evaluator.operation_per_chip_year_kg
-    monkeypatch.setattr(
-        vec_evaluator,
-        "operation_per_chip_year_kg",
-        lambda *args, **kwargs: real(*args, **kwargs) * 1.01,
-    )
+    _skew_operation(monkeypatch, NumpyOps)
     report = run_parity(values_per_column=1, columns=[P.OP_CI])
     assert not report.ok
     assert report.columns[0].kernel_max_rel_err > KERNEL_RTOL
+
+
+def test_parity_skewed_shared_model_trips_both_tiers(monkeypatch):
+    # One source, two interpreters: a change to a shared sub-model
+    # reaches the chain and the fused tier alike.
+    from repro.engine.vector.fused import DeferredOps
+    from repro.engine.vector.kernels import NumpyOps
+
+    _skew_operation(monkeypatch, (NumpyOps, DeferredOps))
+    report = run_parity(values_per_column=1, columns=[P.OP_CI])
+    assert not report.ok
+    assert report.columns[0].kernel_max_rel_err > KERNEL_RTOL
+    assert report.columns[0].fused_max_rel_err > KERNEL_RTOL
 
 
 def test_parity_inert_probe_is_a_coverage_failure():

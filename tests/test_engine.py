@@ -32,7 +32,6 @@ from repro.core.lifecycle import CarbonFootprint
 from repro.core.scenario import Scenario
 from repro.engine import (
     EvaluationEngine,
-    LruCache,
     build_suite_cached,
     default_engine,
     evaluation_key,
@@ -41,43 +40,6 @@ from repro.engine import (
 )
 from repro.errors import ParameterError
 from repro.operation.model import OperationModel
-
-
-# ----------------------------------------------------------------------
-# LRU cache
-# ----------------------------------------------------------------------
-
-
-def test_lru_cache_hit_miss_counters():
-    cache = LruCache(maxsize=4)
-    assert cache.get("a") is None
-    cache.put("a", 1)
-    assert cache.get("a") == 1
-    stats = cache.stats()
-    assert stats.hits == 1 and stats.misses == 1
-    assert stats.hit_rate == pytest.approx(0.5)
-
-
-def test_lru_cache_evicts_least_recently_used():
-    cache = LruCache(maxsize=2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1  # refresh "a"; "b" is now LRU
-    cache.put("c", 3)
-    assert "b" not in cache
-    assert cache.get("a") == 1 and cache.get("c") == 3
-
-
-def test_lru_cache_zero_maxsize_disables_storage():
-    cache = LruCache(maxsize=0)
-    cache.put("a", 1)
-    assert len(cache) == 0
-    assert cache.get("a") is None
-
-
-def test_lru_cache_rejects_negative_maxsize():
-    with pytest.raises(ParameterError):
-        LruCache(maxsize=-1)
 
 
 # ----------------------------------------------------------------------

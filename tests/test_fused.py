@@ -28,6 +28,7 @@ from repro.engine.vector.evaluator import VectorizedEvaluator
 from repro.engine.vector.fused import (
     KERNEL_TIER_ENV,
     FusedKernel,
+    FusedResult,
     ScratchPool,
     kernel_tier_label,
     make_kernel,
@@ -182,17 +183,18 @@ def test_fused_matches_chain_values_and_winners(comparator):
 
 
 def test_fused_ratio_and_winner_twins_match_chain():
+    # The fused tier writes ratios into a pool buffer and keeps winners
+    # as an FPGA-wins mask; both must match the chain's spellings.
     fpga = np.array([1.0, 0.0, 0.0, 5.0, 2.0, -1.0])
     asic = np.array([2.0, 0.0, 3.0, 0.0, 2.0, 4.0])
     pool = ScratchPool()
     np.testing.assert_array_equal(
-        fused_mod.fused_ratio_kernel(fpga, asic, pool=pool),
+        ratio_kernel(fpga, asic, out=pool.take(fpga.size)),
         ratio_kernel(fpga, asic),
     )
-    mask = fused_mod.fused_winner_kernel(fpga, asic, pool=pool)
-    np.testing.assert_array_equal(
-        np.asarray(mask, dtype=bool), winner_kernel(fpga, asic) == "fpga"
-    )
+    result = FusedResult(ratio_kernel(fpga, asic), fpga, asic, fpga < asic)
+    np.testing.assert_array_equal(result.winners, winner_kernel(fpga, asic))
+    assert result.fpga_win_count == 3
 
 
 # ----------------------------------------------------------------------

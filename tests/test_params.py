@@ -150,6 +150,36 @@ def test_param_batch_digests_fold_heterogeneous_rows_like_param_digest(
         expected = param_digest(dnn_comparator, ragged, {pcols.OP_CI: value})
         assert (int(lo[i]), int(hi[i])) == expected
 
+    # A store-sized tile of one heterogeneous scenario folds as one group.
+    n = 4096
+    ragged = Scenario(num_apps=3, app_lifetime_years=(1.0, 2.0, 3.0), volume=10)
+    values = np.linspace(0.1, 0.9, n)
+    params = ParameterBatch.from_comparator(dnn_comparator, n)
+    params.set_col(pcols.OP_CI, values)
+    lo, hi = param_batch_digests(params, ScenarioBatch.tile(ragged, n))
+    for i, value in enumerate(values.tolist()):
+        expected = param_digest(dnn_comparator, ragged, {pcols.OP_CI: value})
+        assert (int(lo[i]), int(hi[i])) == expected
+
+    # Rows of every word layout in one batch: per-application lifetime
+    # counts, tagged fractional volumes, and plain rows in between.
+    scenarios = (
+        ragged,
+        Scenario(num_apps=2, app_lifetime_years=[1.0, 2.0], volume=10.5),
+        Scenario(num_apps=4, app_lifetime_years=[3.0, 1.0, 1.0, 1.0], volume=7),
+        Scenario(num_apps=5, app_lifetime_years=2.0, volume=7.5),
+        Scenario(num_apps=1, app_lifetime_years=2.0, volume=10,
+                 evaluation_years=4.0, enforce_chip_lifetime=True),
+        ragged,
+        Scenario(num_apps=3, app_lifetime_years=[2.0, 2.0, 2.0], volume=3.25,
+                 app_size_mgates=12.0),
+    )
+    params = ParameterBatch.from_comparators([dnn_comparator] * len(scenarios))
+    lo, hi = param_batch_digests(params, ScenarioBatch.from_scenarios(scenarios))
+    row = extract_row(dnn_comparator)
+    for i, scenario in enumerate(scenarios):
+        assert (int(lo[i]), int(hi[i])) == param_row_digest(row, scenario)
+
 
 # ----------------------------------------------------------------------
 # ParameterBatch mechanics

@@ -25,7 +25,8 @@ from repro.core.scenario import Scenario
 from repro.devices.catalog import DOMAIN_NAMES
 from repro.engine import EvaluationEngine, ParameterBatch, ScenarioBatch
 from repro.engine.vector import REDUCE_BLOCK, VectorizedEvaluator
-from repro.engine.vector.kernels import KERNEL_RTOL, chip_generations
+from repro.engine.vector.kernels import KERNEL_RTOL
+from repro.engine.vector.model import chip_generations
 from repro.engine.vector.streaming import STREAM_STATS
 from repro.experiments.ext_uncertainty import distributions
 
