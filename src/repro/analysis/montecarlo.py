@@ -411,11 +411,6 @@ class StreamingMonteCarloResult:
         return self.n_samples - self.n_finite
 
     @property
-    def ratio_std(self) -> float:
-        """Standard deviation over finite draws (population)."""
-        return float(np.sqrt(self.ratio_var))
-
-    @property
     def fpga_win_probability(self) -> float:
         """Fraction of draws the FPGA won — exact (totals-based counter)."""
         return self.fpga_wins / self.n_samples

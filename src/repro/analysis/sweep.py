@@ -8,7 +8,7 @@ CFPs and ratios ready for crossover analysis and plotting.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,11 +35,12 @@ def axis_batch(
 
     The array-land twin of applying :data:`_AXIS_APPLIERS` per value:
     ``axis_values`` maps axis names (:data:`SWEEP_AXES`) to equal-length
-    arrays, every other scenario field rides along from the base.  A
-    heterogeneous-lifetime base is supported only when the ``lifetime``
-    axis is overridden (the column then defines every row's uniform
-    lifetime, matching the scalar appliers); otherwise the batch cannot
-    represent the ragged lifetimes — use the scalar entry point.
+    arrays, every other scenario field rides along from the base.  Over
+    a heterogeneous-lifetime base, a ``lifetime`` axis defines every
+    row's uniform lifetime and a ``volume`` axis alone keeps the base's
+    per-application lifetimes (an ``(n, w)`` block), both as the scalar
+    appliers do; a ``num_apps`` axis raises, as
+    :meth:`Scenario.with_num_apps` does.
     """
     for axis in axis_values:
         if axis not in _AXIS_APPLIERS:
@@ -47,12 +48,15 @@ def axis_batch(
                 f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}"
             )
     base_lifetimes = base_scenario.lifetimes
-    uniform = all(t == base_lifetimes[0] for t in base_lifetimes)
-    if not uniform and "lifetime" not in axis_values:
+    ragged = (
+        any(t != base_lifetimes[0] for t in base_lifetimes)
+        and "lifetime" not in axis_values
+    )
+    if ragged and "num_apps" in axis_values:
         raise ParameterError(
-            "batch sweeps require a uniform base app lifetime unless the "
-            "lifetime axis is overridden; rebuild the scenario explicitly "
-            "(or use the scalar entry point) for heterogeneous lifetimes"
+            "varying num_apps requires a uniform app lifetime (unless the "
+            "lifetime axis is overridden); rebuild the scenario explicitly "
+            "for heterogeneous lifetimes"
         )
     num_apps = axis_values.get("num_apps", base_scenario.num_apps)
     lifetime = axis_values.get("lifetime", base_lifetimes[0])
@@ -62,7 +66,7 @@ def axis_batch(
         np.asarray(axis_values["volume"], dtype=np.int64)
         if "volume" in axis_values else base_scenario.volume
     )
-    return ScenarioBatch.from_arrays(
+    batch = ScenarioBatch.from_arrays(
         num_apps=np.asarray(num_apps, dtype=np.int64),
         lifetime=np.asarray(lifetime, dtype=np.float64),
         volume=volume,
@@ -70,6 +74,11 @@ def axis_batch(
         app_size_mgates=base_scenario.app_size_mgates,
         enforce_chip_lifetime=base_scenario.enforce_chip_lifetime,
     )
+    if ragged:
+        batch = replace(
+            batch, lifetime=ScenarioBatch.tile(base_scenario, batch.size).lifetime
+        )
+    return batch
 
 
 @dataclass(frozen=True)

@@ -211,11 +211,6 @@ class EvaluationEngine:
         return kernel_tier_label(self.kernel_tier)
 
     @property
-    def result_store(self) -> ShardedResultStore:
-        """The engine's result store (for persistence/inspection)."""
-        return self._store
-
-    @property
     def rows_computed(self) -> int:
         """Kernel/scalar assessments actually computed (deduplicated).
 

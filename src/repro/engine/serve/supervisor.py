@@ -282,11 +282,6 @@ class WorkerSupervisor:
 
     # -- introspection --------------------------------------------------
 
-    @property
-    def live_workers(self) -> int:
-        """Workers currently believed alive."""
-        return self._live
-
     async def wait_for_fleet(self, count: int, timeout_s: float = 10.0) -> bool:
         """Wait until at least ``count`` workers are live (for tests)."""
         end = time.monotonic() + timeout_s

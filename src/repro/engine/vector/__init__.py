@@ -52,7 +52,6 @@ from repro.engine.vector.streaming import (
 from repro.engine.vector.kernels import (
     YIELD_MODEL_CODES,
     ratio_kernel,
-    repeat_add,
     winner_kernel,
 )
 from repro.engine.vector.model import SideConstants
@@ -97,6 +96,5 @@ __all__ = [
     "YIELD_MODEL_CODES",
     "comparator_constants",
     "ratio_kernel",
-    "repeat_add",
     "winner_kernel",
 ]

@@ -448,20 +448,3 @@ class VectorizedEvaluator:
         fpga_side = model.side_constants(EAGER, params, fpga_side=True)
         asic_side = model.side_constants(EAGER, params, fpga_side=False)
         return _compose(fpga_side, asic_side, batch)
-
-    def evaluate_pairs_batch(
-        self,
-        pairs: Iterable[tuple[PlatformComparator, Scenario]],
-    ) -> BatchResult:
-        """Assess many (comparator, scenario) pairs, fully vectorised.
-
-        Unlike :meth:`evaluate_batch` the per-chip constants are computed
-        through the array kernels from extracted model parameters, so
-        batches where *every row has its own suite* (Monte-Carlo draws,
-        DSE grids) still run as array math.  Parity with the scalar path
-        is ``rtol <= 1e-12``.
-        """
-        pair_list = list(pairs)
-        batch = ScenarioBatch.from_scenarios(tuple(s for _, s in pair_list))
-        params = ParameterBatch.from_comparators([c for c, _ in pair_list])
-        return self.evaluate_param_batch(params, batch)

@@ -451,6 +451,7 @@ class DeferredOps:
     sub = _sub
     mul = _mul
     div = _div
+    div_exact = _nonlinear(np.divide)
     neg = _neg
     pow = _pow
     maximum = _nonlinear(np.maximum)

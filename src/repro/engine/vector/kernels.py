@@ -10,9 +10,8 @@ and, over the scalar :func:`comparator_constants`,
 :meth:`VectorizedEvaluator.evaluate_batch`.
 
 Beside it live the composition helpers both tiers share:
-:class:`FoldPlan` reproduces the per-application folds bit for bit
-(:func:`repeat_add` is its one-operand spelling), and
-:func:`ratio_kernel`/:func:`winner_kernel` the degenerate-ratio
+:class:`FoldPlan` reproduces the per-application folds bit for bit,
+and :func:`ratio_kernel`/:func:`winner_kernel` the degenerate-ratio
 semantics of
 :class:`~repro.core.comparison.ComparisonResult` with masks instead of
 branches, raising no floating-point warnings.
@@ -161,22 +160,6 @@ class FoldPlan:
                             mode="clip")
 
 
-def repeat_add(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Row-wise ``x + x + ... + x`` (``counts`` times), left-folded.
-
-    The one-operand spelling of :meth:`FoldPlan.fold` (bit-identical to
-    the scalar models' repeated ``+=``; ``0.0`` where ``counts < 1``).
-    Costs ``max(counts) - 1`` Python-level steps with ``sum(counts - 1)``
-    element adds; composers folding several operands over one counts
-    column should share a :class:`FoldPlan` instead.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    counts = np.asarray(counts)
-    shape = np.broadcast_shapes(x.shape, counts.shape)
-    plan = FoldPlan(np.broadcast_to(counts, shape))
-    return plan.fold(np.broadcast_to(x, shape).reshape(-1))[0].reshape(shape)
-
-
 def ratio_kernel(
     fpga_totals: np.ndarray,
     asic_totals: np.ndarray,
@@ -238,7 +221,7 @@ class NumpyOps:
     add = operator.add
     sub = operator.sub
     mul = operator.mul
-    div = operator.truediv
+    div = div_exact = operator.truediv
     neg = operator.neg
     pow = operator.pow
     sqrt = np.sqrt

@@ -9,7 +9,10 @@ argument that supplies one small set of operations:
 
 * arithmetic — ``add``, ``sub``, ``mul``, ``div``, ``neg``, ``pow``,
   ``sqrt``, ``ceil``, ``floor``, ``maximum``, ``exp``, ``expm1``,
-  ``less`` and ``isnan``;
+  ``less`` and ``isnan``, plus ``div_exact``: ``a / b`` correctly
+  rounded on every interpreter, for a quotient that feeds ``ceil``
+  (the deferred ``div`` multiplies by a scalar divisor's reciprocal,
+  which can move the quotient by an ulp and across an integer);
 * ``fold(*xs)`` — the per-application left fold over the batch's
   application counts, and ``app(x)``, which lifts a row column onto the
   per-application lifetime axis;
@@ -243,7 +246,7 @@ def operation_per_chip_year_kg(
 def generations(ops, years, chip_lifetime_years):
     """Chip generations consumed over ``years`` (the paper's repurchase
     count; at least 1)."""
-    per_chip = ops.div(years, chip_lifetime_years)
+    per_chip = ops.div_exact(years, chip_lifetime_years)
     return ops.maximum(1.0, ops.ceil(ops.sub(per_chip, GENERATIONS_EPSILON)))
 
 
@@ -353,7 +356,7 @@ class Lifecycle(NamedTuple):
 _FPGA_UNITS = {
     True: lambda ops, size, capacity: 1.0,
     False: lambda ops, size, capacity: ops.maximum(
-        1.0, ops.ceil(ops.div(size, capacity))
+        1.0, ops.ceil(ops.div_exact(size, capacity))
     ),
 }
 

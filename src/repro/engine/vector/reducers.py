@@ -29,8 +29,12 @@ chunk boundaries respect the reducer's :attr:`alignment`:
   a splitmix64 hash of its **absolute draw index**, and the sketch
   keeps the ``k`` smallest priorities.  The kept *set* is therefore a
   pure function of the stream, independent of chunking, and merging is
-  concatenate-and-recompress.  Quantiles are exact whenever the stream
-  holds at most ``k`` finite values, and carry the usual
+  concatenate-and-recompress.  Updates hash in cache-sized tiles and
+  append the rows that may enter to a pending buffer; the immutable
+  kept arrays are recompressed only when that buffer fills or the
+  state is read, and a threshold left stale in between admits a
+  superset, so the set does not change.  Quantiles are exact whenever
+  the stream holds at most ``k`` finite values, and carry the usual
   ``O(1/sqrt(k))`` rank error beyond that.
 * :class:`TopKReducer` / :class:`ParetoReducer` — DSE reductions: the
   ``k`` best rows by greener-platform total (ties broken by row index)
@@ -73,6 +77,14 @@ REDUCE_BLOCK = 16_384
 #: ``~sqrt(q(1-q)/k)`` — about 0.2% at the median for the default — and
 #: streams with at most ``k`` finite values are summarised exactly.
 DEFAULT_RESERVOIR_K = 65_536
+
+#: Rows :meth:`ReservoirQuantiles.update` hashes and filters per step,
+#: a power of two: a tile's uint64 priorities and their scratch
+#: (128 KiB each) stay in L2 cache, where whole-chunk hashing streams
+#: 1 MiB arrays.  The pending buffer holds ``max(k, RESERVOIR_TILE_ROWS)``
+#: rows, so a compression partitions at most ``2k`` entries, and one
+#: tile always fits after it.
+RESERVOIR_TILE_ROWS = 16_384
 
 
 @runtime_checkable
@@ -428,29 +440,43 @@ class HistogramReducer:
         return restored
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     """The splitmix64 finaliser — a bijection on uint64 (no collisions)."""
     with np.errstate(over="ignore"):  # modular uint64 arithmetic on purpose
-        z = x + np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        z = x + np.uint64(_GOLDEN)
+        z = (z ^ (z >> _SHIFT1)) * _MIX1
+        z = (z ^ (z >> _SHIFT2)) * _MIX2
+        return z ^ (z >> _SHIFT3)
 
 
-def _splitmix64_into(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """:func:`_splitmix64` into caller scratch — identical uint64 results
-    (integer arithmetic is exact), zero temporaries."""
-    with np.errstate(over="ignore"):  # modular uint64 arithmetic on purpose
-        np.add(x, np.uint64(0x9E3779B97F4A7C15), out=out)
-        np.right_shift(out, np.uint64(30), out=tmp)
-        np.bitwise_xor(out, tmp, out=out)
-        np.multiply(out, np.uint64(0xBF58476D1CE4E5B9), out=out)
-        np.right_shift(out, np.uint64(27), out=tmp)
-        np.bitwise_xor(out, tmp, out=out)
-        np.multiply(out, np.uint64(0x94D049BB133111EB), out=out)
-        np.right_shift(out, np.uint64(31), out=tmp)
-        np.bitwise_xor(out, tmp, out=out)
-        return out
+def _splitmix64_premix(out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """All of :func:`_splitmix64` but its last xorshift, in place, given
+    ``out = x + golden`` (mod 2**64).  The last step ``z ^= z >> 31``
+    keeps the top 31 bits of ``z``, so ``splitmix64(x) < t`` implies
+    ``out < _premix_bound(t)``: a pre-filter that needs the last step
+    on admitted rows only.  Integer arithmetic is exact, and array
+    integer ufuncs wrap silently, so no ``errstate`` is needed."""
+    np.right_shift(out, _SHIFT1, out=tmp)
+    np.bitwise_xor(out, tmp, out=out)
+    np.multiply(out, _MIX1, out=out)
+    np.right_shift(out, _SHIFT2, out=tmp)
+    np.bitwise_xor(out, tmp, out=out)
+    np.multiply(out, _MIX2, out=out)
+    return out
+
+
+def _premix_bound(threshold: "int | None") -> "np.uint64 | None":
+    """The smallest multiple of ``2**33`` above every premix value whose
+    priority is below ``threshold`` (``None``: no bound below 2**64)."""
+    if threshold is None or threshold >> 33 == (1 << 31) - 1:
+        return None
+    return np.uint64(((threshold >> 33) + 1) << 33)
 
 
 class ReservoirQuantiles:
@@ -464,10 +490,33 @@ class ReservoirQuantiles:
     for any chunk size and worker count; merging partials is
     concatenate-and-recompress.  Streams with at most ``k`` finite
     values are held in full, so small studies get *exact* quantiles.
+
+    The state is split in two.  The *kept* arrays hold at most ``k``
+    entries and are never written in place: each compression rebinds
+    them to fresh arrays, so a caller may hold them (the checkpoint
+    journal encodes them behind the stream) while updates go on.  A
+    reused *pending* buffer collects the rows :meth:`update` admits.
+
+    :meth:`update` hashes each chunk in :data:`RESERVOIR_TILE_ROWS`-row
+    tiles and admits a tile's finite rows that may beat the *threshold*,
+    the largest kept priority (every finite row while fewer than ``k``
+    are kept).  The test runs one step before the hash ends, against a
+    bound the threshold implies (:func:`_splitmix64_premix`), so only
+    admitted rows pay the last step; a few admitted rows may not beat
+    the threshold.  Compression — concatenate the kept and pending
+    entries, keep the ``k`` smallest priorities — runs only when the
+    pending buffer cannot take a tile's admitted rows, or when the
+    state is observed (:meth:`to_state`, :meth:`merge`, :meth:`sample`,
+    :meth:`quantiles`).  Between compressions the threshold is stale:
+    it is at least the ``k``-th smallest priority seen so far, so the
+    pending rows are a superset of the new rows that belong to the
+    bottom ``k``.  Every row left out has at least ``k`` kept rows
+    below it and cannot be in the bottom ``k``, so each compression
+    reaches the same set as compressing after every row would.
     """
 
     __slots__ = ("alignment", "source", "k", "_seed_mix", "_n_seen",
-                 "_priorities", "_values", "_scratch")
+                 "_priorities", "_values", "_bound", "_fill", "_buffers")
 
     def __init__(
         self, k: int = DEFAULT_RESERVOIR_K, seed: int = 0,
@@ -478,11 +527,18 @@ class ReservoirQuantiles:
         self.alignment = 1
         self.source = source
         self.k = k
-        self._seed_mix = int(_splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+        self._seed_mix = int(_splitmix64(np.uint64(seed & _MASK64)))
         self._n_seen = 0
+        #: The kept set: at most ``k`` entries, rebound, never written.
         self._priorities = np.empty(0, dtype=np.uint64)
         self._values = np.empty(0, dtype=np.float64)
-        self._scratch: tuple[np.ndarray, ...] | None = None
+        #: Premix admission bound from the largest kept priority once
+        #: ``k`` are kept (see :func:`_premix_bound`), else ``None``.
+        self._bound: "np.uint64 | None" = None
+        #: Admitted rows waiting in the pending buffer.
+        self._fill = 0
+        #: Tile scratch and the pending buffer, allocated on first update.
+        self._buffers: tuple[np.ndarray, ...] | None = None
 
     def fresh(self) -> "ReservoirQuantiles":
         clone = ReservoirQuantiles(k=self.k, source=self.source)
@@ -499,78 +555,136 @@ class ReservoirQuantiles:
         """Whether the sketch still holds *every* finite value."""
         return self._n_seen <= self.k
 
+    def _pending(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the admitted rows waiting in the pending buffer."""
+        if not self._fill:
+            return self._priorities[:0], self._values[:0]
+        priorities, values = self._buffers[-2:]
+        return priorities[: self._fill], values[: self._fill]
+
+    def _keep(self, parts: "list[tuple[np.ndarray, np.ndarray]]") -> None:
+        """Rebind the kept set to the bottom ``k`` of the union of
+        ``(priorities, values)`` parts, in fresh arrays."""
+        k = self.k
+        priorities = np.concatenate([p for p, _ in parts])
+        if priorities.shape[0] <= k:
+            values = np.concatenate([v for _, v in parts])
+            full = priorities.shape[0] == k
+            self._bound = _premix_bound(int(priorities.max()) if full else None)
+        else:
+            # The k-th smallest priority from a partition of the private
+            # concatenation; each part's rows at or below it are then
+            # gathered straight into the new kept arrays.  Priorities
+            # are injective, so exactly k rows qualify.
+            priorities.partition(k - 1)
+            threshold = priorities[k - 1]
+            self._bound = _premix_bound(int(threshold))
+            priorities = np.empty(k, dtype=np.uint64)
+            values = np.empty(k, dtype=np.float64)
+            fill = 0
+            for part_priorities, part_values in parts:
+                rows = np.flatnonzero(part_priorities <= threshold)
+                rows = rows[: k - fill]
+                stop = fill + rows.shape[0]
+                part_priorities.take(rows, out=priorities[fill:stop], mode="clip")
+                part_values.take(rows, out=values[fill:stop], mode="clip")
+                fill = stop
+        self._priorities, self._values = priorities, values
+
     def _compress(self) -> None:
-        if self._priorities.shape[0] > self.k:
-            keep = np.argpartition(self._priorities, self.k - 1)[: self.k]
-            self._priorities = self._priorities[keep]
-            self._values = self._values[keep]
+        """Fold the pending rows into the kept set."""
+        if self._fill:
+            self._keep([(self._priorities, self._values), self._pending()])
+            self._fill = 0
 
     def update(self, result: BatchResult, offset: int) -> None:
         values = np.asarray(getattr(result, self.source), dtype=np.float64)
-        n = int(values.shape[0])
-        finite = np.isfinite(values)
-        if n and self._priorities.shape[0] >= self.k and bool(finite.all()):
-            # Threshold fast path.  Once the reservoir holds k entries,
-            # a new row survives compression only if its priority beats
-            # the current k-th smallest (priorities are injective, so
-            # strict `<` loses nothing); pre-filtering the chunk down
-            # to those survivors yields the same kept *set* as the
-            # concatenate-everything path — and the set is the whole
-            # contract: `to_state`/`sample`/`quantiles` canonicalise
-            # in-memory order.  Priorities come from reused uint64
-            # scratch via the in-place splitmix (exact integer ops).
-            scratch = self._scratch
-            if scratch is None or scratch[0].shape[0] < n:
-                scratch = (
-                    np.arange(n, dtype=np.uint64),
-                    np.empty(n, dtype=np.uint64),
-                    np.empty(n, dtype=np.uint64),
-                )
-                self._scratch = scratch
-            base, pri, tmp = (s[:n] for s in scratch)
-            with np.errstate(over="ignore"):
-                np.add(base, np.uint64(offset), out=tmp)
-                np.bitwise_xor(tmp, np.uint64(self._seed_mix), out=tmp)
-            _splitmix64_into(tmp, pri, tmp)
-            # Survivors are gathered through one index array: a
-            # boolean-mask gather of a ~random admit pattern costs
-            # several times more per element than ``take``.
-            admit = np.flatnonzero(pri < self._priorities.max())
-            self._n_seen += n
-            if admit.size:
-                self._priorities = np.concatenate(
-                    [self._priorities, pri.take(admit)]
-                )
-                self._values = np.concatenate([self._values, values.take(admit)])
+        if self._buffers is None:
+            tile, pending = RESERVOIR_TILE_ROWS, max(self.k, RESERVOIR_TILE_ROWS)
+            # Row ``j`` of the tile-aligned block at ``base`` hashes
+            # ``(base + j) ^ seed_mix``.  ``base`` has no bits below the
+            # tile size, so that is the high bits of ``base ^ seed_mix``
+            # plus ``j ^ (the low bits of seed_mix)``, kept here.
+            low = np.arange(tile, dtype=np.uint64)
+            np.bitwise_xor(low, np.uint64(self._seed_mix % tile), out=low)
+            self._buffers = (
+                low,
+                np.empty(tile, dtype=np.uint64), np.empty(tile, dtype=np.uint64),
+                np.empty(tile, dtype=bool),
+                np.empty(pending, dtype=np.uint64),
+                np.empty(pending, dtype=np.float64),
+            )
+        (low, mix_buf, tmp_buf, admit_buf,
+         pending_priorities, pending_values) = self._buffers
+        offset = int(offset)
+        # A finite sum means every value is finite (any NaN or infinity
+        # makes it non-finite); otherwise tiles mask their rows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            all_finite = math.isfinite(np.add.reduce(values))
+        high_bits = _MASK64 ^ (RESERVOIR_TILE_ROWS - 1)
+        # Tiles are the chunk's pieces of aligned tile-size blocks of
+        # absolute indices, so each hashes with one add.
+        for block in range(offset - offset % RESERVOIR_TILE_ROWS,
+                           offset + values.shape[0], RESERVOIR_TILE_ROWS):
+            j = max(offset - block, 0)
+            tile = values[block + j - offset : block + RESERVOIR_TILE_ROWS - offset]
+            n = tile.shape[0]
+            mix, tmp = mix_buf[:n], tmp_buf[:n]
+            mixed_base = (block ^ self._seed_mix) & high_bits
+            np.add(low[j : j + n], np.uint64((mixed_base + _GOLDEN) & _MASK64),
+                   out=mix)
+            _splitmix64_premix(mix, tmp)
+            admit = None
+            if not all_finite:
+                admit = np.isfinite(tile, out=admit_buf[:n])
+                self._n_seen += int(np.count_nonzero(admit))
+                if self._bound is not None:
+                    admit &= mix < self._bound
+            else:
+                self._n_seen += n
+                if self._bound is not None:
+                    admit = np.less(mix, self._bound, out=admit_buf[:n])
+            rows = None if admit is None else np.flatnonzero(admit)
+            count = n if rows is None else rows.shape[0]
+            if self._fill + count > pending_priorities.shape[0]:
                 self._compress()
-            return
-        rows = np.flatnonzero(finite)
-        indices = rows.astype(np.uint64) + np.uint64(offset)
-        priorities = _splitmix64(indices ^ np.uint64(self._seed_mix))
-        self._n_seen += int(indices.shape[0])
-        self._priorities = np.concatenate([self._priorities, priorities])
-        self._values = np.concatenate([self._values, values.take(rows)])
-        self._compress()
+            fill = self._fill
+            self._fill = fill + count
+            into_priorities = pending_priorities[fill : fill + count]
+            into_values = pending_values[fill : fill + count]
+            if count == n:
+                into_priorities[...] = mix
+                into_values[...] = tile
+            else:
+                # `mode="clip"` lets `take` write `out` directly; the
+                # default "raise" gathers into a buffer and copies.
+                mix.take(rows, out=into_priorities, mode="clip")
+                tile.take(rows, out=into_values, mode="clip")
+            # The last splitmix64 step, on the admitted rows only.
+            np.right_shift(into_priorities, _SHIFT3, out=tmp[:count])
+            np.bitwise_xor(into_priorities, tmp[:count], out=into_priorities)
 
     def merge(self, other: "ReservoirQuantiles") -> None:
         if other.k != self.k or other._seed_mix != self._seed_mix:
             raise ParameterError("merging reservoirs with different k/seed")
         self._n_seen += other._n_seen
-        self._priorities = np.concatenate([self._priorities, other._priorities])
-        self._values = np.concatenate([self._values, other._values])
-        self._compress()
+        self._keep([(self._priorities, self._values), self._pending(),
+                    (other._priorities, other._values), other._pending()])
+        self._fill = 0
 
     def to_state(self, *, canonical: bool = True) -> dict[str, np.ndarray]:
         # The kept *set* is a pure function of the stream but the
-        # in-memory array order is not (argpartition order depends on
-        # the merge schedule).  Canonical state is packed in
+        # in-memory array order is not (it depends on the merge and
+        # compression schedule).  Canonical state is packed in
         # ascending-priority order, so a finished checkpoint serializes
         # identically however the run was scheduled; priorities are
         # injective, so the order is total.  ``canonical=False`` is
         # internal to the checkpoint journal's cadence writes, which
-        # skip the argsort and gathers: resume needs only the set.
+        # skip the argsort and gathers (resume needs only the set) and
+        # take the kept arrays themselves: they are never written again.
         # ``take`` gathers through the index array faster than fancy
         # indexing does.
+        self._compress()
         priorities, values = self._priorities, self._values
         if canonical:
             order = np.argsort(priorities)
@@ -603,12 +717,12 @@ class ReservoirQuantiles:
             )
         restored = self.fresh()
         restored._n_seen = n_seen
-        restored._priorities = priorities.copy()
-        restored._values = values.copy()
+        restored._keep([(priorities, values)])
         return restored
 
     def sample(self) -> np.ndarray:
         """The kept values, sorted ascending (a copy)."""
+        self._compress()
         return np.sort(self._values)
 
     def quantiles(self, qs: Sequence[float]) -> dict[float, float]:
@@ -617,6 +731,7 @@ class ReservoirQuantiles:
         Exact while :attr:`exact` holds; otherwise the estimate carries
         ``~sqrt(q(1-q)/k)`` rank error.
         """
+        self._compress()
         if self._values.shape[0] == 0:
             return {float(q): float("nan") for q in qs}
         values = np.quantile(self._values, list(qs))

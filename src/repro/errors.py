@@ -60,10 +60,6 @@ class CapacityError(GreenFpgaError, ValueError):
     """An application cannot be mapped onto the given device."""
 
 
-class ExperimentError(GreenFpgaError, RuntimeError):
-    """An experiment failed to produce the expected artefacts."""
-
-
 def require(condition: bool, message: str) -> None:
     """Raise :class:`ParameterError` unless ``condition`` holds."""
     if not condition:

@@ -9,6 +9,7 @@ selected by exactly two tier spellings (``fused``, ``numpy``).
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,8 @@ from repro.engine.vector.fused import (
     resolve_kernel_tier,
 )
 from repro.engine.vector.kernels import ratio_kernel, winner_kernel
+from repro.engine.vector.params import ParameterBatch
+from repro.engine.vector.reducers import MomentsReducer, StreamingReduction
 from repro.errors import ParameterError
 from repro.experiments.ext_uncertainty import distributions as table1_distributions
 
@@ -271,6 +274,46 @@ def test_fused_large_uniform_num_apps_stays_within_contract(comparator):
     params, batch = source.chunk(0, n)
     assert FusedKernel().evaluate(params, batch) is None
     assert fused_mod.MAX_UNIFORM_FOLD_COUNT == 9008
+
+
+def test_fused_generations_ceil_boundary_matches_chain(comparator):
+    """``ceil(lifetime / chip_lifetime - 1e-9)`` one ulp from its jump.
+
+    3.0000000030000007 / 3.0 rounds to 1.0000000010000003, so the ASIC
+    is bought twice; multiplying by the rounded reciprocal of 3.0 gives
+    1.000000001 instead, one whole generation (~15M kg) fewer.
+    """
+    asic = dataclasses.replace(comparator.asic_device, chip_lifetime_years=3.0)
+    pinned = dataclasses.replace(comparator, asic_device=asic)
+    scenarios = [
+        Scenario(num_apps=3, app_lifetime_years=3.0000000030000007,
+                 volume=1_000_000),
+        Scenario(num_apps=3, app_lifetime_years=2.0, volume=1_000_000),
+    ]
+    params = ParameterBatch.from_comparator(pinned, len(scenarios))
+    reference = [pinned.compare(s).asic.footprint.total for s in scenarios]
+
+    def asic_moments(tier):
+        reduction = StreamingReduction(
+            {"asic": MomentsReducer(source="asic_totals")}
+        )
+        engine = EvaluationEngine(kernel_tier=tier)
+        try:
+            reduced = engine.evaluate_param_batch(
+                params, scenarios, reduce=reduction
+            )
+        finally:
+            engine.close()
+        return reduced["asic"].moments()
+
+    chain, fused = asic_moments("numpy"), asic_moments("fused")
+    for moments in (chain, fused):
+        np.testing.assert_allclose(moments["max"], reference[0],
+                                   rtol=RTOL, atol=0.0)
+        np.testing.assert_allclose(moments["mean"] * 2, sum(reference),
+                                   rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose(fused["mean"], chain["mean"], rtol=RTOL,
+                               atol=0.0)
 
 
 def test_fused_stream_worker_invariant(comparator):

@@ -23,7 +23,7 @@ from repro.analysis.montecarlo import (
     monte_carlo,
     monte_carlo_batch,
 )
-from repro.analysis.sweep import sweep, sweep_batch
+from repro.analysis.sweep import axis_batch, sweep, sweep_batch
 from repro.core.comparison import PlatformComparator
 from repro.core.scenario import Scenario
 from repro.design.model import DesignModel
@@ -34,7 +34,7 @@ from repro.engine import (
     ScenarioBatch,
     VectorizedEvaluator,
 )
-from repro.engine.vector import ratio_kernel, repeat_add, winner_kernel
+from repro.engine.vector import ratio_kernel, winner_kernel
 from repro.engine.vector.fused import FusedKernel
 from repro.engine.vector.kernels import FoldPlan
 from repro.engine.vector.params import ParameterBatch
@@ -154,13 +154,13 @@ def _perturb(comparator, value: float):
     )
 
 
-def test_evaluate_pairs_batch_matches_scalar_rtol(evaluator, dnn_comparator,
+def test_evaluate_pairs_batch_matches_scalar_rtol(dnn_comparator,
                                                   baseline_scenario):
     pairs = [
         (_perturb(dnn_comparator, float(v)), baseline_scenario)
         for v in range(40)
     ]
-    batch = evaluator.evaluate_pairs_batch(pairs)
+    batch = EvaluationEngine().evaluate_pairs_batch(pairs)
     for i, (comparator, scenario) in enumerate(pairs):
         reference = comparator.compare(scenario)
         np.testing.assert_allclose(
@@ -177,7 +177,7 @@ def test_evaluate_pairs_batch_matches_scalar_rtol(evaluator, dnn_comparator,
         assert batch.winners[i] == reference.winner
 
 
-def test_pairs_batch_mixed_domains_and_scenarios(evaluator):
+def test_pairs_batch_mixed_domains_and_scenarios():
     """Rows may mix domains, suites and scenarios arbitrarily."""
     pairs = []
     for domain in DOMAIN_NAMES:
@@ -188,7 +188,7 @@ def test_pairs_batch_mixed_domains_and_scenarios(evaluator):
                       Scenario(num_apps=4, app_lifetime_years=2.5,
                                volume=250_000, enforce_chip_lifetime=True,
                                evaluation_years=40.0)))
-    batch = evaluator.evaluate_pairs_batch(pairs)
+    batch = EvaluationEngine().evaluate_pairs_batch(pairs)
     for i, (comparator, scenario) in enumerate(pairs):
         reference = comparator.compare(scenario)
         np.testing.assert_allclose(
@@ -196,7 +196,7 @@ def test_pairs_batch_mixed_domains_and_scenarios(evaluator):
         )
 
 
-def test_pairs_batch_credit_negative_eol_parity(evaluator, baseline_scenario):
+def test_pairs_batch_credit_negative_eol_parity(baseline_scenario):
     """Aggressive recycling credits (negative per-chip EOL) stay in parity."""
     comparator = PlatformComparator.for_domain("dnn")
     credited = dataclasses.replace(
@@ -207,7 +207,9 @@ def test_pairs_batch_credit_negative_eol_parity(evaluator, baseline_scenario):
     )
     reference = credited.compare(baseline_scenario)
     assert reference.fpga.footprint.eol < 0.0  # the credit is real
-    batch = evaluator.evaluate_pairs_batch([(credited, baseline_scenario)])
+    batch = EvaluationEngine().evaluate_pairs_batch(
+        [(credited, baseline_scenario)]
+    )
     np.testing.assert_allclose(
         batch.fpga_components["eol"][0], reference.fpga.footprint.eol,
         rtol=1.0e-12, atol=0.0,
@@ -252,6 +254,17 @@ def _scalar_fold(xi: float, ni: int) -> float:
     for _ in range(int(ni) - 1):
         acc = acc + xi
     return acc
+
+
+def repeat_add(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row-wise ``x + x + ... + x`` (``counts`` times) through a
+    one-operand :class:`FoldPlan`, broadcasting ``x`` against
+    ``counts`` (``0.0`` where ``counts < 1``)."""
+    x = np.asarray(x, dtype=np.float64)
+    counts = np.asarray(counts)
+    shape = np.broadcast_shapes(x.shape, counts.shape)
+    plan = FoldPlan(np.broadcast_to(counts, shape))
+    return plan.fold(np.broadcast_to(x, shape).reshape(-1))[0].reshape(shape)
 
 
 def _assert_bit_equal(got: np.ndarray, want: list[float]) -> None:
@@ -577,6 +590,38 @@ def test_heatmap_batch_heterogeneous_base_matches_scalar(dnn_comparator):
         pairwise_heatmap_batch(
             dnn_comparator, ragged, "lifetime", [1.0, 2.0], "num_apps", [1, 2]
         )
+
+
+def test_volume_batch_over_heterogeneous_base_matches_scalar(dnn_comparator):
+    """A volume axis over a ragged base keeps the base's per-application
+    lifetimes, as ``Scenario.with_volume`` does; a num_apps axis raises
+    on both paths, as ``Scenario.with_num_apps`` does."""
+    ragged = Scenario(num_apps=3, app_lifetime_years=[1.0, 2.5, 4.0],
+                      volume=10_000)
+    volumes = [1_000, 50_000, 2_000_000, 123_457]
+    columns = axis_batch(ragged, {"volume": np.asarray(volumes)})
+    assert columns.lifetime.shape == (len(volumes), 3)
+    scalar = EvaluationEngine(vectorize=False)
+    classic = sweep(dnn_comparator, ragged, "volume", volumes, engine=scalar)
+    batch = sweep_batch(dnn_comparator, ragged, "volume", volumes,
+                        engine=EvaluationEngine()).batch
+    for got, want in ((batch.fpga_totals, classic.fpga_totals),
+                      (batch.asic_totals, classic.asic_totals),
+                      (batch.ratios, classic.ratios)):
+        np.testing.assert_allclose(got, want, rtol=1.0e-12, atol=0.0)
+    assert list(batch.winners) == [
+        classic.winner_at(i) for i in range(len(volumes))
+    ]
+    grid = ("volume", volumes, "lifetime", [1.0, 3.0])
+    np.testing.assert_allclose(
+        pairwise_heatmap_batch(dnn_comparator, ragged, *grid).ratios,
+        pairwise_heatmap(dnn_comparator, ragged, *grid, engine=scalar).ratios,
+        rtol=1.0e-12, atol=0.0,
+    )
+    with pytest.raises(ParameterError):
+        sweep(dnn_comparator, ragged, "num_apps", [1, 2], engine=scalar)
+    with pytest.raises(ParameterError):
+        sweep_batch(dnn_comparator, ragged, "num_apps", [1, 2])
 
 
 def test_win_probability_uses_totals_based_winners():
