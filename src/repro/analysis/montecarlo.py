@@ -103,16 +103,6 @@ class ParameterDistribution:
         np.add(self.low, out, out=out)
         return out
 
-    def sample_column(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` values as one column (consumes ``n`` unit doubles).
-
-        Bit-identical to ``n`` sequential :meth:`sample` calls for a
-        single distribution; studies over *several* distributions must
-        sample draw-major via :func:`sample_value_columns` to preserve
-        the legacy per-draw RNG consumption order.
-        """
-        return self.column_from_uniform(rng.random(n))
-
 
 def sample_value_columns(
     distributions: Sequence[ParameterDistribution],

@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-file",
         default=None,
         metavar="PATH",
-        help="persist the result store to PATH (.npz) across CLI runs",
+        help="persist the result store to a snapshot file at PATH across CLI runs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

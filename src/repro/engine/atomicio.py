@@ -3,8 +3,9 @@
 A snapshot writer that opens its destination with ``open("wb")`` and
 crashes mid-write destroys the *previous* good snapshot along with the
 new one.  Every durable artefact in this package — result-store
-``.npz`` snapshots, streaming checkpoints, serve-tier warm-store
-dumps — goes through :func:`atomic_write_bytes` instead: write to a
+snapshots (including the serve tier's warm-store dumps) and streaming
+checkpoints, both array containers (:mod:`repro.engine.container`) —
+goes through :func:`atomic_write_bytes` instead: write to a
 same-directory temporary file, flush + ``fsync`` it, then
 ``os.replace`` it over the destination.  ``os.replace`` is atomic on
 POSIX and Windows for same-filesystem paths (the same-directory tmp
@@ -19,19 +20,17 @@ from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Callable
 from pathlib import Path
-from typing import BinaryIO
 
 
-def atomic_write(path: Path, write_body: Callable[[BinaryIO], None]) -> Path:
-    """Atomically (re)place ``path`` with bytes produced by ``write_body``.
+def atomic_write_bytes(path: Path, payload: bytes) -> Path:
+    """Atomically (re)place ``path`` with ``payload``.
 
-    ``write_body`` receives a binary file handle for a temporary file in
-    ``path``'s directory.  After it returns, the tmp file is flushed,
-    fsynced, and renamed over ``path``; the directory entry is fsynced
-    too so the rename itself survives a power loss.  On any failure the
-    tmp file is removed and the previous ``path`` is left untouched.
+    ``payload`` goes to a temporary file in ``path``'s directory, which
+    is flushed, fsynced, and renamed over ``path``; the directory entry
+    is fsynced too so the rename itself survives a power loss.  On any
+    failure the tmp file is removed and the previous ``path`` is left
+    untouched.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -40,7 +39,7 @@ def atomic_write(path: Path, write_body: Callable[[BinaryIO], None]) -> Path:
     )
     try:
         with tmp.open("wb") as handle:
-            write_body(handle)
+            handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -49,11 +48,6 @@ def atomic_write(path: Path, write_body: Callable[[BinaryIO], None]) -> Path:
         raise
     _fsync_dir(path.parent)
     return path
-
-
-def atomic_write_bytes(path: Path, payload: bytes) -> Path:
-    """Atomically (re)place ``path`` with ``payload``."""
-    return atomic_write(path, lambda handle: handle.write(payload))
 
 
 def _fsync_dir(directory: Path) -> None:

@@ -13,7 +13,7 @@ primitive behind one batch API with
   blocks — no :class:`ComparisonResult` is allocated on the batch path;
   object callers get dataclasses materialised lazily from the same
   columns.  ``save_cache`` / ``load_cache`` persist the table to
-  ``.npz`` so warmth survives across processes and CLI runs;
+  a snapshot file so warmth survives across processes and CLI runs;
 * memoised :meth:`repro.config.Parameters.build_suite` construction
   (safe under concurrent access), so DSE grids revisiting a
   configuration reuse the same suite object; and
@@ -47,22 +47,15 @@ from repro.core.comparison import ComparisonResult, PlatformComparator
 from repro.core.scenario import Scenario
 from repro.core.suite import ModelSuite
 from repro.engine.cache import CacheStats
-from repro.engine.store import (  # noqa: F401 (keys re-exported for compat)
-    FLOAT_COLS,
-    INT_COLS,
+from repro.engine.store import (
     ShardedResultStore,
     batch_digests,
     comparator_digest,
-    comparator_key,
-    evaluation_key,
     materialise_comparison,
     pack_batch_rows,
     pack_comparison,
     pair_digest,
     param_batch_digests,
-    param_digest,
-    param_row_digest,
-    scenario_key,
     uniform_lifetime_rows,
 )
 from repro.engine.vector import (
@@ -159,7 +152,7 @@ class EvaluationEngine:
             (``fused`` or ``numpy``); ``None`` honours the
             ``REPRO_KERNEL`` environment variable, fused when unset.  See
             :mod:`repro.engine.vector.fused`.
-        cache_file: Optional ``.npz`` path; when it exists its entries
+        cache_file: Optional store snapshot path; when it exists its entries
             are loaded at construction, and :meth:`save_cache` with no
             argument writes back to it — cache warmth then survives
             across processes and CLI runs.

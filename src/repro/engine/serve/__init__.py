@@ -4,8 +4,10 @@ This subpackage takes evaluation out of the single interpreter: a
 :class:`~repro.engine.serve.server.BatchServer` speaks a compact
 length-prefixed batch protocol (scenario columns in, ratio/winner/total
 columns out) over asyncio sockets, in front of N supervised worker
-processes that share warmth through the ``.npz``-persisted
-:class:`~repro.engine.store.ShardedResultStore`.
+processes that share warmth through the snapshot file of the
+:class:`~repro.engine.store.ShardedResultStore`.  Request and response
+payloads are array containers (:mod:`repro.engine.container`), and a
+request carries every valid ``Scenario`` row.
 
 Robustness is the design center, not a bolt-on — every failure mode has
 a defined, tested behaviour:

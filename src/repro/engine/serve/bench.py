@@ -15,7 +15,7 @@ Two properties are asserted, not just measured:
 * **bounded tail** — the fault-free p99 per client count is gated by
   ``benchmarks/timing_gates.py`` (median over repeated runs).
 
-The store warmth is pre-seeded through the shared ``.npz`` cache file,
+The store warmth is pre-seeded through the shared store snapshot file,
 so workers serve digest-keyed gathers — the benchmark tracks serving
 overhead and tail behaviour, not kernel throughput.
 """
@@ -143,7 +143,7 @@ def latency_benchmark(
     just before its ``kill_at_batch``-th batch — the supervisor replays
     the in-flight batch on a sibling and restarts the slot in the
     background.  Each phase runs ``repeats`` times on a *fresh* server
-    (fresh fleet, same warm ``.npz``; the kill fires once per repeat)
+    (fresh fleet, same warm snapshot; the kill fires once per repeat)
     and the percentiles are computed over the pooled latencies — a
     p99 taken from one small run is just the max of that run, which no
     regression gate can hold steady.  Every response in every repeat is
@@ -157,7 +157,7 @@ def latency_benchmark(
         # A path that does not exist yet: nothing to load, and the
         # servers' snapshot tmp files land in the same directory.
         own_dir = Path(tempfile.mkdtemp(prefix="repro-serve-bench-"))
-        cache_file = own_dir / "warm.npz"
+        cache_file = own_dir / "warm.snap"
     cache_path = Path(cache_file)
 
     batches = _request_batches(requests_per_client, cells_per_request)

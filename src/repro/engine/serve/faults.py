@@ -19,8 +19,8 @@ against:
   (a slow or stuck worker, for deadline/cancellation tests);
 * **frame truncation** — the server drops the connection after sending
   a prefix of every Nth response frame (a mid-write network fault);
-* **cache corruption** — seeded byte damage to a persisted ``.npz``
-  store file (tests the :class:`~repro.errors.StoreCorruptError`
+* **cache corruption** — seeded byte damage to a persisted store
+  snapshot (tests the :class:`~repro.errors.StoreCorruptError`
   start-cold path end to end).
 """
 

@@ -11,20 +11,21 @@ Every message is one **frame**::
     length  u32  payload byte count
 
 followed by ``length`` payload bytes.  The header is big-endian
-(network order); the numeric column payloads are little-endian
-contiguous dumps — requests carry the six scenario columns, responses
-the four result columns — so a 10k-row sweep is one ~240 kB frame and
-two syscalls, not 10k JSON objects.
+(network order).  Request and response payloads are array containers
+(:mod:`repro.engine.container`, no prefix, no digest: TCP already
+checks the bytes): a JSON header and little-endian contiguous column
+dumps, so a 10k-row sweep is one ~400 kB frame and two syscalls, not
+10k JSON objects.
 
 Payloads by type:
 
-* ``MSG_REQUEST`` — ``u16`` domain length + UTF-8 domain name, ``u32``
-  row count, then columns ``num_apps i64``, ``volume i64``,
-  ``lifetime f64``, ``evaluation_years f64`` (NaN = model default),
-  ``app_size_mgates f64`` (NaN = default), ``enforce u8``.
-* ``MSG_RESPONSE`` — ``u32`` row count, then columns ``ratios f64``,
-  ``winners u8`` (1 = asic wins, 0 = fpga), ``fpga_totals f64``,
-  ``asic_totals f64``.
+* ``MSG_REQUEST`` — meta ``{"domain": name}`` and the scenario columns
+  :attr:`ScenarioBatch.COLUMNS <repro.engine.vector.columns.ScenarioBatch.COLUMNS>`
+  (``lifetime`` may be an ``(n, w)`` per-application block, ``volume``
+  is float64; NaN in ``evaluation_years`` / ``app_size_mgates`` means
+  the model default), so every valid ``Scenario`` has a row.
+* ``MSG_RESPONSE`` — columns ``ratios f64``, ``winners u8`` (1 = asic
+  wins, 0 = fpga), ``fpga_totals f64``, ``asic_totals f64``.
 * ``MSG_ERROR`` — ``u16`` length + UTF-8 message (model/protocol error
   for this request id).
 * ``MSG_RETRY_AFTER`` — ``f64`` suggested client backoff in seconds
@@ -33,8 +34,9 @@ Payloads by type:
   result could be produced).
 * ``MSG_PING`` / ``MSG_PONG`` — empty (liveness probe).
 
-Truncation anywhere — mid-header or mid-payload — raises
-:class:`ProtocolError`; a clean EOF between frames reads as ``None``.
+Truncation anywhere — mid-header or mid-payload — and a payload that
+does not decode raise :class:`ProtocolError`; a clean EOF between
+frames reads as ``None``.
 The protocol is deliberately connection-stateless: every frame is
 self-describing, so a client may reconnect and resend after any
 transport fault (evaluation is pure, replay is safe).
@@ -47,11 +49,12 @@ import struct
 
 import numpy as np
 
+from repro.engine import container
 from repro.engine.vector.columns import ScenarioBatch
-from repro.errors import ServeError
+from repro.errors import ContainerError, ServeError
 
 MAGIC = b"GFS1"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 MSG_REQUEST = 1
 MSG_RESPONSE = 2
@@ -68,20 +71,10 @@ HEADER_SIZE = _HEADER.size
 #: corrupted or hostile length field must not trigger an unbounded read.
 MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
 
-#: Per-column wire dtypes of a request, in frame order.
-_REQUEST_COLUMNS = (
-    ("num_apps", np.dtype("<i8")),
-    ("volume", np.dtype("<i8")),
-    ("lifetime", np.dtype("<f8")),
-    ("evaluation_years", np.dtype("<f8")),
-    ("app_size_mgates", np.dtype("<f8")),
-    ("enforce_chip_lifetime", np.dtype("u1")),
-)
-
-#: Per-column wire dtypes of a response, in frame order.
+#: The columns of a response payload, name and dtype, in table order.
 _RESPONSE_COLUMNS = (
     ("ratios", np.dtype("<f8")),
-    ("winners", np.dtype("u1")),
+    ("winners", np.dtype("|u1")),
     ("fpga_totals", np.dtype("<f8")),
     ("asic_totals", np.dtype("<f8")),
 )
@@ -181,8 +174,15 @@ async def read_frame(reader: asyncio.StreamReader) -> "Frame | None":
 
 
 # ----------------------------------------------------------------------
-# Request payloads (scenario columns)
+# Request and response payloads (array containers)
 # ----------------------------------------------------------------------
+
+
+def _decode_payload(payload: bytes, what: str) -> "tuple[dict, dict]":
+    try:
+        return container.decode(payload)
+    except ContainerError as exc:
+        raise ProtocolError(f"malformed {what} payload: {exc}") from exc
 
 
 def encode_request(
@@ -192,96 +192,32 @@ def encode_request(
     *,
     deadline_ms: int = 0,
 ) -> bytes:
-    """One request frame for a scenario batch.
-
-    The frame carries one lifetime and one int64 volume per row, so
-    batches with per-application lifetimes or fractional volumes are
-    refused.
-    """
-    if batch.lifetime.ndim != 1 or np.any(
-        batch.volume != np.floor(batch.volume)
-    ):
-        raise ProtocolError(
-            "the wire protocol carries one lifetime and an integral "
-            "volume per row (no per-application lifetimes, no "
-            "fractional volumes)"
-        )
-    name = domain.encode("utf-8")
-    if len(name) > 0xFFFF:
-        raise ProtocolError(f"domain name of {len(name)} bytes is too long")
-    parts = [struct.pack("!H", len(name)), name,
-             struct.pack("!I", batch.size)]
-    for field, dtype in _REQUEST_COLUMNS:
-        column = np.ascontiguousarray(getattr(batch, field))
-        if field == "enforce_chip_lifetime":
-            column = column.astype(np.uint8)
-        parts.append(column.astype(dtype, copy=False).tobytes())
+    """One request frame for a scenario batch (any valid ``Scenario``
+    rows: ``(n, w)`` lifetime blocks and fractional volumes included)."""
+    payload = container.encode({"domain": domain}, batch.columns())
     return encode_frame(
-        MSG_REQUEST, request_id, b"".join(parts), deadline_ms=deadline_ms
+        MSG_REQUEST, request_id, payload, deadline_ms=deadline_ms
     )
 
 
 def decode_request(payload: bytes) -> tuple[str, ScenarioBatch]:
     """``(domain, batch)`` from a request payload.
 
-    Row values are validated exactly like :meth:`ScenarioBatch.from_arrays`
-    — a frame carrying out-of-range scenarios raises
+    The columns are validated by :meth:`ScenarioBatch.from_columns` — a
+    frame carrying out-of-range scenarios raises
     :class:`~repro.errors.ParameterError`, which the server reports back
     as an ``MSG_ERROR`` frame rather than evaluating garbage.
     """
-    if len(payload) < 2:
-        raise ProtocolError("request payload shorter than its domain header")
-    (name_len,) = struct.unpack_from("!H", payload, 0)
-    offset = 2
-    if len(payload) < offset + name_len + 4:
-        raise ProtocolError("request payload ends inside its domain header")
-    try:
-        domain = payload[offset:offset + name_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"undecodable domain name: {exc}") from exc
-    offset += name_len
-    (n_rows,) = struct.unpack_from("!I", payload, offset)
-    offset += 4
-    if n_rows == 0:
-        raise ProtocolError("a request must carry at least one row")
-    columns: dict[str, np.ndarray] = {}
-    for field, dtype in _REQUEST_COLUMNS:
-        nbytes = n_rows * dtype.itemsize
-        if offset + nbytes > len(payload):
-            raise ProtocolError(
-                f"request payload ends inside column {field!r}"
-            )
-        columns[field] = np.frombuffer(
-            payload, dtype=dtype, count=n_rows, offset=offset
-        ).copy()
-        offset += nbytes
-    if offset != len(payload):
-        raise ProtocolError(
-            f"{len(payload) - offset} trailing bytes after request columns"
-        )
-    evaluation = columns["evaluation_years"]
-    app_size = columns["app_size_mgates"]
-    batch = ScenarioBatch.from_arrays(
-        num_apps=columns["num_apps"],
-        lifetime=columns["lifetime"],
-        volume=columns["volume"],
-        evaluation_years=None if np.isnan(evaluation).all() else evaluation,
-        app_size_mgates=None if np.isnan(app_size).all() else app_size,
-        enforce_chip_lifetime=columns["enforce_chip_lifetime"].astype(bool),
+    meta, arrays = _decode_payload(payload, "request")
+    domain = meta.get("domain")
+    if not isinstance(domain, str):
+        raise ProtocolError(f"request domain {domain!r} is not a string")
+    batch = ScenarioBatch.from_columns(
+        {name: array.copy() for name, array in arrays.items()}
     )
+    if batch.size == 0:
+        raise ProtocolError("a request must carry at least one row")
     return domain, batch
-
-
-def _unpack_struct(fmt: str, payload: bytes, what: str) -> tuple:
-    try:
-        return struct.unpack(fmt, payload)
-    except struct.error as exc:
-        raise ProtocolError(f"malformed {what} payload: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Response payloads (result columns)
-# ----------------------------------------------------------------------
 
 
 def encode_response(
@@ -292,46 +228,36 @@ def encode_response(
     asic_totals: np.ndarray,
 ) -> bytes:
     """One response frame from the four result columns."""
-    values = {
-        "ratios": ratios,
-        "winners": winners_u8,
-        "fpga_totals": fpga_totals,
-        "asic_totals": asic_totals,
-    }
-    n_rows = int(np.asarray(ratios).shape[0])
-    parts = [struct.pack("!I", n_rows)]
-    for field, dtype in _RESPONSE_COLUMNS:
-        column = np.ascontiguousarray(values[field])
-        parts.append(column.astype(dtype, copy=False).tobytes())
-    return encode_frame(MSG_RESPONSE, request_id, b"".join(parts))
+    values = (ratios, winners_u8, fpga_totals, asic_totals)
+    payload = container.encode({}, {
+        name: np.asarray(value, dtype=dtype)
+        for (name, dtype), value in zip(_RESPONSE_COLUMNS, values)
+    })
+    return encode_frame(MSG_RESPONSE, request_id, payload)
 
 
 def decode_response(
     payload: bytes,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(ratios, winners_u8, fpga_totals, asic_totals)`` columns."""
-    if len(payload) < 4:
-        raise ProtocolError("response payload shorter than its row count")
-    (n_rows,) = struct.unpack_from("!I", payload, 0)
-    offset = 4
-    columns = []
-    for field, dtype in _RESPONSE_COLUMNS:
-        nbytes = n_rows * dtype.itemsize
-        if offset + nbytes > len(payload):
-            raise ProtocolError(
-                f"response payload ends inside column {field!r}"
-            )
-        columns.append(
-            np.frombuffer(
-                payload, dtype=dtype, count=n_rows, offset=offset
-            ).copy()
-        )
-        offset += nbytes
-    if offset != len(payload):
+    _, arrays = _decode_payload(payload, "response")
+    ratios = arrays.get("ratios")
+    n = ratios.shape[0] if ratios is not None and ratios.ndim == 1 else -1
+    if {name: (array.dtype, array.shape) for name, array in arrays.items()} != {
+        name: (dtype, (n,)) for name, dtype in _RESPONSE_COLUMNS
+    }:
         raise ProtocolError(
-            f"{len(payload) - offset} trailing bytes after response columns"
+            f"response columns {sorted(arrays)} do not match "
+            f"{[name for name, _ in _RESPONSE_COLUMNS]}"
         )
-    return tuple(columns)
+    return tuple(arrays[name].copy() for name, _ in _RESPONSE_COLUMNS)
+
+
+def _unpack_struct(fmt: str, payload: bytes, what: str) -> tuple:
+    try:
+        return struct.unpack(fmt, payload)
+    except struct.error as exc:
+        raise ProtocolError(f"malformed {what} payload: {exc}") from exc
 
 
 def encode_error(request_id: int, message: str) -> bytes:

@@ -97,7 +97,7 @@ class BatchServer:
             with ``RETRY_AFTER``.
         host / port: Bind address (port 0 picks a free port; see
             :attr:`address` after :meth:`start`).
-        cache_file: Optional ``.npz`` store dump — workers *and* the
+        cache_file: Optional store snapshot — workers *and* the
             degraded-path engine pre-warm from it.
         cache_size: Result-store capacity per engine.
         default_deadline_s: Deadline applied to requests that do not
@@ -323,14 +323,7 @@ class BatchServer:
         payload = {
             "id": job.request_id,
             "domain": job.domain,
-            "columns": {
-                "num_apps": job.batch.num_apps,
-                "volume": job.batch.volume,
-                "lifetime": job.batch.lifetime,
-                "evaluation_years": job.batch.evaluation_years,
-                "app_size_mgates": job.batch.app_size_mgates,
-                "enforce_chip_lifetime": job.batch.enforce_chip_lifetime,
-            },
+            "columns": job.batch.columns(),
             "deadline": job.deadline,
         }
         replays = 0

@@ -117,7 +117,7 @@ class WorkerSupervisor:
     Args:
         workers: Worker process count (0 is legal: permanently
             unavailable, the degraded-mode spelling).
-        cache_file: Optional ``.npz`` store dump every worker pre-warms
+        cache_file: Optional store snapshot every worker pre-warms
             from (and the medium through which workers share warmth).
         cache_size: Result-store capacity per worker engine.
         fault_plan: Optional deterministic fault schedule, forwarded to

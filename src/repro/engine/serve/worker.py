@@ -3,7 +3,7 @@
 Each worker is a ``spawn``-started process holding its own
 :class:`~repro.engine.engine.EvaluationEngine`.  Warmth is shared
 *through the store file*, not through memory: every worker loads the
-same ``.npz`` dump at startup (tolerantly — a corrupt file means a cold
+same store snapshot at startup (tolerantly — a corrupt file means a cold
 start, not a crash), and because results are keyed by 128-bit digests,
 a batch replayed on a different worker after a crash re-gathers the
 same bits it would have computed.
@@ -60,7 +60,7 @@ class WorkerSpec:
         generation: Incarnation counter for this slot — 0 for the
             initial spawn, +1 per supervisor restart.  One-shot fault
             kills only fire for generation 0.
-        cache_file: Optional ``.npz`` store dump to pre-warm from.
+        cache_file: Optional store snapshot to pre-warm from.
         cache_size: Result-store capacity of the worker's engine.
         fault_plan: Optional deterministic fault schedule.
         preload_domains: Domains whose comparators are built at startup

@@ -30,8 +30,9 @@ in one capacity-bounded table:
   callers never leave array-land.
 * **Persistence.**  :meth:`ShardedResultStore.save` /
   :meth:`ShardedResultStore.load` round-trip the packed entries through
-  one ``.npz`` file, so cache warmth survives across processes and CLI
-  runs, and a store of any capacity can load it.
+  one snapshot file (an array container with a digest, see
+  :mod:`repro.engine.container`), so cache warmth survives across
+  processes and CLI runs, and a store of any capacity can load it.
 
 The packed layout holds one per-application column set, so only rows
 whose per-application lifetimes are all equal are stored
@@ -56,44 +57,21 @@ from repro.core.comparison import ComparisonResult, PlatformComparator
 from repro.core.fpga_model import FpgaAssessment
 from repro.core.lifecycle import CarbonFootprint
 from repro.core.scenario import Scenario
-from repro.engine.atomicio import atomic_write
+from repro.engine import container
+from repro.engine.atomicio import atomic_write_bytes
 from repro.engine.cache import CacheStats
 from repro.engine.vector import BatchResult, ParameterBatch, ScenarioBatch
 from repro.engine.vector.model import chip_generations
-from repro.errors import ParameterError, StoreCorruptError
+from repro.errors import ContainerError, ParameterError, StoreCorruptError
 
 # ----------------------------------------------------------------------
-# Canonical keys (moved here from engine.py so digests and tuple keys
-# share one definition; engine.py re-exports them).
+# Canonical keys
 # ----------------------------------------------------------------------
-
-
-def scenario_key(scenario: Scenario) -> Hashable:
-    """Canonical hashable identity of a scenario.
-
-    Uses the normalised ``lifetimes`` tuple rather than the raw
-    ``app_lifetime_years`` field so that scalar and per-application
-    spellings of the same deployment hash identically (and so that
-    list-valued lifetimes do not break hashing).
-    """
-    return (
-        scenario.num_apps,
-        scenario.lifetimes,
-        scenario.volume,
-        scenario.evaluation_years,
-        scenario.app_size_mgates,
-        scenario.enforce_chip_lifetime,
-    )
 
 
 def comparator_key(comparator: PlatformComparator) -> Hashable:
     """Canonical hashable identity of a device pair + suite."""
     return (comparator.fpga_device, comparator.asic_device, comparator.suite)
-
-
-def evaluation_key(comparator: PlatformComparator, scenario: Scenario) -> Hashable:
-    """Cache key of one assessment: ``(device pair, suite, scenario)``."""
-    return (comparator_key(comparator), scenario_key(scenario))
 
 
 # ----------------------------------------------------------------------
@@ -210,8 +188,7 @@ def pair_digest(comparator: PlatformComparator, scenario: Scenario) -> tuple[int
     Folds the normalised scenario fields over the comparator seeds in
     the same order :func:`batch_digests` folds the batch columns, so a
     scenario digests identically either way (and scalar vs
-    per-application lifetime spellings collide on purpose, exactly
-    like :func:`scenario_key`).
+    per-application lifetime spellings collide on purpose).
     """
     lo, hi = comparator_digest(comparator)
     return _fold_values(lo, hi, _scenario_values(scenario))
@@ -430,7 +407,9 @@ _IT_ASIC_GEN = 2
 _IT_NUM_APPS = 3
 
 #: Bump when the column layout changes; persisted files carry it.
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
+#: ``magic | u16 format``: the container prefix of a snapshot file.
+_SNAPSHOT_PREFIX = b"GFSTORE" + STORE_FORMAT_VERSION.to_bytes(2, "little")
 
 
 def _first_app(column: np.ndarray) -> np.ndarray:
@@ -755,41 +734,34 @@ class ShardedResultStore:
     # -- persistence -----------------------------------------------------
 
     def save(self, path: "str | Path") -> Path:
-        """Write every packed entry to one compressed ``.npz`` file.
+        """Write every packed entry to one snapshot file.
 
         Entries are written oldest-first so a capacity-constrained
-        :meth:`load` keeps the most recently used ones.
+        :meth:`load` keeps the most recently used ones.  The snapshot
+        is an array container (:mod:`repro.engine.container`) with the
+        ``GFSTORE`` + u16 format prefix and a SHA-256 digest; it is
+        uncompressed (a full 65,536-entry store is about 14.7 MB).
 
-        The write is crash-safe: the dump goes to a same-directory tmp
-        file that is fsynced and atomically renamed over ``path``
-        (:func:`repro.engine.atomicio.atomic_write`), so a crash
-        mid-save leaves the previous snapshot intact instead of a torn
-        file that :meth:`load` would reject.
+        The write is crash-safe (:func:`repro.engine.atomicio.atomic_write_bytes`),
+        so a crash mid-save leaves the previous snapshot intact instead
+        of a torn file that :meth:`load` would reject.
         """
-        path = Path(path)
         with self._lock:
             slots = np.nonzero((self._tick >= 0) & (self._tick != _UNUSABLE))[0]
             slots = slots[np.argsort(self._tick[slots], kind="stable")]
-            lo = self._lo[slots]
-            hi = self._hi[slots]
-            floats = self._floats[slots]
-            ints = self._ints[slots]
-        return atomic_write(
-            path,
-            lambda handle: np.savez_compressed(
-                handle,
-                meta=np.array(
-                    [STORE_FORMAT_VERSION, FLOAT_COLS, INT_COLS], dtype=np.int64
-                ),
-                lo=lo,
-                hi=hi,
-                floats=floats,
-                ints=ints,
-            ),
+            arrays = {
+                "lo": self._lo[slots],
+                "hi": self._hi[slots],
+                "floats": self._floats[slots],
+                "ints": self._ints[slots],
+            }
+        return atomic_write_bytes(
+            Path(path),
+            container.encode({}, arrays, prefix=_SNAPSHOT_PREFIX, digest=True),
         )
 
     def load(self, path: "str | Path") -> int:
-        """Merge a persisted ``.npz`` dump into this store.
+        """Merge a persisted snapshot into this store.
 
         The rows go in as one batch, so a store smaller than the dump
         keeps the most recently used entries of each set (the dump is
@@ -797,45 +769,36 @@ class ShardedResultStore:
         are untouched (loading is not a lookup).
 
         Raises :class:`~repro.errors.StoreCorruptError` when the file is
-        truncated, corrupted, or written in an incompatible format —
-        anything short of a clean, version-matched dump.  A missing file
-        still raises :class:`FileNotFoundError` (absence is a different
-        condition from damage, and callers branch on it).
+        truncated, corrupted, or written in another format (a version-1
+        ``.npz`` dump included) — anything short of a clean,
+        version-matched snapshot.  A missing file still raises
+        :class:`FileNotFoundError` (absence is a different condition
+        from damage, and callers branch on it).
         """
-        path = Path(path)
+        raw = Path(path).read_bytes()
         try:
-            with np.load(path) as data:
-                meta = data["meta"]
-                if (
-                    meta.shape != (3,)
-                    or int(meta[0]) != STORE_FORMAT_VERSION
-                    or int(meta[1]) != FLOAT_COLS
-                    or int(meta[2]) != INT_COLS
-                ):
-                    raise StoreCorruptError(
-                        f"incompatible cache file {path}: "
-                        f"format {meta.tolist()} != "
-                        f"{[STORE_FORMAT_VERSION, FLOAT_COLS, INT_COLS]}"
-                    )
-                lo = data["lo"]
-                hi = data["hi"]
-                floats = data["floats"]
-                ints = data["ints"]
-            if not (lo.size == hi.size == floats.shape[0] == ints.shape[0]):
-                raise StoreCorruptError(
-                    f"inconsistent cache file {path}: column lengths "
-                    f"{[lo.size, hi.size, floats.shape[0], ints.shape[0]]}"
-                )
-        except (FileNotFoundError, StoreCorruptError):
-            raise
-        except Exception as exc:  # noqa: BLE001 - any decode failure of an untrusted on-disk cache (bad zip, truncated member, pickle refusal, wrong keys) means "corrupt"; re-raised typed
+            _, arrays = container.decode(
+                raw, prefix=_SNAPSHOT_PREFIX, digest=True
+            )
+        except ContainerError as exc:
             raise StoreCorruptError(
-                f"cannot read cache file {path}: {exc!r}"
+                f"cannot read cache file {path}: {exc}"
             ) from exc
+        lo = arrays.get("lo")
+        n = lo.shape[0] if lo is not None and lo.ndim == 1 else -1
+        expected = {
+            "lo": (np.dtype("<u8"), (n,)),
+            "hi": (np.dtype("<u8"), (n,)),
+            "floats": (np.dtype("<f8"), (n, FLOAT_COLS)),
+            "ints": (np.dtype("<i8"), (n, INT_COLS)),
+        }
+        found = {name: (array.dtype, array.shape)
+                 for name, array in arrays.items()}
+        if found != expected:
+            raise StoreCorruptError(
+                f"inconsistent cache file {path}: arrays {found}"
+            )
         self.put_batch(
-            lo.astype(np.uint64),
-            hi.astype(np.uint64),
-            floats.astype(np.float64),
-            ints.astype(np.int64),
+            arrays["lo"], arrays["hi"], arrays["floats"], arrays["ints"]
         )
-        return int(lo.size)
+        return n

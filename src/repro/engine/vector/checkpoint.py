@@ -25,22 +25,20 @@ detected by a whole-file checksum and handled like a corrupt cache
 snapshot: log and start cold (the checkpoint is a recovery artefact,
 never ground truth).
 
-The file is one fixed container, little-endian throughout::
+The file is an array container (:mod:`repro.engine.container`)
+with the digest on::
 
     b"GFCKPT" | u16 format | 16-byte digest | u32 header length
     | JSON header | raw array bytes
 
 The JSON header carries the job identity plus ``rows_done`` (``meta``)
-and an array table (``arrays``: ``name``, ``dtype.str``, ``shape`` per
-entry); the arrays follow back to back in table order.  The digest is
-SHA-256 over every byte except the digest itself, truncated to 16
-bytes, hashed part by part so the ~1 MB of array bytes is never
-concatenated before hashing.  Decoding slices the arrays out with
-``np.frombuffer`` against the table: only ``bool``, ``int64``,
-``uint64`` and ``float64`` are accepted, every offset is bounds-checked,
-trailing bytes are rejected, and nothing is ever unpickled.  A file in
-the format-1 layout (``GFCKPT`` + blake2b-128 digest + length-prefixed
-JSON + ``npz``) is recognised by its own checksum and rejected as a
+and the array table; the arrays are the ``done`` bitmap and the
+reducers' packed state.  The digest (SHA-256 over every other byte,
+truncated to 16 bytes) catches truncation and bit flips before the
+table is read; the container's decoder bounds-checks the table,
+rejects trailing bytes and never unpickles.  A file in the format-1
+layout (``GFCKPT`` + blake2b-128 digest + length-prefixed JSON +
+``npz``) is recognised by its own checksum and rejected as a
 ``format`` identity mismatch, never misread and never discarded.
 
 Only a finished checkpoint is canonical.  A cadence write (some unit
@@ -95,10 +93,12 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.engine import container
 from repro.engine.atomicio import atomic_write_bytes
 from repro.engine.vector.reducers import StreamingReduction
 from repro.errors import (
     CheckpointMismatchError,
+    ContainerError,
     ParameterError,
     StoreCorruptError,
 )
@@ -111,13 +111,8 @@ logger = logging.getLogger(__name__)
 CHECKPOINT_FORMAT_VERSION = 2
 
 _MAGIC = b"GFCKPT"
-_DIGEST_BYTES = 16
-#: ``magic | u16 format``: the bytes ahead of the digest.
+#: ``magic | u16 format``: the container prefix of a checkpoint file.
 _PREFIX = _MAGIC + CHECKPOINT_FORMAT_VERSION.to_bytes(2, "little")
-#: Offset of the JSON header (after the digest and its u32 length).
-_HEADER_AT = len(_PREFIX) + _DIGEST_BYTES + 4
-#: ``dtype.str`` of every array a checkpoint may carry.
-_DTYPES = frozenset({"|b1", "<i8", "<u8", "<f8"})
 
 #: Default unit count when no ``every_rows`` cadence is given: the run
 #: is split into ~64 resume units so a crash loses at most ~1.6% of a
@@ -179,7 +174,7 @@ def source_token(source) -> str:
     if token is not None:
         return str(token())
     return hashlib.blake2b(
-        pickle.dumps(source), digest_size=_DIGEST_BYTES
+        pickle.dumps(source), digest_size=container.DIGEST_BYTES
     ).hexdigest()
 
 
@@ -464,38 +459,9 @@ class CheckpointJournal:
         self._wait()
 
 
-def _digest(*parts) -> bytes:
-    """SHA-256 over ``parts`` in order, truncated to the digest size."""
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part)
-    return digest.digest()[:_DIGEST_BYTES]
-
-
 def _encode(meta: dict, arrays: "dict[str, np.ndarray]") -> bytes:
     """The container bytes for ``meta`` and ``arrays`` (in dict order)."""
-    table = []
-    blobs = []
-    for name, array in arrays.items():
-        array = np.ascontiguousarray(
-            array, dtype=array.dtype.newbyteorder("<")
-        )
-        if array.dtype.str not in _DTYPES:
-            raise ParameterError(
-                f"checkpoint array {name!r} has unsupported dtype "
-                f"{array.dtype.str!r}"
-            )
-        table.append(
-            {"name": name, "dtype": array.dtype.str,
-             "shape": list(array.shape)}
-        )
-        blobs.append(array)
-    header = json.dumps(
-        {"meta": meta, "arrays": table}, sort_keys=True
-    ).encode("utf-8")
-    length = len(header).to_bytes(4, "little")
-    digest = _digest(_PREFIX, length, header, *blobs)
-    return b"".join([_PREFIX, digest, length, header, *blobs])
+    return container.encode(meta, arrays, prefix=_PREFIX, digest=True)
 
 
 def _decode(raw: bytes) -> "tuple[dict, dict[str, np.ndarray]]":
@@ -508,68 +474,37 @@ def _decode(raw: bytes) -> "tuple[dict, dict[str, np.ndarray]]":
     caller's identity check rejects it on ``format``.  The arrays are
     read-only views into ``raw``.
     """
-    view = memoryview(raw)
-    digest_at = len(_PREFIX)
-    if len(raw) < _HEADER_AT or not raw.startswith(_PREFIX) or (
-        _digest(view[:digest_at], view[digest_at + _DIGEST_BYTES :])
-        != raw[digest_at : digest_at + _DIGEST_BYTES]
-    ):
-        return _format1_meta(raw), {}
-    offset = _HEADER_AT + int.from_bytes(raw[_HEADER_AT - 4 : _HEADER_AT],
-                                         "little")
-    if offset > len(raw):
-        raise StoreCorruptError("checkpoint header length out of range")
-    arrays: dict[str, np.ndarray] = {}
     try:
-        header = json.loads(raw[_HEADER_AT:offset])
-        meta, table = header["meta"], header["arrays"]
-        if not isinstance(meta, dict) or not isinstance(table, list):
-            raise TypeError("header meta/arrays have the wrong type")
-        for entry in table:
-            name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
-            if not isinstance(dtype, str) or dtype not in _DTYPES:
-                raise TypeError(f"array {name!r} has dtype {dtype!r}")
-            if not isinstance(name, str) or name in arrays or not (
-                isinstance(shape, list)
-                and all(type(dim) is int and dim >= 0 for dim in shape)
-            ):
-                raise TypeError(f"malformed array table entry {entry!r}")
-            count = math.prod(shape)
-            end = offset + count * np.dtype(dtype).itemsize
-            if end > len(raw):
-                raise ValueError(f"array {name!r} runs past the end")
-            arrays[name] = np.frombuffer(
-                raw, dtype=dtype, count=count, offset=offset
-            ).reshape(shape)
-            offset = end
-    except (ValueError, KeyError, TypeError, RecursionError) as error:
-        raise StoreCorruptError(f"checkpoint header unreadable: {error}") from error
-    if offset != len(raw):
-        raise StoreCorruptError(
-            f"checkpoint has {len(raw) - offset} trailing bytes"
-        )
+        meta, arrays = container.decode(raw, prefix=_PREFIX, digest=True)
+    except ContainerError as error:
+        meta = _format1_meta(raw)
+        if meta is None:
+            raise StoreCorruptError(f"checkpoint {error}") from error
+        return meta, {}
     done = arrays.get("done")
     if done is None or done.dtype != bool or done.ndim != 1:
         raise StoreCorruptError("checkpoint has no 1-d bool 'done' bitmap")
     return meta, arrays
 
 
-def _format1_meta(raw: bytes) -> dict:
-    """The identity header of a format-1 file, else :class:`StoreCorruptError`.
+def _format1_meta(raw: bytes) -> "dict | None":
+    """The identity header of a format-1 file; ``None`` when ``raw`` is
+    not one.
 
     Format 1 was ``GFCKPT`` + blake2b-128 over the body + a body of
     u32 length, JSON identity and ``npz`` arrays.  Only the identity is
     read (the ``npz`` part never is), and ``format`` is pinned to 1:
-    the layout, not the header, says which format a file is.
+    the layout, not the header, says which format a file is.  A
+    format-1 checksum over an unreadable identity raises
+    :class:`StoreCorruptError`.
     """
     digest_at = len(_MAGIC)
-    body = raw[digest_at + _DIGEST_BYTES :]
-    if len(body) < 4 or not raw.startswith(_MAGIC):
-        raise StoreCorruptError("not a checkpoint file (bad magic)")
-    if hashlib.blake2b(body, digest_size=_DIGEST_BYTES).digest() != (
-        raw[digest_at : digest_at + _DIGEST_BYTES]
+    body = raw[digest_at + container.DIGEST_BYTES :]
+    if len(body) < 4 or not raw.startswith(_MAGIC) or (
+        hashlib.blake2b(body, digest_size=container.DIGEST_BYTES).digest()
+        != raw[digest_at : digest_at + container.DIGEST_BYTES]
     ):
-        raise StoreCorruptError("checkpoint checksum mismatch")
+        return None
     try:
         meta = json.loads(body[4 : 4 + int.from_bytes(body[:4], "little")])
     except (ValueError, RecursionError) as error:

@@ -21,13 +21,19 @@ A :class:`ScenarioBatch` can be built three ways:
   columns (the parameter-space workloads);
 * :meth:`ScenarioBatch.from_arrays` — directly from axis arrays (the
   analysis batch entry points), never materialising ``Scenario`` objects
-  at all.  Validation is vectorised and mirrors ``Scenario.__post_init__``.
+  at all.
+
+:attr:`ScenarioBatch.COLUMNS` declares the columns once, as name and
+dtype; the byte formats (wire requests, the shared-memory packer) and
+the row operations read that list, and :meth:`ScenarioBatch.from_columns`
+is the one validator, vectorised and mirroring ``Scenario.__post_init__``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,6 +74,17 @@ class ScenarioBatch:
             to the device" (``N_FPGA`` = 1).
         enforce_chip_lifetime: Fig. 9 repurchase semantics per row.
     """
+
+    #: Every column, name and dtype, in declaration order: the one list
+    #: the codecs, the shared-memory packer and the row operations read.
+    COLUMNS: ClassVar[tuple[tuple[str, np.dtype], ...]] = (
+        ("num_apps", np.dtype("<i8")),
+        ("volume", np.dtype("<f8")),
+        ("lifetime", np.dtype("<f8")),
+        ("evaluation_years", np.dtype("<f8")),
+        ("app_size_mgates", np.dtype("<f8")),
+        ("enforce_chip_lifetime", np.dtype("|b1")),
+    )
 
     num_apps: np.ndarray
     volume: np.ndarray
@@ -202,56 +219,89 @@ class ScenarioBatch:
     ) -> "ScenarioBatch":
         """Build a batch straight from axis arrays (no ``Scenario`` objects).
 
-        Scalars broadcast against array inputs; every row has one
-        lifetime shared by its applications.  Validation mirrors
-        ``Scenario.__post_init__`` but runs vectorised, once per batch.
+        Scalars broadcast against array inputs along the row axis; a 2-D
+        ``lifetime`` is an ``(n, w)`` per-application block.  Validated
+        by :meth:`from_columns`.
         """
-        num_apps_a = np.atleast_1d(np.asarray(num_apps, dtype=np.int64))
-        lifetime_a = np.atleast_1d(np.asarray(lifetime, dtype=np.float64))
-        volume_a = np.atleast_1d(np.asarray(volume, dtype=np.float64))
-        evaluation_a = np.atleast_1d(
-            np.asarray(
-                np.nan if evaluation_years is None else evaluation_years,
-                dtype=np.float64,
+        values = {
+            "num_apps": num_apps,
+            "volume": volume,
+            "lifetime": lifetime,
+            "evaluation_years": (
+                np.nan if evaluation_years is None else evaluation_years
+            ),
+            "app_size_mgates": (
+                np.nan if app_size_mgates is None else app_size_mgates
+            ),
+            "enforce_chip_lifetime": enforce_chip_lifetime,
+        }
+        columns = {
+            name: np.atleast_1d(np.asarray(values[name], dtype=dtype))
+            for name, dtype in cls.COLUMNS
+        }
+        (n,) = np.broadcast_shapes(*(c.shape[:1] for c in columns.values()))
+        return cls.from_columns({
+            name: np.ascontiguousarray(
+                np.broadcast_to(column, (n, *column.shape[1:]))
             )
-        )
-        app_size_a = np.atleast_1d(
-            np.asarray(
-                np.nan if app_size_mgates is None else app_size_mgates,
-                dtype=np.float64,
-            )
-        )
-        enforce_a = np.atleast_1d(np.asarray(enforce_chip_lifetime, dtype=bool))
-        num_apps_a, lifetime_a, volume_a, evaluation_a, app_size_a, enforce_a = (
-            np.broadcast_arrays(
-                num_apps_a, lifetime_a, volume_a, evaluation_a, app_size_a, enforce_a
-            )
-        )
-        if np.any(num_apps_a < 1):
+            for name, column in columns.items()
+        })
+
+    @classmethod
+    def from_columns(
+        cls, columns: "Mapping[str, np.ndarray]"
+    ) -> "ScenarioBatch":
+        """A validated batch from one array per declared column.
+
+        Each column must have its declared dtype and one entry per row;
+        ``lifetime`` may be ``(n,)`` or an ``(n, w)`` block.  Row values
+        are checked like ``Scenario.__post_init__``, vectorised.  Raises
+        :class:`~repro.errors.ParameterError`.
+        """
+        names = [name for name, _ in cls.COLUMNS]
+        if sorted(columns) != sorted(names):
             raise ParameterError(
-                f"num_apps must be >= 1, got {int(num_apps_a.min())}"
+                f"scenario columns {sorted(columns)} != {sorted(names)}"
             )
-        bad_volume = ~((volume_a >= 1.0) & (volume_a < np.inf))
+        batch = cls(**{name: np.asarray(columns[name]) for name in names})
+        rows = batch.num_apps.shape[:1]
+        for name, dtype in cls.COLUMNS:
+            column = getattr(batch, name)
+            shape_ok = column.shape[:1] == rows and (
+                column.ndim == 1
+                or (name == "lifetime" and column.ndim == 2
+                    and column.shape[1] >= 1)
+            )
+            if column.dtype != dtype or not shape_ok:
+                raise ParameterError(
+                    f"column {name!r} is {column.dtype.str} {column.shape}, "
+                    f"expected {dtype.str} with one row per scenario"
+                )
+        if np.any(batch.num_apps < 1):
+            raise ParameterError(
+                f"num_apps must be >= 1, got {int(batch.num_apps.min())}"
+            )
+        volume = batch.volume
+        bad_volume = ~((volume >= 1.0) & (volume < np.inf))
         if np.any(bad_volume):
             raise ParameterError(
-                f"volume must be finite and >= 1, got {volume_a[bad_volume][0]}"
+                f"volume must be finite and >= 1, got {volume[bad_volume][0]}"
             )
-        if np.any(~(lifetime_a > 0.0)):
+        if np.any(~(batch.lifetime > 0.0)):
             raise ParameterError("application lifetime must be > 0")
-        finite_eval = evaluation_a[~np.isnan(evaluation_a)]
-        if np.any(~(finite_eval > 0.0)):
-            raise ParameterError("evaluation_years must be > 0")
-        finite_size = app_size_a[~np.isnan(app_size_a)]
-        if np.any(~(finite_size > 0.0)):
-            raise ParameterError("app_size_mgates must be > 0")
-        return cls(
-            num_apps=np.ascontiguousarray(num_apps_a),
-            volume=np.ascontiguousarray(volume_a),
-            lifetime=np.ascontiguousarray(lifetime_a),
-            evaluation_years=np.ascontiguousarray(evaluation_a),
-            app_size_mgates=np.ascontiguousarray(app_size_a),
-            enforce_chip_lifetime=np.ascontiguousarray(enforce_a),
-        )
+        for name in ("evaluation_years", "app_size_mgates"):
+            column = getattr(batch, name)
+            if np.any(~(column[~np.isnan(column)] > 0.0)):
+                raise ParameterError(f"{name} must be > 0")
+        return batch
+
+    def columns(self) -> "dict[str, np.ndarray]":
+        """The columns by name in their declared dtypes (the batch's own
+        arrays wherever they already have them)."""
+        return {
+            name: np.asarray(getattr(self, name), dtype=dtype)
+            for name, dtype in self.COLUMNS
+        }
 
     def slice_rows(self, start: int, stop: int) -> "ScenarioBatch":
         """Row-range view ``[start, stop)`` (NumPy views, no copy).
@@ -259,23 +309,10 @@ class ScenarioBatch:
         Used by the engine's chunked parameter-batch dispatch to hand
         each worker its own column slices of one huge batch.
         """
-        rows = slice(start, stop)
-        return ScenarioBatch(
-            num_apps=self.num_apps[rows],
-            volume=self.volume[rows],
-            lifetime=self.lifetime[rows],
-            evaluation_years=self.evaluation_years[rows],
-            app_size_mgates=self.app_size_mgates[rows],
-            enforce_chip_lifetime=self.enforce_chip_lifetime[rows],
-        )
+        return self.take(slice(start, stop))
 
-    def take(self, indices: np.ndarray) -> "ScenarioBatch":
+    def take(self, indices: "np.ndarray | slice") -> "ScenarioBatch":
         """Row subset (used to evaluate a batch's store misses)."""
-        return ScenarioBatch(
-            num_apps=self.num_apps[indices],
-            volume=self.volume[indices],
-            lifetime=self.lifetime[indices],
-            evaluation_years=self.evaluation_years[indices],
-            app_size_mgates=self.app_size_mgates[indices],
-            enforce_chip_lifetime=self.enforce_chip_lifetime[indices],
-        )
+        return ScenarioBatch(**{
+            name: getattr(self, name)[indices] for name, _ in self.COLUMNS
+        })

@@ -597,6 +597,18 @@ class ReservoirQuantiles:
             self._keep([(self._priorities, self._values), self._pending()])
             self._fill = 0
 
+    def __getstate__(self) -> dict:
+        """The compressed state: the kept set, never the tile scratch or
+        the pending buffer (an unpickled copy allocates its own)."""
+        self._compress()
+        return {name: getattr(self, name) for name in self.__slots__
+                if name != "_buffers"}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._buffers = None
+
     def update(self, result: BatchResult, offset: int) -> None:
         values = np.asarray(getattr(result, self.source), dtype=np.float64)
         if self._buffers is None:

@@ -17,12 +17,13 @@ Chunk sources
 * :class:`ArrayChunkSource` — zero-copy row slices of an in-memory
   :class:`ParameterBatch` / :class:`ScenarioBatch` pair (the
   ``reduce=`` mode of :meth:`EvaluationEngine.evaluate_param_batch`).
-* :class:`SharedArrayChunkSource` — the multi-process spelling: per-row
-  columns are packed once into one
-  :class:`multiprocessing.shared_memory.SharedMemory` block; workers
-  attach by name and slice NumPy views straight out of the block
-  (zero-copy, nothing re-pickled per chunk); each column keeps its
-  shape, so an ``(n, w)`` per-application lifetime block travels as is.
+* :class:`SharedArrayChunkSource` — the multi-process spelling: the
+  columns are written once into one
+  :class:`multiprocessing.shared_memory.SharedMemory` block as an array
+  container; workers attach by name and slice NumPy views straight out
+  of the block (zero-copy, nothing re-pickled per chunk); each column
+  keeps its shape, so an ``(n, w)`` per-application lifetime block
+  travels as is.
 * :class:`MonteCarloChunkSource` — the fully out-of-core spelling for
   Monte-Carlo studies (any valid scenario, tiled per chunk): no input
   columns exist anywhere.  Each chunk
@@ -75,6 +76,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.core.scenario import Scenario
+from repro.engine import container
 from repro.engine.vector.checkpoint import Checkpoint, CheckpointJournal
 from repro.engine.vector.columns import ScenarioBatch
 from repro.engine.vector.evaluator import VectorizedEvaluator
@@ -196,38 +198,27 @@ class ArrayChunkSource:
 
 
 class SharedArrayChunkSource:
-    """Multi-process chunk source over one shared-memory column block.
+    """Multi-process chunk source over one shared-memory container.
 
-    :meth:`pack` copies every per-row column — parameter overrides and
-    scenario columns, each in its own shape — into a single
-    :class:`~multiprocessing.shared_memory.SharedMemory` segment once;
-    broadcast (length-1) columns and the base parameter row travel
-    inline in the pickled source, which is otherwise just the segment
-    name and a column directory.  Workers attach on first use and slice
-    zero-copy NumPy views per chunk, so a span task re-pickles nothing
-    per chunk and no row data is ever copied to a worker.
+    :meth:`pack` writes every column of the pair — parameter overrides,
+    the base parameter row and the scenario columns, each in its own
+    shape — into one :class:`~multiprocessing.shared_memory.SharedMemory`
+    segment once, as an array container (:mod:`repro.engine.container`,
+    no digest, arrays 8-byte aligned).  The pickled source is the
+    segment name, its byte count and the row count.  Workers attach on
+    first use and decode zero-copy NumPy views per chunk, so a span
+    task re-pickles nothing per chunk and no row data is ever copied to
+    a worker.
 
     The creating process must call :meth:`close` (which unlinks the
     segment) once streaming is done; :class:`EvaluationEngine` does this
     in a ``finally`` block.
     """
 
-    _SCENARIO_FIELDS = (
-        ("num_apps", np.int64),
-        ("volume", np.float64),
-        ("lifetime", np.float64),
-        ("evaluation_years", np.float64),
-        ("app_size_mgates", np.float64),
-        ("enforce_chip_lifetime", np.bool_),
-    )
-
     def __init__(self) -> None:
         self.n = 0
         self._shm_name: str | None = None
-        self._specs: dict[str, tuple[str, tuple[int, ...], int]] = {}
-        self._inline: dict[int, np.ndarray] = {}
-        self._base_row: np.ndarray | None = None
-        self._param_keys: tuple[int, ...] = ()
+        self._nbytes = 0
         self._shm: shared_memory.SharedMemory | None = None
         self._owner = False
 
@@ -235,48 +226,36 @@ class SharedArrayChunkSource:
     def pack(
         cls, params: ParameterBatch, batch: ScenarioBatch
     ) -> "SharedArrayChunkSource":
-        """Copy the pair's per-row columns into one shared block."""
+        """Write the pair's columns into one shared segment."""
         if params.size != batch.size:
             raise ParameterError(
                 f"parameter batch has {params.size} rows, "
                 f"scenario batch has {batch.size}"
             )
+        keys = sorted(params.columns)
+        arrays = {f"p{key}": params.columns[key] for key in keys}
+        if params.base_row is not None:
+            arrays["base_row"] = np.asarray(params.base_row, dtype=np.float64)
+        arrays.update(batch.columns())
+        parts = [
+            memoryview(part).cast("B")
+            for part in container.encode_parts(
+                {"params": keys}, arrays, align=8
+            )
+        ]
         source = cls()
         source.n = batch.size
-        source._base_row = (
-            None if params.base_row is None
-            else np.asarray(params.base_row, dtype=np.float64)
+        source._nbytes = sum(part.nbytes for part in parts)
+        shm = shared_memory.SharedMemory(
+            create=True, size=max(1, source._nbytes)
         )
-        source._param_keys = tuple(sorted(params.columns))
-
-        arrays: dict[str, np.ndarray] = {}
-        for key in source._param_keys:
-            column = params.columns[key]
-            if column.shape[0] == 1:
-                source._inline[key] = column.copy()
-            else:
-                arrays[f"p{key}"] = column
-        for name, dtype in cls._SCENARIO_FIELDS:
-            arrays[f"s_{name}"] = np.ascontiguousarray(
-                getattr(batch, name), dtype=dtype
-            )
-
-        total = sum(a.nbytes for a in arrays.values())
-        shm = shared_memory.SharedMemory(create=True, size=max(1, total))
         try:
             offset = 0
-            for name, array in arrays.items():
-                view = np.ndarray(array.shape, dtype=array.dtype,
-                                  buffer=shm.buf, offset=offset)
-                view[:] = array
-                del view
-                source._specs[name] = (array.dtype.str, array.shape, offset)
-                offset += array.nbytes
+            for part in parts:
+                shm.buf[offset : offset + part.nbytes] = part
+                offset += part.nbytes
         except BaseException:
-            # Nobody owns the segment yet — unlink here or leak it.  The
-            # half-filled view must drop first or close() sees an
-            # exported buffer.
-            view = None
+            # Nobody owns the segment yet — unlink here or leak it.
             shm.close()
             shm.unlink()
             raise
@@ -285,26 +264,17 @@ class SharedArrayChunkSource:
         source._owner = True
         return source
 
-    # -- pickling (workers get the name + directory, never the data) ----
+    # -- pickling (workers get the name, never the data) ---------------
 
     def __getstate__(self) -> dict:
-        return {
-            "n": self.n,
-            "shm_name": self._shm_name,
-            "specs": self._specs,
-            "inline": self._inline,
-            "base_row": self._base_row,
-            "param_keys": self._param_keys,
-        }
+        return {"n": self.n, "shm_name": self._shm_name,
+                "nbytes": self._nbytes}
 
     def __setstate__(self, state: dict) -> None:
         self.__init__()
         self.n = state["n"]
         self._shm_name = state["shm_name"]
-        self._specs = state["specs"]
-        self._inline = state["inline"]
-        self._base_row = state["base_row"]
-        self._param_keys = state["param_keys"]
+        self._nbytes = state["nbytes"]
 
     def _attach(self) -> shared_memory.SharedMemory:
         # Workers spawned by the engine's pool share the parent's
@@ -315,28 +285,28 @@ class SharedArrayChunkSource:
             self._shm = shared_memory.SharedMemory(name=self._shm_name)
         return self._shm
 
-    def _view(self, name: str) -> np.ndarray:
-        dtype, shape, offset = self._specs[name]
-        return np.ndarray(shape, dtype=np.dtype(dtype),
-                          buffer=self._attach().buf, offset=offset)
-
     def chunk(self, start: int, stop: int) -> tuple[ParameterBatch, ScenarioBatch]:
-        m = stop - start
-        columns: dict[int, np.ndarray] = {}
-        for key in self._param_keys:
-            inline = self._inline.get(key)
-            if inline is not None:
-                columns[key] = inline
-            else:
-                columns[key] = self._view(f"p{key}")[start:stop]
+        buf = self._attach().buf
+        if len(buf) != self._nbytes:
+            # Some platforms round a segment up to whole pages.
+            buf = buf[: self._nbytes]
+        meta, arrays = container.decode(buf)
+        rows = slice(start, stop)
+        # Broadcast (length-1) columns and the base row are copied out
+        # of the segment; only per-row slices stay views into it.
+        columns = {}
+        for key in meta["params"]:
+            column = arrays[f"p{key}"]
+            columns[key] = column[rows] if column.shape[0] > 1 else column.copy()
+        base_row = arrays.get("base_row")
         params = ParameterBatch(
-            m, base_row=self._base_row, columns=columns
+            stop - start,
+            base_row=None if base_row is None else base_row.copy(),
+            columns=columns,
         )
-        fields = {
-            name: self._view(f"s_{name}")[start:stop]
-            for name, _ in self._SCENARIO_FIELDS
-        }
-        batch = ScenarioBatch(**fields)
+        batch = ScenarioBatch(**{
+            name: arrays[name][rows] for name, _ in ScenarioBatch.COLUMNS
+        })
         return params, batch
 
     def close(self) -> None:

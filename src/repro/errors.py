@@ -27,6 +27,14 @@ class StoreCorruptError(ParameterError):
     """
 
 
+class ContainerError(GreenFpgaError, ValueError):
+    """Bytes that do not decode as an array container
+    (:mod:`repro.engine.container`): a wrong prefix, a digest mismatch,
+    a malformed array table or trailing bytes.  Each use turns it into
+    its own error.
+    """
+
+
 class CheckpointMismatchError(ParameterError):
     """A checkpoint file belongs to a *different* job than the resume.
 

@@ -34,42 +34,15 @@ from repro.engine import (
     EvaluationEngine,
     build_suite_cached,
     default_engine,
-    evaluation_key,
     reset_default_engine,
-    scenario_key,
 )
 from repro.errors import ParameterError
 from repro.operation.model import OperationModel
 
 
 # ----------------------------------------------------------------------
-# Keys and suite memoisation
+# Suite memoisation
 # ----------------------------------------------------------------------
-
-
-def test_scenario_key_handles_list_lifetimes():
-    a = Scenario(num_apps=2, app_lifetime_years=[1.0, 2.0], volume=10)
-    b = Scenario(num_apps=2, app_lifetime_years=(1.0, 2.0), volume=10)
-    assert scenario_key(a) == scenario_key(b)
-    assert hash(scenario_key(a)) == hash(scenario_key(b))
-
-
-def test_scenario_key_scalar_and_expanded_agree():
-    scalar = Scenario(num_apps=3, app_lifetime_years=2.0, volume=10)
-    expanded = Scenario(num_apps=3, app_lifetime_years=[2.0, 2.0, 2.0], volume=10)
-    assert scenario_key(scalar) == scenario_key(expanded)
-
-
-def test_evaluation_key_distinguishes_suites(dnn_comparator, small_scenario):
-    perturbed = dataclasses.replace(
-        dnn_comparator,
-        suite=dnn_comparator.suite.with_overrides(
-            operation=OperationModel(energy_source="coal")
-        ),
-    )
-    assert evaluation_key(dnn_comparator, small_scenario) != evaluation_key(
-        perturbed, small_scenario
-    )
 
 
 def test_build_suite_cached_returns_same_object():

@@ -291,7 +291,7 @@ def test_columnar_monte_carlo_runs_heterogeneous_scenarios(
 def test_sample_column_matches_sequential_draws(intensity_dist):
     a = np.random.default_rng(9)
     b = np.random.default_rng(9)
-    column = intensity_dist.sample_column(a, 50)
+    column = intensity_dist.column_from_uniform(a.random(50))
     scalars = np.array([intensity_dist.sample(b) for _ in range(50)])
     np.testing.assert_array_equal(column, scalars)
 

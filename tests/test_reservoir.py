@@ -162,3 +162,30 @@ def test_cadence_snapshot_is_never_written_again(geometry):
         reservoir.to_state(canonical=False)["priorities"],
         snapshots[-1][1]["priorities"],
     )
+
+
+def test_pickle_ships_the_kept_set_and_resumes_bit_identically():
+    """A partial pickles to its kept set plus a small constant (no tile
+    scratch, no pending buffer), and the unpickled reducer goes on
+    updating exactly like the original."""
+    import pickle
+
+    k, rows = 65_536, 131_072
+    values = _values(np.random.default_rng(7), 6 * rows, non_finite=True)
+    original = ReservoirQuantiles(k=k, seed=SEED)
+    _feed(original, values, [(i * rows, (i + 1) * rows) for i in range(4)])
+    payload = pickle.dumps(original)
+    kept = original.to_state(canonical=False)
+    kept_bytes = kept["priorities"].nbytes + kept["values"].nbytes
+    assert kept_bytes == 16 * k
+    assert len(payload) <= kept_bytes + 1024
+
+    copy = pickle.loads(payload)
+    later = [(i * rows, (i + 1) * rows) for i in range(4, 6)]
+    _feed(original, values, later)
+    _feed(copy, values, later)
+    for name, array in original.to_state().items():
+        got = copy.to_state()[name]
+        assert got.dtype == array.dtype
+        np.testing.assert_array_equal(got, array)
+    _assert_matches_oracle(copy, values, k)

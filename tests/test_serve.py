@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.comparison import PlatformComparator
+from repro.engine import container
 from repro.engine.engine import EvaluationEngine
 from repro.engine.serve import protocol
 from repro.engine.serve.backoff import JitteredBackoff
@@ -108,17 +109,50 @@ def test_request_round_trip_preserves_optional_columns():
     assert np.isnan(plain.evaluation_years).all()
 
 
-def test_encode_request_rejects_uncovered_batches():
+def _mixed_batch() -> ScenarioBatch:
+    """Per-application ``(n, w)`` lifetime rows beside fractional-volume
+    rows: every valid ``Scenario`` shape in one batch."""
     from repro.core.scenario import Scenario
 
-    ragged = ScenarioBatch.from_scenarios(
-        (Scenario(num_apps=2, app_lifetime_years=[1.0, 2.0], volume=10),)
+    return ScenarioBatch.from_scenarios((
+        Scenario(num_apps=2, app_lifetime_years=[1.0, 2.0], volume=10),
+        Scenario(num_apps=3, app_lifetime_years=1.5, volume=1000.25),
+        Scenario(num_apps=3, app_lifetime_years=[0.5, 3.0, 3.0],
+                 volume=20_000.5, evaluation_years=6.0),
+        Scenario(num_apps=1, app_lifetime_years=2.0, volume=1_000_000,
+                 app_size_mgates=4.0, enforce_chip_lifetime=True),
+    ))
+
+
+def test_mixed_lifetime_and_fractional_volume_batch_is_served_bit_identically():
+    batch = _mixed_batch()
+    assert batch.lifetime.ndim == 2
+    _, decoded = protocol.decode_request(
+        _read_frame_from(protocol.encode_request(1, "dnn", batch)).payload
     )
-    with pytest.raises(ProtocolError, match="per-application"):
-        protocol.encode_request(1, "dnn", ragged)
-    fractional = ScenarioBatch.from_arrays(num_apps=2, lifetime=1.0, volume=10.5)
-    with pytest.raises(ProtocolError, match="fractional"):
-        protocol.encode_request(1, "dnn", fractional)
+    for name, _ in ScenarioBatch.COLUMNS:
+        np.testing.assert_array_equal(getattr(decoded, name),
+                                      getattr(batch, name))
+    local = _reference("dnn", batch)
+
+    async def main():
+        async with BatchServer(workers=1) as server:
+            async with ServeClient(server.host, server.port) as client:
+                return await client.evaluate("dnn", batch, deadline_s=30.0)
+
+    served = asyncio.run(main())
+    for name in ("ratios", "winners", "fpga_totals", "asic_totals"):
+        np.testing.assert_array_equal(getattr(served, name),
+                                      getattr(local, name))
+
+
+def test_version_1_frame_is_a_protocol_error():
+    payload = protocol.encode_request(1, "dnn", _batch())[protocol.HEADER_SIZE:]
+    old = protocol._HEADER.pack(
+        protocol.MAGIC, 1, protocol.MSG_REQUEST, 0, 1, 0, len(payload)
+    )
+    with pytest.raises(ProtocolError, match="version 1"):
+        _read_frame_from(old + payload)
 
 
 def test_response_error_retry_deadline_frames_round_trip():
@@ -179,36 +213,54 @@ def test_read_frame_rejects_bad_magic_version_and_length():
         _read_frame_from(hostile)
 
 
+def _request_payload(domain="dnn", **columns) -> bytes:
+    """A request payload for ``_batch(2)`` with ``columns`` replaced."""
+    return container.encode(
+        {"domain": domain}, {**_batch(2).columns(), **columns}
+    )
+
+
 def test_decode_request_rejects_malformed_payloads():
     with pytest.raises(ProtocolError):
         protocol.decode_request(b"")
-    with pytest.raises(ProtocolError):
-        protocol.decode_request(struct.pack("!H", 500) + b"dn")  # short name
-    with pytest.raises(ProtocolError, match="undecodable"):
-        protocol.decode_request(
-            struct.pack("!H", 2) + b"\xff\xfe" + struct.pack("!I", 1) + b"x" * 41
-        )
+    with pytest.raises(ProtocolError, match="header length"):
+        protocol.decode_request(struct.pack("<I", 500) + b"{}")
+    with pytest.raises(ProtocolError, match="unreadable"):
+        protocol.decode_request(struct.pack("<I", 2) + b"\xff\xfe")
     good = protocol.encode_request(1, "dnn", _batch())[protocol.HEADER_SIZE:]
-    with pytest.raises(ProtocolError, match="ends inside column"):
+    with pytest.raises(ProtocolError, match="runs past the end"):
         protocol.decode_request(good[:-8])
     with pytest.raises(ProtocolError, match="trailing bytes"):
         protocol.decode_request(good + b"\x00")
-    zero_rows = struct.pack("!H", 3) + b"dnn" + struct.pack("!I", 0)
+    with pytest.raises(ProtocolError, match="domain"):
+        protocol.decode_request(_request_payload(domain=7))
     with pytest.raises(ProtocolError, match="at least one row"):
-        protocol.decode_request(zero_rows)
+        protocol.decode_request(container.encode(
+            {"domain": "dnn"},
+            {name: array[:0] for name, array in _batch().columns().items()},
+        ))
+    # A missing, renamed or retyped column is a malformed batch.
+    columns = _batch(2).columns()
+    del columns["volume"]
+    with pytest.raises(ParameterError, match="scenario columns"):
+        protocol.decode_request(container.encode({"domain": "dnn"}, columns))
+    with pytest.raises(ParameterError, match="'volume'"):
+        protocol.decode_request(
+            _request_payload(volume=np.array([10, 20], dtype=np.int64))
+        )
 
 
 def test_decode_request_validates_scenario_values():
     """Out-of-range rows raise ParameterError (reported as MSG_ERROR by
     the server) rather than evaluating garbage."""
-    batch = _batch(2)
-    payload = bytearray(
-        protocol.encode_request(1, "dnn", batch)[protocol.HEADER_SIZE:]
-    )
-    offset = 2 + 3 + 4  # domain header
-    struct.pack_into("<q", payload, offset, -5)  # num_apps[0] = -5
-    with pytest.raises(ParameterError):
-        protocol.decode_request(bytes(payload))
+    with pytest.raises(ParameterError, match="num_apps"):
+        protocol.decode_request(
+            _request_payload(num_apps=np.array([-5, 2], dtype=np.int64))
+        )
+    with pytest.raises(ParameterError, match="lifetime"):
+        protocol.decode_request(
+            _request_payload(lifetime=np.array([[1.0, 0.0], [1.0, 2.0]]))
+        )
 
 
 # ----------------------------------------------------------------------

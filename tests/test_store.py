@@ -3,7 +3,7 @@
 Covers digest stability (the scalar fold must agree with the vectorised
 column fold bit-for-bit, and with itself across processes), get/put
 sequences and eviction against a dict reference model, hit/miss
-accounting, ``.npz`` persistence round-trips, and the engine-level
+accounting, snapshot persistence round-trips, and the engine-level
 guarantee that store-served batches are bit-identical to freshly
 computed ones.
 """
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.scenario import Scenario
+from repro.engine import container
 from repro.engine import (
     EvaluationEngine,
     ScenarioBatch,
@@ -506,24 +507,44 @@ def test_store_overflow_save_load_keeps_most_recent(tmp_path):
     assert stats.hits == 4 and stats.misses == 0
 
 
-def test_store_loads_a_v1_dump_written_directly(tmp_path):
-    """A dump written with ``np.savez_compressed`` and the v1 keys (as
-    every earlier release wrote it) loads bit for bit."""
+def test_store_v1_npz_snapshot_is_a_typed_error_and_starts_cold(
+    tmp_path, dnn_comparator, caplog
+):
+    """A version-1 dump (``np.savez_compressed`` with the v1 keys, as
+    earlier releases wrote it) is another format: the store raises the
+    typed corruption error, and an engine warming from it starts cold
+    with a warning."""
+    import logging
+
     lo, hi, floats, ints = _rows(range(100, 140))
-    floats[:, 3] = np.nan
-    floats[:, 4] = -0.0
     path = tmp_path / "v1.npz"
     with path.open("wb") as handle:
         np.savez_compressed(
             handle,
-            meta=np.array(
-                [STORE_FORMAT_VERSION, FLOAT_COLS, INT_COLS], dtype=np.int64
-            ),
+            meta=np.array([1, FLOAT_COLS, INT_COLS], dtype=np.int64),
             lo=lo, hi=hi, floats=floats, ints=ints,
         )
+    with pytest.raises(StoreCorruptError, match="bad prefix"):
+        ShardedResultStore().load(path)
+    with caplog.at_level(logging.WARNING, logger="repro.engine.engine"):
+        engine = EvaluationEngine(cache_file=path)
+    assert any("starting cold" in rec.message for rec in caplog.records)
+    assert engine.cache_stats.size == 0
+    scenario = Scenario(num_apps=3, app_lifetime_years=1.5, volume=10_000)
+    assert engine.evaluate(dnn_comparator, scenario) == (
+        dnn_comparator.compare(scenario)
+    )
+
+
+def test_store_snapshot_keeps_nan_and_negative_zero_bits(tmp_path):
+    lo, hi, floats, ints = _rows(range(100, 140))
+    floats[:, 3] = np.nan
+    floats[:, 4] = -0.0
     store = ShardedResultStore(capacity=4096)
-    assert store.load(path) == 40
-    hits, got_f, got_i = store.get_batch(lo, hi)
+    store.put_batch(lo, hi, floats, ints)
+    loaded = ShardedResultStore(capacity=4096)
+    assert loaded.load(store.save(tmp_path / "warmth.snap")) == 40
+    hits, got_f, got_i = loaded.get_batch(lo, hi)
     assert hits.all()
     np.testing.assert_array_equal(got_f.view(np.uint64), floats.view(np.uint64))
     np.testing.assert_array_equal(got_i, ints)
@@ -550,20 +571,30 @@ def test_store_load_into_smaller_store_keeps_most_recent(tmp_path):
     assert not small.get_batch(lo, hi)[0].any()
 
 
+def _snapshot(path, arrays, version=STORE_FORMAT_VERSION) -> None:
+    """Write ``arrays`` as a snapshot container of format ``version``."""
+    prefix = b"GFSTORE" + version.to_bytes(2, "little")
+    path.write_bytes(
+        container.encode({}, arrays, prefix=prefix, digest=True)
+    )
+
+
+def _snapshot_arrays(n=4, float_rows=None):
+    return {
+        "lo": np.arange(n, dtype=np.uint64),
+        "hi": np.arange(n, dtype=np.uint64),
+        "floats": np.zeros((n if float_rows is None else float_rows,
+                            FLOAT_COLS)),
+        "ints": np.zeros((n, INT_COLS), np.int64),
+    }
+
+
 def test_store_load_rejects_incompatible_format(tmp_path):
-    path = tmp_path / "bad.npz"
-    with path.open("wb") as handle:
-        np.savez_compressed(
-            handle,
-            meta=np.array([999, FLOAT_COLS, INT_COLS], dtype=np.int64),
-            lo=np.empty(0, np.uint64),
-            hi=np.empty(0, np.uint64),
-            floats=np.empty((0, FLOAT_COLS)),
-            ints=np.empty((0, INT_COLS), np.int64),
-        )
+    path = tmp_path / "bad.snap"
+    _snapshot(path, _snapshot_arrays(), version=999)
     # Typed as StoreCorruptError, which subclasses ParameterError so
     # pre-existing callers catching the base keep working.
-    with pytest.raises(StoreCorruptError):
+    with pytest.raises(StoreCorruptError, match="bad prefix"):
         ShardedResultStore().load(path)
     with pytest.raises(ParameterError):
         ShardedResultStore().load(path)
@@ -579,7 +610,7 @@ def _saved_store_path(tmp_path, n_rows: int = 16):
 def test_store_load_byte_truncated_file_raises_typed_error(tmp_path):
     """A partially written dump (killed mid-save, full disk) must raise
     the typed corruption error at every truncation point, never a bare
-    zipfile/OSError and never silently load garbage rows."""
+    OSError/ValueError and never silently load garbage rows."""
     path = _saved_store_path(tmp_path)
     blob = path.read_bytes()
     for keep in (len(blob) // 2, len(blob) - 7, 3):
@@ -590,10 +621,9 @@ def test_store_load_byte_truncated_file_raises_typed_error(tmp_path):
 
 
 def test_store_load_flipped_bytes_raise_or_load_consistently(tmp_path):
-    """Random byte corruption inside the zip payload must either raise
-    the typed error (CRC/decode failure) or — if the flip lands in
-    payload numpy data that still decodes — load *consistent* columns.
-    It must never escape as an untyped zipfile/ValueError crash."""
+    """Random byte corruption must either raise the typed error (the
+    snapshot digest catches it) or load *consistent* columns.  It must
+    never escape as an untyped crash."""
     from repro.engine.serve.faults import FaultPlan
 
     path = _saved_store_path(tmp_path)
@@ -614,18 +644,17 @@ def test_store_load_missing_file_stays_file_not_found(tmp_path):
 
 
 def test_store_load_row_length_mismatch_raises(tmp_path):
-    path = tmp_path / "ragged.npz"
-    with path.open("wb") as handle:
-        np.savez_compressed(
-            handle,
-            meta=np.array([1, FLOAT_COLS, INT_COLS], dtype=np.int64),
-            lo=np.arange(4, dtype=np.uint64),
-            hi=np.arange(4, dtype=np.uint64),
-            floats=np.zeros((3, FLOAT_COLS)),  # 3 rows vs 4 keys
-            ints=np.zeros((4, INT_COLS), np.int64),
-        )
-    with pytest.raises(StoreCorruptError):
+    path = tmp_path / "ragged.snap"
+    _snapshot(path, _snapshot_arrays(4, float_rows=3))  # 3 rows vs 4 keys
+    with pytest.raises(StoreCorruptError, match="inconsistent"):
         ShardedResultStore().load(path)
+    arrays = _snapshot_arrays(4)
+    arrays["ints"] = arrays["ints"].astype(np.uint64)
+    _snapshot(path, arrays)
+    with pytest.raises(StoreCorruptError, match="inconsistent"):
+        ShardedResultStore().load(path)
+    _snapshot(path, _snapshot_arrays(4))
+    assert ShardedResultStore().load(path) == 4
 
 
 def test_engine_load_cache_corrupt_file_starts_cold(
