@@ -21,8 +21,10 @@ throughout::
 
 Decoding slices the arrays out of the input buffer against the table:
 only ``|b1 |u1 <i8 <u8 <f8`` are accepted, every entry is
-bounds-checked, trailing bytes are rejected and nothing is ever
-unpickled.  Every failure raises :class:`~repro.errors.ContainerError`,
+bounds-checked, trailing bytes are rejected, a ``|b1`` byte other
+than 0 or 1 is rejected (NumPy would carry it as a non-canonical bool)
+and nothing is ever unpickled.  :func:`expect` checks the decoded
+arrays against a use's schema.  Every failure raises :class:`~repro.errors.ContainerError`,
 which each use turns into its own error (``ProtocolError`` on the wire,
 ``StoreCorruptError`` for snapshots and checkpoints).  The decoded
 arrays are ``np.ndarray(buffer=raw)`` views of the caller's object,
@@ -155,4 +157,31 @@ def decode(
         raise ContainerError(f"header unreadable: {error}") from error
     if offset != len(view):
         raise ContainerError(f"{len(view) - offset} trailing bytes")
+    for name, array in arrays.items():
+        if array.dtype == bool and np.any(array.view(np.uint8) > 1):
+            raise ContainerError(f"bool array {name!r} holds a byte above 1")
     return meta, arrays
+
+
+def expect(
+    arrays: "dict[str, np.ndarray]",
+    schema: "dict[str, tuple[str, tuple[int, ...]]]",
+) -> int:
+    """The row count ``n`` of decoded ``arrays`` that are exactly
+    ``schema``, ``{name: (dtype, trailing_shape)}``: each array has its
+    dtype and the shape ``(n, *trailing_shape)``, one ``n`` for all.
+
+    Raises :class:`ContainerError` on a missing, extra, retyped or
+    reshaped array.
+    """
+    first = arrays.get(next(iter(schema)))
+    rows = first.shape[:1] if first is not None else ()
+    found = {name: (array.dtype.str, array.shape)
+             for name, array in arrays.items()}
+    wanted = {name: (dtype, (*rows, *trailing))
+              for name, (dtype, trailing) in schema.items()}
+    if not rows or found != wanted:
+        raise ContainerError(
+            f"inconsistent arrays {found} (expected {schema})"
+        )
+    return rows[0]

@@ -71,13 +71,14 @@ HEADER_SIZE = _HEADER.size
 #: corrupted or hostile length field must not trigger an unbounded read.
 MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
 
-#: The columns of a response payload, name and dtype, in table order.
-_RESPONSE_COLUMNS = (
-    ("ratios", np.dtype("<f8")),
-    ("winners", np.dtype("|u1")),
-    ("fpga_totals", np.dtype("<f8")),
-    ("asic_totals", np.dtype("<f8")),
-)
+#: The columns of a response payload, ``{name: (dtype, trailing
+#: shape)}`` in table order.
+_RESPONSE_SCHEMA = {
+    "ratios": ("<f8", ()),
+    "winners": ("|u1", ()),
+    "fpga_totals": ("<f8", ()),
+    "asic_totals": ("<f8", ()),
+}
 
 
 class ProtocolError(ServeError):
@@ -178,9 +179,14 @@ async def read_frame(reader: asyncio.StreamReader) -> "Frame | None":
 # ----------------------------------------------------------------------
 
 
-def _decode_payload(payload: bytes, what: str) -> "tuple[dict, dict]":
+def _decode_payload(
+    payload: bytes, what: str, schema: "dict | None" = None
+) -> "tuple[dict, dict]":
     try:
-        return container.decode(payload)
+        meta, arrays = container.decode(payload)
+        if schema is not None:
+            container.expect(arrays, schema)
+        return meta, arrays
     except ContainerError as exc:
         raise ProtocolError(f"malformed {what} payload: {exc}") from exc
 
@@ -231,7 +237,7 @@ def encode_response(
     values = (ratios, winners_u8, fpga_totals, asic_totals)
     payload = container.encode({}, {
         name: np.asarray(value, dtype=dtype)
-        for (name, dtype), value in zip(_RESPONSE_COLUMNS, values)
+        for (name, (dtype, _)), value in zip(_RESPONSE_SCHEMA.items(), values)
     })
     return encode_frame(MSG_RESPONSE, request_id, payload)
 
@@ -240,17 +246,8 @@ def decode_response(
     payload: bytes,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(ratios, winners_u8, fpga_totals, asic_totals)`` columns."""
-    _, arrays = _decode_payload(payload, "response")
-    ratios = arrays.get("ratios")
-    n = ratios.shape[0] if ratios is not None and ratios.ndim == 1 else -1
-    if {name: (array.dtype, array.shape) for name, array in arrays.items()} != {
-        name: (dtype, (n,)) for name, dtype in _RESPONSE_COLUMNS
-    }:
-        raise ProtocolError(
-            f"response columns {sorted(arrays)} do not match "
-            f"{[name for name, _ in _RESPONSE_COLUMNS]}"
-        )
-    return tuple(arrays[name].copy() for name, _ in _RESPONSE_COLUMNS)
+    _, arrays = _decode_payload(payload, "response", _RESPONSE_SCHEMA)
+    return tuple(arrays[name].copy() for name in _RESPONSE_SCHEMA)
 
 
 def _unpack_struct(fmt: str, payload: bytes, what: str) -> tuple:

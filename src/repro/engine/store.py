@@ -410,6 +410,13 @@ _IT_NUM_APPS = 3
 STORE_FORMAT_VERSION = 2
 #: ``magic | u16 format``: the container prefix of a snapshot file.
 _SNAPSHOT_PREFIX = b"GFSTORE" + STORE_FORMAT_VERSION.to_bytes(2, "little")
+#: The arrays of a snapshot, ``{name: (dtype, trailing shape)}``.
+_SNAPSHOT_SCHEMA = {
+    "lo": ("<u8", ()),
+    "hi": ("<u8", ()),
+    "floats": ("<f8", (FLOAT_COLS,)),
+    "ints": ("<i8", (INT_COLS,)),
+}
 
 
 def _first_app(column: np.ndarray) -> np.ndarray:
@@ -769,35 +776,24 @@ class ShardedResultStore:
         are untouched (loading is not a lookup).
 
         Raises :class:`~repro.errors.StoreCorruptError` when the file is
-        truncated, corrupted, or written in another format (a version-1
-        ``.npz`` dump included) — anything short of a clean,
-        version-matched snapshot.  A missing file still raises
+        truncated, corrupted, unreadable (a directory, no permission)
+        or written in another format (a version-1 ``.npz`` dump
+        included) — anything short of a clean, version-matched
+        snapshot.  A missing file still raises
         :class:`FileNotFoundError` (absence is a different condition
         from damage, and callers branch on it).
         """
-        raw = Path(path).read_bytes()
         try:
             _, arrays = container.decode(
-                raw, prefix=_SNAPSHOT_PREFIX, digest=True
+                Path(path).read_bytes(), prefix=_SNAPSHOT_PREFIX, digest=True
             )
-        except ContainerError as exc:
+            n = container.expect(arrays, _SNAPSHOT_SCHEMA)
+        except FileNotFoundError:
+            raise
+        except (OSError, ContainerError) as exc:
             raise StoreCorruptError(
                 f"cannot read cache file {path}: {exc}"
             ) from exc
-        lo = arrays.get("lo")
-        n = lo.shape[0] if lo is not None and lo.ndim == 1 else -1
-        expected = {
-            "lo": (np.dtype("<u8"), (n,)),
-            "hi": (np.dtype("<u8"), (n,)),
-            "floats": (np.dtype("<f8"), (n, FLOAT_COLS)),
-            "ints": (np.dtype("<i8"), (n, INT_COLS)),
-        }
-        found = {name: (array.dtype, array.shape)
-                 for name, array in arrays.items()}
-        if found != expected:
-            raise StoreCorruptError(
-                f"inconsistent cache file {path}: arrays {found}"
-            )
         self.put_batch(
             arrays["lo"], arrays["hi"], arrays["floats"], arrays["ints"]
         )

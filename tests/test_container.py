@@ -75,6 +75,39 @@ def test_encoder_refuses_unsupported_dtypes_and_normalises_byte_order():
     np.testing.assert_array_equal(arrays["x"], big)
 
 
+def test_decoder_rejects_non_canonical_bools():
+    raw = bytearray(container.encode({}, {"flags": np.array([True, False])}))
+    container.decode(bytes(raw))
+    raw[-1] = 0x02
+    with pytest.raises(ContainerError, match="bool"):
+        container.decode(bytes(raw))
+
+
+def test_expect_returns_rows_or_rejects_the_schema_mismatch():
+    schema = {"keys": ("<u8", ()), "rows": ("<f8", (3,))}
+    arrays = {"keys": np.arange(4, dtype=np.uint64), "rows": np.ones((4, 3))}
+    assert container.expect(arrays, schema) == 4
+    assert container.expect(
+        {name: array[:0] for name, array in arrays.items()}, schema
+    ) == 0
+    for broken in (
+        {"keys": arrays["keys"]},
+        {**arrays, "extra": np.ones(4)},
+        {**arrays, "keys": arrays["keys"].astype(np.int64)},
+        {**arrays, "rows": np.ones((3, 3))},
+        {**arrays, "rows": np.ones((4, 2))},
+        {**arrays, "keys": np.uint64(4) + np.zeros((), dtype=np.uint64)},
+    ):
+        with pytest.raises(ContainerError, match="inconsistent"):
+            container.expect(broken, schema)
+
+
+def _assert_canonical_bools(arrays) -> None:
+    for array in arrays:
+        if array.dtype == bool:
+            assert array.view(np.uint8).max(initial=0) <= 1
+
+
 def test_decoder_checks_prefix_digest_and_length():
     raw = container.encode({}, {"x": np.ones(2)}, prefix=b"AB", digest=True)
     with pytest.raises(ContainerError, match="bad prefix"):
@@ -130,6 +163,7 @@ def test_malformed_wire_requests_raise_typed_errors_or_decode_valid():
         assert isinstance(got, ScenarioBatch) and got.size >= 1
         for name, dtype in ScenarioBatch.COLUMNS:
             assert getattr(got, name).dtype == dtype
+        _assert_canonical_bools(got.columns().values())
 
     decoded = _fuzz(raw, decode, (protocol.ProtocolError, ParameterError))
     assert 0 < decoded < 3 * len(raw)
@@ -184,6 +218,7 @@ def test_malformed_checkpoints_raise_typed_errors_or_decode_valid():
         meta, got = _decode(damaged)
         assert isinstance(meta, dict)
         assert got["done"].dtype == bool and got["done"].ndim == 1
+        _assert_canonical_bools(got.values())
 
     # The digest covers every byte: no damaged checkpoint decodes.
     assert _fuzz(raw, decode, StoreCorruptError) == 0

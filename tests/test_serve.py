@@ -250,6 +250,19 @@ def test_decode_request_rejects_malformed_payloads():
         )
 
 
+@pytest.mark.parametrize("byte", [0x02, 0xFE, 0xFF])
+def test_decode_request_rejects_a_non_canonical_bool(byte):
+    """``enforce_chip_lifetime`` travels as one byte per row; a byte
+    other than 0 or 1 is a malformed payload, not a bool NumPy would
+    carry non-canonically into digests and switch keys."""
+    good = protocol.encode_request(1, "dnn", _batch(2))[protocol.HEADER_SIZE:]
+    protocol.decode_request(good)
+    damaged = bytearray(good)
+    damaged[-1] = byte  # the enforce column is the last array, 1 byte a row
+    with pytest.raises(ProtocolError, match="bool"):
+        protocol.decode_request(bytes(damaged))
+
+
 def test_decode_request_validates_scenario_values():
     """Out-of-range rows raise ParameterError (reported as MSG_ERROR by
     the server) rather than evaluating garbage."""

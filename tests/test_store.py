@@ -682,6 +682,28 @@ def test_engine_load_cache_corrupt_file_starts_cold(
     assert ShardedResultStore().load(path) >= 1
 
 
+def test_engine_cache_path_that_cannot_be_read_starts_cold(
+    tmp_path, dnn_comparator, caplog
+):
+    """A cache path that exists but cannot be read (here a directory)
+    is unusable warmth, not a crash: the store raises the typed error
+    and the engine starts cold with its warning."""
+    import logging
+
+    path = tmp_path / "cache.snap"
+    path.mkdir()
+    with pytest.raises(StoreCorruptError, match="cannot read"):
+        ShardedResultStore().load(path)
+    with caplog.at_level(logging.WARNING, logger="repro.engine.engine"):
+        engine = EvaluationEngine(cache_file=path)
+    assert any("starting cold" in rec.message for rec in caplog.records)
+    assert engine.cache_stats.size == 0
+    scenario = Scenario(num_apps=3, app_lifetime_years=1.5, volume=10_000)
+    assert engine.evaluate(dnn_comparator, scenario) == (
+        dnn_comparator.compare(scenario)
+    )
+
+
 # ----------------------------------------------------------------------
 # Pack / materialise round trip
 # ----------------------------------------------------------------------
