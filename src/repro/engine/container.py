@@ -21,15 +21,16 @@ throughout::
 
 Decoding slices the arrays out of the input buffer against the table:
 only ``|b1 |u1 <i8 <u8 <f8`` are accepted, every entry is
-bounds-checked, trailing bytes are rejected, a ``|b1`` byte other
-than 0 or 1 is rejected (NumPy would carry it as a non-canonical bool)
-and nothing is ever unpickled.  :func:`expect` checks the decoded
-arrays against a use's schema.  Every failure raises :class:`~repro.errors.ContainerError`,
-which each use turns into its own error (``ProtocolError`` on the wire,
-``StoreCorruptError`` for snapshots and checkpoints).  The decoded
-arrays are ``np.ndarray(buffer=raw)`` views of the caller's object,
-read-only for ``bytes``: they keep it alive but hold no buffer export,
-so a shared-memory segment can close while chunk views still exist.
+bounds-checked, trailing bytes are rejected, a ``|b1`` byte other than
+0 or 1 is rejected (NumPy would carry it as a non-canonical bool) and
+nothing is ever unpickled.  :func:`expect` checks the decoded arrays
+against a use's schema.  Every failure raises
+:class:`~repro.errors.ContainerError`, which each use turns into its
+own error (``ProtocolError`` on the wire, ``StoreCorruptError`` for
+snapshots and checkpoints).  The decoded arrays are
+``np.ndarray(buffer=raw)`` views of the caller's object, read-only for
+``bytes``: they keep it alive but hold no buffer export, so a
+shared-memory segment can close while chunk views still exist.
 """
 
 from __future__ import annotations

@@ -776,10 +776,9 @@ class ShardedResultStore:
         are untouched (loading is not a lookup).
 
         Raises :class:`~repro.errors.StoreCorruptError` when the file is
-        truncated, corrupted, unreadable (a directory, no permission)
-        or written in another format (a version-1 ``.npz`` dump
-        included) — anything short of a clean, version-matched
-        snapshot.  A missing file still raises
+        truncated, corrupted, unreadable or written in another format
+        (a version-1 ``.npz`` dump included) — anything short of a
+        clean, version-matched snapshot.  A missing file still raises
         :class:`FileNotFoundError` (absence is a different condition
         from damage, and callers branch on it).
         """
