@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.engine.serve.bench import latency_benchmark
 
 
-def test_serving_latency_bit_identical_under_kill(tmp_path):
+def test_serving_latency_bit_identical_under_kill():
     """Served columns stay bit-identical with one worker kill.
 
     Runs the socket-serving latency benchmark (2 supervised workers,
@@ -24,7 +24,7 @@ def test_serving_latency_bit_identical_under_kill(tmp_path):
     one-kill repeat (otherwise the chaos injection silently stopped
     firing).
     """
-    report = latency_benchmark(cache_file=tmp_path / "latency-warmth.npz")
+    report = latency_benchmark()
 
     assert report["mismatches"] == 0, (
         f"served columns diverged from the in-process reference: {report}"

@@ -129,7 +129,7 @@ def comparator(suite):
 
 
 def test_vector_parity_and_stream_budgets(comparator):
-    """Scalar vs vector vs warm store; streaming vs materialized."""
+    """Scalar vs vector vs repeated grid; streaming vs materialized."""
     dists = use_intensity_dists()
 
     # Workload A: the 100x100 heatmap grid, scalar and vector, cold
@@ -139,10 +139,12 @@ def test_vector_parity_and_stream_budgets(comparator):
     object_warm_grid = grid(comparator, scalar_engine, batch=False)
     vector_engine = EvaluationEngine(cache_size=16384)
     vector_grid = grid(comparator, vector_engine)
-    # The same grid again on the now-warm engine: answered entirely by
-    # a vectorised gather from the store.
+    # The same grid again on the same engine: array batches skip the
+    # store, so every cell is computed again and bit-identical.
     warm_grid = grid(comparator, vector_engine)
-    assert vector_engine.rows_computed == len(NUM_APPS_VALUES) * len(LIFETIME_VALUES)
+    cells = len(NUM_APPS_VALUES) * len(LIFETIME_VALUES)
+    assert vector_engine.rows_computed == 2 * cells
+    assert vector_engine.cache_stats.size == 0
 
     np.testing.assert_array_equal(object_warm_grid.ratios, scalar_grid.ratios)
     np.testing.assert_array_equal(warm_grid.ratios, vector_grid.ratios)

@@ -326,7 +326,8 @@ def explore(
         base: Baseline parameters for everything not in the grid.
         engine: Batch evaluator; the shared default when not given.
             Suite construction per grid point is memoised through the
-            engine, and the whole grid is assessed as one cached batch.
+            engine, and the whole grid is assessed as one batch of
+            object-path pairs (cached in the engine's result store).
 
     Returns:
         A :class:`DseResult` with one point per grid combination.
@@ -363,13 +364,10 @@ def explore_batch(
     evaluation goes through the parameter-space pipeline — each
     configuration's suite becomes one model-parameter row of a
     :class:`~repro.engine.vector.ParameterBatch`, the sub-models are
-    vectorised from the columns, and rows are cached in the engine's
-    result store under vectorised column-fold digests — so no
-    ``ComparisonResult`` is materialised per point and re-exploring a
-    grid (or overlapping grids sharing configurations) is served from
-    warmth.  The returned :class:`DseResult` carries the same
-    :class:`DesignPoint` objects (totals/ratios within
-    ``rtol <= 1e-12`` of :func:`explore`).
+    vectorised from the columns, and every row is computed — so no
+    ``ComparisonResult`` is materialised per point.  The returned
+    :class:`DseResult` carries the same :class:`DesignPoint` objects
+    (totals/ratios within ``rtol <= 1e-12`` of :func:`explore`).
 
     With ``reduce=`` (``True`` for the default top-k + Pareto bundle,
     or a custom :class:`~repro.engine.vector.StreamingReduction` over
@@ -377,7 +375,7 @@ def explore_batch(
     enumerated chunk-by-chunk (multi-core by default, spawn workers
     decoding their own spans), evaluated, and folded into streaming
     top-k and Pareto-front reducers — never materialising the grid, its
-    comparators, or the result columns, and bypassing the result store.
+    comparators, or the result columns.
     The returned :class:`DseResult` has ``streamed=True`` and holds the
     top-``top_k`` configurations united with the exact Pareto front
     over the default objectives (see :meth:`DseResult.from_stream`).

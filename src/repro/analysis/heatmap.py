@@ -128,9 +128,8 @@ def heatmap_columns(
     """Validated scenario columns for a full 2-D heatmap grid.
 
     The column builder behind :func:`pairwise_heatmap_batch`; callers
-    that evaluate the batch elsewhere build — and therefore digest and
-    cache — the same batch through it (x varies fastest, matching the
-    scalar nesting).
+    that evaluate the batch elsewhere build the same batch through it
+    (x varies fastest, matching the scalar nesting).
     """
     for axis in (x_axis, y_axis):
         if axis not in _AXIS_APPLIERS:
@@ -172,10 +171,8 @@ def pairwise_heatmap_batch(
     vector kernel — no per-cell :class:`Scenario` or ``ComparisonResult``
     objects exist at any point, which is what makes dense (100x100+)
     grids run at array speed.  Ratios agree with :func:`pairwise_heatmap`
-    bit-for-bit, and cells populate (and are served from) the engine's
-    result store: a warm grid is answered with one vectorised
-    gather, and overlapping panels share cells with every other
-    analysis, scalar callers included.
+    bit-for-bit.  Every cell is computed on each call: the kernel is
+    cheaper than a result-store lookup, so the store is not consulted.
     """
     batch = heatmap_columns(base_scenario, x_axis, x_values, y_axis, y_values)
     result = resolve_engine(engine).evaluate_batch(comparator, batch)

@@ -590,9 +590,7 @@ def monte_carlo_batch(
       through :meth:`EvaluationEngine.evaluate_param_batch` — no
       per-draw comparator objects, no per-row extraction, no per-row
       digests.  Huge batches are chunked across cores by the engine,
-      and batches that fit the result store are cached under
-      vectorised column-fold digests (a re-run of the same seeded study
-      is pure gather).
+      and every row is computed.
     * Otherwise each draw's perturbed comparator is materialised and
       decomposed into parameter columns per row (the compatibility
       path) — still one fused kernel batch.
@@ -608,7 +606,7 @@ def monte_carlo_batch(
     seeded per-chunk RNG streams that bit-reproduce this function's
     sequential draw order, evaluated, and folded into the reducers —
     never materialising more than ``chunk_rows`` rows per worker, multi-
-    core by default (``workers``), bypassing the result store — and a
+    core by default (``workers``) — and a
     :class:`StreamingMonteCarloResult` is returned.  Streaming requires
     the fully columnar path (every distribution with ``apply_column``
     and ``vectorize=True``); anything else

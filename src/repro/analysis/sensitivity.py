@@ -77,11 +77,9 @@ def tornado(
     array-land batch through ``engine``
     (:meth:`~repro.engine.EvaluationEngine.evaluate_pairs_batch`):
     endpoints become parameter-space rows evaluated by the vector
-    kernels — no per-endpoint ``ComparisonResult`` objects — and cached
-    in the result store under extraction-mode row digests, so a
-    repeated tornado over the same knobs and scenario is served from
-    warmth.  Ratios agree with the scalar object path to
-    ``rtol <= 1e-12``.
+    kernels — no per-endpoint ``ComparisonResult`` objects; every
+    endpoint is computed on each call.  Ratios agree with the scalar
+    object path to ``rtol <= 1e-12``.
     """
     pairs: list[tuple[PlatformComparator, Scenario]] = [(comparator, scenario)]
     for dist in distributions:

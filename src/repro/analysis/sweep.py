@@ -206,8 +206,7 @@ def sweep_columns(
     """Validated scenario columns for a one-axis sweep.
 
     The column builder behind :func:`sweep_batch`; callers that
-    evaluate the batch elsewhere build — and therefore digest and
-    cache — the same batch through it.
+    evaluate the batch elsewhere build the same batch through it.
     """
     if axis not in _AXIS_APPLIERS:
         raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -227,9 +226,9 @@ def sweep_batch(
 
     Results agree with :func:`sweep` bit-for-bit (the kernel mirrors the
     scalar arithmetic); use this entry point when only the arrays are
-    wanted — dense axes, service endpoints, benchmark loops.  Points are
-    cached in (and served from) the engine's result store, so
-    sweeps share warmth with every other analysis.
+    wanted — dense axes, service endpoints, benchmark loops.  Every
+    point is computed on each call (the result store serves the object
+    path only).
     """
     batch = sweep_columns(base_scenario, axis, values)
     result = resolve_engine(engine).evaluate_batch(comparator, batch)

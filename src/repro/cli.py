@@ -28,9 +28,11 @@ Engine options (shared by every subcommand):
   path; mainly for debugging and perf comparisons).
 * ``--cache-stats`` — print the shared engine's cache counters after
   the command, showing how much of the run was served from warmth.
-* ``--cache-file PATH`` — load the result store from PATH (if it
+* ``--cache-file PATH`` — load the object-result store from PATH (if it
   exists) before the command and save it back afterwards, so cache
-  warmth survives across CLI runs.
+  warmth survives across CLI runs.  Only object-path results are
+  stored; array batches (heatmap panels, vector sweeps, serving) are
+  always computed.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-file",
         default=None,
         metavar="PATH",
-        help="persist the result store to a snapshot file at PATH across CLI runs",
+        help="persist the object-result store to a snapshot file at PATH "
+        "across CLI runs (array batches are always computed, never cached)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -311,11 +314,10 @@ def _cmd_serve_bench(
     clients: "list[int] | None",
     requests: "int | None",
     cells: "int | None",
-    cache_file: str | None,
 ) -> int:
     from repro.engine.serve.bench import latency_benchmark
 
-    sizes: dict[str, object] = {"cache_file": cache_file}
+    sizes: dict[str, object] = {}
     if clients is not None:
         sizes["client_counts"] = tuple(clients)
     if requests is not None:
@@ -433,18 +435,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.checkpoint, args.checkpoint_every,
         )
     elif args.command == "serve-bench":
-        code = _cmd_serve_bench(
-            args.clients, args.requests, args.cells, args.cache_file,
-        )
+        code = _cmd_serve_bench(args.clients, args.requests, args.cells)
     elif args.command == "audit":
         code = _cmd_audit(args)
     else:
         raise AssertionError(f"unhandled command {args.command!r}")
     if args.cache_stats:
         _print_cache_stats()
-    if args.cache_file is not None and args.command != "serve-bench":
-        # serve-bench persists the benchmark store itself; saving the
-        # untouched default engine here would overwrite that warmth.
+    if args.cache_file is not None:
         default_engine().save_cache(args.cache_file)
     return code
 

@@ -3,7 +3,7 @@
 A snapshot writer that opens its destination with ``open("wb")`` and
 crashes mid-write destroys the *previous* good snapshot along with the
 new one.  Every durable artefact in this package — result-store
-snapshots (including the serve tier's warm-store dumps) and streaming
+snapshots (the CLI's ``--cache-file``) and streaming
 checkpoints, both array containers (:mod:`repro.engine.container`) —
 goes through :func:`atomic_write_bytes` instead: write to a
 same-directory temporary file, flush + ``fsync`` it, then

@@ -6,14 +6,18 @@ reduces to the same primitive: assess a (comparator, scenario) pair and
 read the FPGA:ASIC ratio.  :class:`EvaluationEngine` centralises that
 primitive behind one batch API with
 
-* an array-backed, set-associative result table
+* one caching policy: array batches (``evaluate_batch``,
+  ``evaluate_param_batch``) are computed on the kernel, and object
+  results are cached.  The object path (``evaluate``,
+  ``evaluate_many``, ``evaluate_pairs``) is backed by an array-backed,
+  set-associative result table
   (:class:`~repro.engine.store.ShardedResultStore`) keyed on stable
-  128-bit digests of ``(device pair, suite, scenario)``.  Batch callers
-  are answered with vectorised gather straight from packed NumPy column
-  blocks — no :class:`ComparisonResult` is allocated on the batch path;
-  object callers get dataclasses materialised lazily from the same
-  columns.  ``save_cache`` / ``load_cache`` persist the table to
-  a snapshot file so warmth survives across processes and CLI runs;
+  128-bit digests of ``(device pair, suite, scenario)``; a hit replaces
+  the scalar model run with a :class:`ComparisonResult` materialised
+  from packed columns.  ``save_cache`` / ``load_cache`` persist the
+  table to a snapshot file so warmth survives across CLI runs.  Array
+  batches skip it because the kernel computes a row faster than the
+  store can digest, probe and insert it;
 * memoised :meth:`repro.config.Parameters.build_suite` construction
   (safe under concurrent access), so DSE grids revisiting a
   configuration reuse the same suite object; and
@@ -36,7 +40,7 @@ import logging
 import multiprocessing
 import os
 import threading
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
@@ -49,13 +53,12 @@ from repro.core.suite import ModelSuite
 from repro.engine.cache import CacheStats
 from repro.engine.store import (
     ShardedResultStore,
-    batch_digests,
+    batch_digests,  # noqa: F401 - unused here; perfbench's tracer wraps it by name
     comparator_digest,
     materialise_comparison,
     pack_batch_rows,
     pack_comparison,
     pair_digest,
-    param_batch_digests,
     uniform_lifetime_rows,
 )
 from repro.engine.vector import (
@@ -66,7 +69,6 @@ from repro.engine.vector import (
 )
 from repro.engine.vector.checkpoint import Checkpoint
 from repro.engine.vector.fused import kernel_tier_label
-from repro.engine.vector.kernels import ratio_kernel, winner_kernel
 from repro.engine.vector.reducers import StreamingReduction
 from repro.engine.vector.streaming import (
     MAX_STREAM_WORKERS,
@@ -125,29 +127,29 @@ def build_suite_cached(params: Parameters) -> ModelSuite:
 
 
 class EvaluationEngine:
-    """Batch evaluator with an array result store and opt-in parallelism.
+    """Batch evaluator with an object-result store and opt-in parallelism.
 
-    One engine instance is meant to be shared across analyses: the store
-    then spans sweeps, heatmap panels, DSE grids and Monte-Carlo draws
-    alike.  A module-level default (:func:`default_engine`) backs every
+    One engine instance is meant to be shared across analyses: the
+    store then spans every object-path caller, and the memoised suites
+    span sweeps, heatmap panels, DSE grids and Monte-Carlo draws alike.
+    A module-level default (:func:`default_engine`) backs every
     analysis entry point unless the caller injects their own.
 
     Args:
-        cache_size: Entry bound of the result store (``0`` disables
-            caching).
+        cache_size: Entry bound of the object-path result store (``0``
+            disables caching).
         workers: Thread count of the chunked parameter-batch dispatch
             and the default worker count of streamed reductions;
             ``None`` uses every core (each capped, see
             :data:`MAX_PARAM_THREADS` and :data:`MAX_STREAM_WORKERS`),
             ``1`` runs both sequentially.  Results are identical either
             way.
-        vectorize: Route cache-miss batches through the NumPy kernel
-            (:class:`VectorizedEvaluator`).  Results stay bit-identical
-            to the scalar path — the kernel mirrors its operation order
-            exactly — and still populate the store, so scalar and vector
-            callers share warmth.  ``False`` restores the pure scalar
-            path everywhere (including the ``*_batch`` APIs, which then
-            columnise scalar results).
+        vectorize: Route array batches and large object-path miss groups
+            through the NumPy kernel (:class:`VectorizedEvaluator`).
+            Results stay bit-identical to the scalar path — the kernel
+            mirrors its operation order exactly.  ``False`` restores
+            the pure scalar path everywhere (including the ``*_batch``
+            APIs, which then columnise scalar results).
         kernel_tier: Kernel tier for the streaming reduce paths
             (``fused`` or ``numpy``); ``None`` honours the
             ``REPRO_KERNEL`` environment variable, fused when unset.  See
@@ -205,11 +207,10 @@ class EvaluationEngine:
 
     @property
     def rows_computed(self) -> int:
-        """Kernel/scalar assessments actually computed (deduplicated).
+        """Kernel/scalar assessments actually computed.
 
-        Cache hits and in-batch duplicates never increment this — it is
-        the ground truth for "concurrent clients never recompute a
-        cell" assertions in the serving tests.
+        Array batches add every row.  On the object path, store hits
+        and in-call duplicates never increment this.
         """
         with self._computed_lock:
             return self._rows_computed
@@ -405,14 +406,12 @@ class EvaluationEngine:
     ) -> BatchResult:
         """Assess one comparator over a batch, staying in array-land.
 
-        Cache hits are answered with a vectorised gather from the
-        result store — no ``Scenario`` or :class:`ComparisonResult`
-        objects exist anywhere on a warm path — and misses run through
-        the vector kernel (deduplicated by digest within the batch),
-        then populate the store, so batch and object callers share
-        warmth in both directions.  With ``vectorize=False`` the scalar
-        path runs instead and its results are columnised, so callers see
-        one API either way.
+        Every row runs on the vector kernel; the result store is neither
+        read nor written (computing a row is cheaper than digesting,
+        probing and inserting it), and ``rows_computed`` grows by the
+        batch size.  With ``vectorize=False`` the scalar object path runs
+        instead (store included) and its results are columnised, so
+        callers see one API either way.
         """
         if not self.vectorize:
             if isinstance(scenarios, ScenarioBatch):
@@ -429,127 +428,8 @@ class EvaluationEngine:
             if isinstance(scenarios, ScenarioBatch)
             else ScenarioBatch.from_scenarios(tuple(scenarios))
         )
-        if self._store.capacity == 0:
-            self._note_computed(batch.size)
-            return self._vector.evaluate_batch(comparator, batch)
-        lo, hi = batch_digests(comparator, batch)
-        return self._through_store(
-            batch, lo, hi,
-            lambda rows: self._vector.evaluate_batch(comparator, batch.take(rows)),
-        )
-
-    def _through_store(
-        self,
-        batch: ScenarioBatch,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        compute: Callable[[np.ndarray], BatchResult],
-    ) -> BatchResult:
-        """Gather ``batch``'s hits from the store and compute the rest.
-
-        Misses are deduplicated by digest, computed once through
-        ``compute(rows)``, and their uniform-lifetime rows inserted.
-        Ratios and winners are recomputed from the totals with the same
-        kernels the vector path uses, so they are bit-identical to a
-        fresh evaluation.
-        """
-        hits, floats, ints = self._store.get_batch(lo, hi)
-        miss_idx = np.nonzero(~hits)[0]
-        computed = None
-        if miss_idx.size:
-            # Sorting on ``lo`` alone is enough: a rare pair of keys that
-            # share ``lo`` but not ``hi`` may leave a duplicate unmerged,
-            # which costs one extra row and is never a wrong merge.
-            miss_lo, miss_hi = lo[miss_idx], hi[miss_idx]
-            order = np.argsort(miss_lo)
-            sorted_lo, sorted_hi = miss_lo[order], miss_hi[order]
-            head = np.ones(order.size, dtype=bool)
-            head[1:] = (sorted_lo[1:] != sorted_lo[:-1]) | (
-                sorted_hi[1:] != sorted_hi[:-1]
-            )
-            inverse = np.empty(order.size, dtype=np.intp)
-            inverse[order] = np.cumsum(head) - 1
-            unique_rows = miss_idx[order[head]]
-            computed = compute(unique_rows)
-            self._note_computed(int(unique_rows.size))
-            comp_f, comp_i = pack_batch_rows(
-                computed, np.arange(unique_rows.size)
-            )
-            stored = (
-                slice(None) if batch.lifetime.ndim == 1
-                else uniform_lifetime_rows(batch.lifetime[unique_rows])
-            )
-            self._store.put_batch(
-                lo[unique_rows[stored]], hi[unique_rows[stored]],
-                comp_f[stored], comp_i[stored],
-            )
-            floats[miss_idx] = comp_f[inverse]
-            ints[miss_idx] = comp_i[inverse]
-        result = self._assemble_batch(batch, floats, ints)
-        if batch.lifetime.ndim == 1:
-            return result
-        # A (n, w) lifetime block: hits are uniform rows, whose packed
-        # per-application column spans the block; heterogeneous rows
-        # never hit and take theirs from the kernel.
-        width = batch.lifetime.shape[1]
-        apps = {
-            k: np.repeat(v[:, None], width, axis=1)
-            for k, v in result.asic_app_components.items()
-        }
-        gens = np.repeat(result.asic_generations[:, None], width, axis=1)
-        if computed is not None:
-            for k, v in apps.items():
-                v[miss_idx] = computed.asic_app_components[k][inverse]
-            gens[miss_idx] = computed.asic_generations[inverse]
-        return dataclasses.replace(
-            result, asic_app_components=apps, asic_generations=gens
-        )
-
-    @staticmethod
-    def _assemble_batch(
-        batch: ScenarioBatch, floats: np.ndarray, ints: np.ndarray
-    ) -> BatchResult:
-        """Build a :class:`BatchResult` over gathered/scattered columns."""
-        from repro.engine.store import (
-            _COMPONENTS,
-            _FT_APP_COMP,
-            _FT_ASIC_COMP,
-            _FT_ASIC_PC,
-            _FT_ASIC_TOTAL,
-            _FT_FPGA_COMP,
-            _FT_FPGA_PC,
-            _FT_FPGA_TOTAL,
-            _IT_ASIC_GEN,
-            _IT_FPGA_GEN,
-            _IT_N_FPGA,
-        )
-
-        fpga_totals = np.ascontiguousarray(floats[:, _FT_FPGA_TOTAL])
-        asic_totals = np.ascontiguousarray(floats[:, _FT_ASIC_TOTAL])
-        return BatchResult(
-            ratios=ratio_kernel(fpga_totals, asic_totals),
-            winners=winner_kernel(fpga_totals, asic_totals),
-            fpga_totals=fpga_totals,
-            asic_totals=asic_totals,
-            fpga_components={
-                name: floats[:, _FT_FPGA_COMP + j]
-                for j, name in enumerate(_COMPONENTS)
-            },
-            asic_components={
-                name: floats[:, _FT_ASIC_COMP + j]
-                for j, name in enumerate(_COMPONENTS)
-            },
-            fpga_per_chip_embodied_kg=floats[:, _FT_FPGA_PC],
-            asic_per_chip_embodied_kg=floats[:, _FT_ASIC_PC],
-            n_fpga=ints[:, _IT_N_FPGA],
-            fpga_generations=ints[:, _IT_FPGA_GEN],
-            asic_generations=ints[:, _IT_ASIC_GEN],
-            num_apps=batch.num_apps.copy(),
-            asic_app_components={
-                name: floats[:, _FT_APP_COMP + j]
-                for j, name in enumerate(_COMPONENTS)
-            },
-        )
+        self._note_computed(batch.size)
+        return self._vector.evaluate_batch(comparator, batch)
 
     def evaluate_pairs_batch(
         self, pairs: Iterable[tuple[PlatformComparator, Scenario]]
@@ -560,9 +440,7 @@ class EvaluationEngine:
         endpoints, legacy Monte-Carlo callers); the pairs are columnised
         into a :class:`ParameterBatch` and routed through
         :meth:`evaluate_param_batch`, so the sub-models are vectorised
-        from extracted parameter columns and rows are cached in the
-        result store under vectorised column-fold digests (batches
-        larger than the store bypass it).  Parity with the scalar path
+        from extracted parameter columns.  Parity with the scalar path
         is ``rtol <= 1e-12``.
         """
         pair_list = list(pairs)
@@ -589,13 +467,9 @@ class EvaluationEngine:
         draws, DSE grids and tornado endpoints all reduce to a
         :class:`ParameterBatch` against a :class:`ScenarioBatch`.
 
-        * Batches that fit the result store are keyed by vectorised
-          column-fold digests
-          (:func:`~repro.engine.store.param_batch_digests`) — warm rows
-          are answered by the store's batched gather, misses run
-          through the kernels and populate it, so a re-run of the same
-          seeded study is pure gather.
-        * Batches larger than the store bypass it.
+        * Every row runs on the kernels; the result store is neither
+          read nor written, and ``rows_computed`` grows by the batch
+          size.
         * Huge batches are split into per-worker column slices
           (:data:`PARAM_CHUNK_ROWS` rows each, zero-copy views) and
           composed on a thread pool — NumPy releases the GIL in the
@@ -604,9 +478,8 @@ class EvaluationEngine:
         With ``reduce=`` a :class:`StreamingReduction` prototype, the
         batch streams through :meth:`reduce_stream` instead: chunks are
         evaluated and folded into the reducers without ever holding
-        more than ``chunk_rows`` result rows per worker, the result
-        store is bypassed entirely (reduced rows are summarised, not
-        cached), and the *merged reduction* is returned in place of a
+        more than ``chunk_rows`` result rows per worker, and the
+        *merged reduction* is returned in place of a
         :class:`BatchResult`.  Multi-worker streaming packs the per-row
         columns into a shared-memory block once, so spawn workers slice
         them zero-copy.  Requires ``vectorize=True``.
@@ -643,16 +516,8 @@ class EvaluationEngine:
                 self.evaluate_pairs(pair_list), list(params.comparators)
             )
 
-        if not (0 < batch.size <= self._store.capacity and params.digestable):
-            self._note_computed(batch.size)
-            return self._compute_param_chunks(params, batch)
-        lo, hi = param_batch_digests(params, batch)
-        return self._through_store(
-            batch, lo, hi,
-            lambda rows: self._compute_param_chunks(
-                params.take(rows), batch.take(rows)
-            ),
-        )
+        self._note_computed(batch.size)
+        return self._compute_param_chunks(params, batch)
 
     def _reduce_param_batch(
         self,

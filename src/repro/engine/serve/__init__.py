@@ -4,8 +4,9 @@ This subpackage takes evaluation out of the single interpreter: a
 :class:`~repro.engine.serve.server.BatchServer` speaks a compact
 length-prefixed batch protocol (scenario columns in, ratio/winner/total
 columns out) over asyncio sockets, in front of N supervised worker
-processes that share warmth through the snapshot file of the
-:class:`~repro.engine.store.ShardedResultStore`.  Request and response
+processes.  Workers compute every row on the kernel; no result store
+is involved, because computing an array row costs less than looking it
+up.  Request and response
 payloads are array containers (:mod:`repro.engine.container`), and a
 request carries every valid ``Scenario`` row.
 
@@ -13,8 +14,8 @@ Robustness is the design center, not a bolt-on — every failure mode has
 a defined, tested behaviour:
 
 * a **dead worker** is detected, restarted with exponential backoff,
-  and its in-flight batch is replayed on a sibling (evaluation is pure
-  and the store deduplicates by digest, so replay never changes a bit);
+  and its in-flight batch is replayed on a sibling (evaluation is pure,
+  so replay never changes a bit);
 * a **slow/stuck worker** is bounded by the request deadline: workers
   cancel cooperatively between row chunks, the supervisor kills past
   deadline-plus-grace, and the client gets a typed deadline frame;
@@ -23,10 +24,7 @@ a defined, tested behaviour:
   already past their deadline are shed before dispatch, and both
   policies expose counters;
 * a **lost worker pool** degrades to in-process evaluation — slower,
-  never wrong;
-* a **corrupt cache file** is discarded at load (typed
-  :class:`~repro.errors.StoreCorruptError`, logged) and the worker
-  starts cold.
+  never wrong.
 
 :mod:`~repro.engine.serve.faults` provides a deterministic, seeded
 ``FaultPlan`` that injects each of these failures on cue; the chaos

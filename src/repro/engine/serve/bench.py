@@ -15,17 +15,15 @@ Two properties are asserted, not just measured:
 * **bounded tail** — the fault-free p99 per client count is gated by
   ``benchmarks/timing_gates.py`` (median over repeated runs).
 
-The store warmth is pre-seeded through the shared store snapshot file,
-so workers serve digest-keyed gathers — the benchmark tracks serving
-overhead and tail behaviour, not kernel throughput.
+Workers compute every row on the kernel (serving has no result store);
+with 50-cell requests the kernel is a small part of each request, so
+the benchmark tracks serving overhead and tail behaviour.
 """
 
 from __future__ import annotations
 
 import asyncio
-import shutil
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -45,7 +43,7 @@ def _request_batches(
 
     Every client sweeps the same ``requests_per_client`` lifetime rows
     of ``cells_per_request`` ``num_apps`` cells — concurrent clients
-    genuinely contend for the same digests, like the throughput bench.
+    request the same cells, like the throughput bench.
     """
     lifetimes = np.linspace(0.5, 3.0, requests_per_client)
     num_apps = np.arange(1, cells_per_request + 1, dtype=np.int64)
@@ -60,16 +58,10 @@ def _request_batches(
 
 
 def _reference_columns(
-    domain: str, batches: list[ScenarioBatch], cache_path: Path
+    domain: str, batches: list[ScenarioBatch]
 ) -> list[tuple]:
-    """Ground-truth result columns per request; persists the warm store.
-
-    An existing ``cache_path`` is loaded first, so the save adds the
-    benchmark's cells to the store it held instead of replacing it.
-    """
-    engine = EvaluationEngine(cache_size=262_144)
-    if cache_path.exists():
-        engine.load_cache(cache_path)
+    """Ground-truth result columns per request, computed in process."""
+    engine = EvaluationEngine(cache_size=0)
     comparator = PlatformComparator.for_domain(domain)
     reference = []
     for batch in batches:
@@ -82,7 +74,6 @@ def _reference_columns(
                 result.asic_totals.copy(),
             )
         )
-    engine.save_cache(cache_path)
     engine.close()
     return reference
 
@@ -132,7 +123,6 @@ def latency_benchmark(
     queue_limit: int = 256,
     deadline_s: float = 30.0,
     domain: str = "dnn",
-    cache_file: "str | Path | None" = None,
     kill_at_batch: int = 4,
     repeats: int = 3,
 ) -> dict:
@@ -143,25 +133,15 @@ def latency_benchmark(
     just before its ``kill_at_batch``-th batch — the supervisor replays
     the in-flight batch on a sibling and restarts the slot in the
     background.  Each phase runs ``repeats`` times on a *fresh* server
-    (fresh fleet, same warm snapshot; the kill fires once per repeat)
+    (fresh fleet; the kill fires once per repeat)
     and the percentiles are computed over the pooled latencies — a
     p99 taken from one small run is just the max of that run, which no
     regression gate can hold steady.  Every response in every repeat is
     compared bit-for-bit to a locally computed reference; a mismatch
     anywhere fails the caller's gate via ``mismatches``.
     """
-    own_dir = None
-    if cache_file is None:
-        import tempfile
-
-        # A path that does not exist yet: nothing to load, and the
-        # servers' snapshot tmp files land in the same directory.
-        own_dir = Path(tempfile.mkdtemp(prefix="repro-serve-bench-"))
-        cache_file = own_dir / "warm.snap"
-    cache_path = Path(cache_file)
-
     batches = _request_batches(requests_per_client, cells_per_request)
-    reference = _reference_columns(domain, batches, cache_path)
+    reference = _reference_columns(domain, batches)
 
     async def run_phase(clients: int, plan: "FaultPlan | None") -> dict:
         pooled: list[np.ndarray] = []
@@ -171,7 +151,6 @@ def latency_benchmark(
             server = BatchServer(
                 workers=workers,
                 queue_limit=queue_limit,
-                cache_file=str(cache_path),
                 fault_plan=plan,
                 preload_domains=(domain,),
             )
@@ -256,8 +235,4 @@ def latency_benchmark(
             "phases": phases,
         }
 
-    try:
-        return asyncio.run(run_all())
-    finally:
-        if own_dir is not None:
-            shutil.rmtree(own_dir, ignore_errors=True)
+    return asyncio.run(run_all())

@@ -14,9 +14,8 @@ request batch on the supervised worker pool
   before dispatch is answered with a deadline frame instead of burning
   a worker on an answer nobody is waiting for;
 * **replay on worker death** — a batch whose worker dies is replayed on
-  a sibling worker (bounded by ``max_replays``); evaluation is pure and
-  store-deduplicated, so replays are bit-identical and never
-  double-compute warm cells;
+  a sibling worker (bounded by ``max_replays``); evaluation is pure, so
+  replays are bit-identical;
 * **graceful degradation** — when no worker is live (crash loop, or a
   zero-worker configuration), batches are evaluated in-process on a
   thread executor: slower, never wrong, and the supervisor keeps
@@ -97,9 +96,10 @@ class BatchServer:
             with ``RETRY_AFTER``.
         host / port: Bind address (port 0 picks a free port; see
             :attr:`address` after :meth:`start`).
-        cache_file: Optional store snapshot — workers *and* the
-            degraded-path engine pre-warm from it.
-        cache_size: Result-store capacity per engine.
+        cache_size: Unused, kept so existing callers still construct.
+            Serving no longer uses a result store: workers and the
+            degraded path only evaluate array batches, which are
+            computed on the kernel.
         default_deadline_s: Deadline applied to requests that do not
             carry one.
         retry_after_s: Backoff hint sent with shed requests.
@@ -111,11 +111,6 @@ class BatchServer:
             workers; response truncation is applied server-side).
         preload_domains: Domains every worker (including restarted
             ones) builds comparators for before taking traffic.
-        snapshot_every_s: Forwarded to every worker: with
-            ``cache_file`` set, each worker atomically re-dumps its
-            warm store to the file at most this often, so a restarted
-            server (or fleet) comes back warm from the last complete
-            snapshot instead of cold.
     """
 
     def __init__(
@@ -125,7 +120,6 @@ class BatchServer:
         queue_limit: int = 64,
         host: str = "127.0.0.1",
         port: int = 0,
-        cache_file: "str | None" = None,
         cache_size: int = 65536,
         default_deadline_s: float = 30.0,
         retry_after_s: float = 0.05,
@@ -133,7 +127,6 @@ class BatchServer:
         dispatchers: "int | None" = None,
         fault_plan: "FaultPlan | None" = None,
         preload_domains: tuple = (),
-        snapshot_every_s: "float | None" = None,
     ) -> None:
         if queue_limit < 1:
             raise ParameterError(
@@ -148,11 +141,8 @@ class BatchServer:
         self.stats = ServerStats()
         self.supervisor = WorkerSupervisor(
             workers,
-            cache_file=cache_file,
-            cache_size=cache_size,
             fault_plan=fault_plan,
             preload_domains=preload_domains,
-            snapshot_every_s=snapshot_every_s,
         )
         self._queue: "asyncio.Queue[_Job]" = asyncio.Queue(
             maxsize=queue_limit
@@ -160,9 +150,7 @@ class BatchServer:
         self._dispatchers = (
             max(1, workers) if dispatchers is None else max(1, dispatchers)
         )
-        self._engine = EvaluationEngine(
-            cache_size=cache_size, cache_file=cache_file
-        )
+        self._engine = EvaluationEngine(cache_size=0)
         self._comparators: dict = {}
         self._server: "asyncio.base_events.Server | None" = None
         self._tasks: list[asyncio.Task] = []
@@ -340,10 +328,8 @@ class BatchServer:
                 )
                 kind, body = reply[0], reply[2:]
             except WorkerDiedError:
-                # Replay on a sibling: evaluation is pure and the store
-                # deduplicates by digest, so the replay re-gathers
-                # whatever the dead worker already persisted and
-                # recomputes only what it never finished.
+                # Replay on a sibling: evaluation is pure, so the
+                # replay computes the bits the dead worker would have.
                 self.stats.replays += 1
                 replays += 1
                 if replays <= self.max_replays:

@@ -13,8 +13,7 @@ alive:
   jitter keeps a whole killed fleet from respawning in lockstep); the
   batch it was running
   surfaces as :class:`WorkerDiedError` so the caller can replay it on a
-  sibling — evaluation is pure and the store deduplicates by digest,
-  so replay never double-computes and never changes a bit;
+  sibling — evaluation is pure, so replay never changes a bit;
 * **stuck-worker bounds** — a worker that exceeds its request's
   deadline plus grace is killed outright (cooperative cancellation has
   visibly failed) and restarted like any other death;
@@ -117,9 +116,6 @@ class WorkerSupervisor:
     Args:
         workers: Worker process count (0 is legal: permanently
             unavailable, the degraded-mode spelling).
-        cache_file: Optional store snapshot every worker pre-warms
-            from (and the medium through which workers share warmth).
-        cache_size: Result-store capacity per worker engine.
         fault_plan: Optional deterministic fault schedule, forwarded to
             every worker spec.
         default_timeout_s: Pipe round-trip bound for deadline-less
@@ -137,17 +133,12 @@ class WorkerSupervisor:
         backoff_jitter_seed: Seed for the restart jitter RNG (tests pin
             it; production leaves OS entropy).
         health_interval_s: Monitor poll period.
-        snapshot_every_s: Forwarded to every worker spec — each worker
-            atomically re-dumps its warm store to ``cache_file`` on
-            this cadence, so a restarted server comes back warm.
     """
 
     def __init__(
         self,
         workers: int = 2,
         *,
-        cache_file: "str | None" = None,
-        cache_size: int = 4096,
         fault_plan: "FaultPlan | None" = None,
         preload_domains: tuple = (),
         default_timeout_s: float = 60.0,
@@ -157,13 +148,10 @@ class WorkerSupervisor:
         backoff_reset_s: float = 5.0,
         backoff_jitter_seed: "int | None" = None,
         health_interval_s: float = 0.25,
-        snapshot_every_s: "float | None" = None,
     ) -> None:
         if workers < 0:
             raise ParameterError(f"workers must be >= 0, got {workers}")
         self.workers = workers
-        self.cache_file = cache_file
-        self.cache_size = cache_size
         self.fault_plan = fault_plan
         self.preload_domains = tuple(preload_domains)
         self.default_timeout_s = default_timeout_s
@@ -172,7 +160,6 @@ class WorkerSupervisor:
         self.backoff_max_s = backoff_max_s
         self.backoff_reset_s = backoff_reset_s
         self.health_interval_s = health_interval_s
-        self.snapshot_every_s = snapshot_every_s
         self._backoff = JitteredBackoff(
             backoff_initial_s, backoff_max_s, mode="equal",
             seed=backoff_jitter_seed,
@@ -215,11 +202,8 @@ class WorkerSupervisor:
         spec = WorkerSpec(
             index=index,
             generation=generation,
-            cache_file=self.cache_file,
-            cache_size=self.cache_size,
             fault_plan=self.fault_plan,
             preload_domains=self.preload_domains,
-            snapshot_every_s=self.snapshot_every_s,
         )
         ctx = get_context("spawn")
         parent_conn, child_conn = ctx.Pipe(duplex=True)

@@ -1,12 +1,10 @@
 """Worker-process body for the serving tier.
 
 Each worker is a ``spawn``-started process holding its own
-:class:`~repro.engine.engine.EvaluationEngine`.  Warmth is shared
-*through the store file*, not through memory: every worker loads the
-same store snapshot at startup (tolerantly — a corrupt file means a cold
-start, not a crash), and because results are keyed by 128-bit digests,
-a batch replayed on a different worker after a crash re-gathers the
-same bits it would have computed.
+:class:`~repro.engine.engine.EvaluationEngine`.  Jobs are array batches,
+which the engine computes on the kernel without a result store, so a
+batch replayed on a different worker after a crash computes the same
+bits the dead worker would have.
 
 The parent talks to the worker over a :mod:`multiprocessing` pipe with
 small tagged tuples::
@@ -33,7 +31,6 @@ both are deterministic, keyed by worker index and incarnation.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -60,28 +57,17 @@ class WorkerSpec:
         generation: Incarnation counter for this slot — 0 for the
             initial spawn, +1 per supervisor restart.  One-shot fault
             kills only fire for generation 0.
-        cache_file: Optional store snapshot to pre-warm from.
-        cache_size: Result-store capacity of the worker's engine.
         fault_plan: Optional deterministic fault schedule.
         preload_domains: Domains whose comparators are built at startup
             (before the worker takes traffic), so the first request —
             and every request after a supervisor restart — never pays
             model construction.
-        snapshot_every_s: With ``cache_file`` set, re-dump the worker's
-            warm store to it at most this often (checked after each
-            reply).  The dump is atomic (tmp + fsync + rename), so
-            concurrent workers and a crash mid-dump can never tear the
-            file — a restarted fleet pre-warms from the last complete
-            snapshot instead of starting cold.
     """
 
     index: int
     generation: int = 0
-    cache_file: "str | None" = None
-    cache_size: int = 4096
     fault_plan: "FaultPlan | None" = None
     preload_domains: tuple = ()
-    snapshot_every_s: "float | None" = None
 
 
 def evaluate_job(
@@ -148,14 +134,10 @@ def _send(conn, message) -> bool:
 def worker_main(conn, spec: WorkerSpec) -> None:
     """Process entry point: serve batch jobs from the pipe until EOF.
 
-    Module-level (spawn-picklable) by design.  The engine pre-warms
-    from ``spec.cache_file`` when present — `load_cache` starts cold on
-    a corrupt file instead of crashing, so one damaged file cannot
-    take the fleet down.
+    Module-level (spawn-picklable) by design.  The engine has no
+    result store: every job is an array batch, which is computed.
     """
-    engine = EvaluationEngine(cache_size=spec.cache_size)
-    if spec.cache_file is not None and os.path.exists(spec.cache_file):
-        engine.load_cache(spec.cache_file)
+    engine = EvaluationEngine(cache_size=0)
     comparators: dict[str, PlatformComparator] = {}
     for domain in spec.preload_domains:
         try:
@@ -170,7 +152,6 @@ def worker_main(conn, spec: WorkerSpec) -> None:
         None if plan is None else plan.kill_batch(spec.index, spec.generation)
     )
     batches_done = 0
-    last_snapshot = time.monotonic()
     try:
         while True:
             try:
@@ -200,17 +181,6 @@ def worker_main(conn, spec: WorkerSpec) -> None:
             if not _send(conn, (reply[0], job["id"], *reply[1:])):
                 break
             batches_done += 1
-            if (
-                spec.snapshot_every_s is not None
-                and spec.cache_file is not None
-                and time.monotonic() - last_snapshot >= spec.snapshot_every_s
-            ):
-                # Periodic warm-store snapshot after the reply is on the
-                # wire (never adds latency ahead of an answer).  The
-                # save is atomic, so the worst concurrent-worker outcome
-                # is last-writer-wins of two complete snapshots.
-                engine.save_cache(spec.cache_file)
-                last_snapshot = time.monotonic()
     finally:
         conn.close()
         engine.close()

@@ -1,20 +1,20 @@
-"""Array-backed, set-associative result store for the evaluation engine.
+"""Array-backed, set-associative result store for the engine's object path.
 
-The PR-1 LRU cached one :class:`~repro.core.comparison.ComparisonResult`
-dataclass graph per (device pair, suite, scenario) key.  After the PR-2
-vector kernel, that design inverted the hot path: a *warm* 10k-cell
-heatmap spent 35x longer materialising and looking up dataclasses than a
-*cold* kernel run spent computing the answers.  This module stores
-results the way the kernel produces them — packed NumPy column blocks —
+The store caches what the object path (``EvaluationEngine.evaluate``,
+``evaluate_many``, ``evaluate_pairs``) computes, where a hit replaces a
+scalar model run or a :class:`~repro.core.comparison.ComparisonResult`
+materialisation.  Array batches (``evaluate_batch``,
+``evaluate_param_batch``) never reach it: the kernel computes a row
+faster than a row can be digested, probed and inserted.  Results are
+held the way the kernel produces them — packed NumPy column blocks —
 in one capacity-bounded table:
 
 * **Digest keys.**  Every assessment is keyed by a 128-bit digest of
   ``(device pair, suite, scenario)``.  The comparator part is a BLAKE2b
   hash of the pickled identity (stable across processes — unlike
   ``hash()``, which is salted per run), memoised per comparator; the
-  scenario part is a splitmix-style fold over the scenario columns that
-  is computed *vectorised* for whole :class:`ScenarioBatch` rows and
-  reproduced bit-for-bit by the scalar fold for single scenarios.
+  scenario part is a splitmix-style fold over the normalised scenario
+  fields.
 * **Set-associative column blocks.**  A key may live in two sets of
   :data:`WAYS` slots, picked by its ``lo`` and ``hi`` digest words.
   Parallel arrays hold each slot's digest words, float and int payload
@@ -26,13 +26,12 @@ in one capacity-bounded table:
 * **Lazy materialisation.**  The column layout carries everything a
   :class:`ComparisonResult` needs (totals, per-component breakdowns,
   per-application ASIC columns, chip counts/generations), so object
-  callers get bit-identical dataclasses rebuilt on demand while batch
-  callers never leave array-land.
+  callers get bit-identical dataclasses rebuilt on demand.
 * **Persistence.**  :meth:`ShardedResultStore.save` /
   :meth:`ShardedResultStore.load` round-trip the packed entries through
   one snapshot file (an array container with a digest, see
-  :mod:`repro.engine.container`), so cache warmth survives across
-  processes and CLI runs, and a store of any capacity can load it.
+  :mod:`repro.engine.container`), so cache warmth survives across CLI
+  runs (``--cache-file``), and a store of any capacity can load it.
 
 The packed layout holds one per-application column set, so only rows
 whose per-application lifetimes are all equal are stored
@@ -60,7 +59,7 @@ from repro.core.scenario import Scenario
 from repro.engine import container
 from repro.engine.atomicio import atomic_write_bytes
 from repro.engine.cache import CacheStats
-from repro.engine.vector import BatchResult, ParameterBatch, ScenarioBatch
+from repro.engine.vector import BatchResult, ScenarioBatch
 from repro.engine.vector.model import chip_generations
 from repro.errors import ContainerError, ParameterError, StoreCorruptError
 
@@ -75,7 +74,7 @@ def comparator_key(comparator: PlatformComparator) -> Hashable:
 
 
 # ----------------------------------------------------------------------
-# 128-bit digests: stable across processes, vectorised over batches
+# 128-bit digests: stable across processes
 # ----------------------------------------------------------------------
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -88,14 +87,9 @@ _NONE_BITS = 0x7FF8000000000000
 #: bits, so it can never alias an integral volume's int fold.
 _FRACTIONAL_VOLUME_TAG = 0x466C6F6174566F6C  # b"FloatVol"
 
-_U_M1 = np.uint64(_MIX_M1)
-_U_M2 = np.uint64(_MIX_M2)
-_U33 = np.uint64(33)
-_U29 = np.uint64(29)
-
 
 def _mix_scalar(h: int, v: int) -> int:
-    """One fold step of the scenario digest (64-bit Python-int twin)."""
+    """One splitmix-style fold step of the scenario digest (64-bit)."""
     v = (v * _MIX_M1) & _MASK64
     v ^= v >> 33
     v = (v * _MIX_M2) & _MASK64
@@ -104,34 +98,13 @@ def _mix_scalar(h: int, v: int) -> int:
     return h ^ (h >> 29)
 
 
-def _mix_columns(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`_mix_scalar` over uint64 columns (wrapping)."""
-    v = v * _U_M1
-    v = v ^ (v >> _U33)
-    v = v * _U_M2
-    h = h ^ v
-    h = h * _U_M1
-    return h ^ (h >> _U29)
-
-
 def _float_bits(value: float) -> int:
-    """Native-order IEEE-754 bits of ``value`` (matches ndarray views)."""
+    """Native-order IEEE-754 bits of ``value``."""
     return struct.unpack("=Q", struct.pack("=d", value))[0]
 
 
 def _optional_bits(value: float | None) -> int:
     return _NONE_BITS if value is None else _float_bits(value)
-
-
-def _bits(column: np.ndarray) -> np.ndarray:
-    """Native-order IEEE-754 bits of a float column (uint64 view)."""
-    return np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
-
-
-def _optional_column_bits(column: np.ndarray) -> np.ndarray:
-    bits = _bits(column).copy()
-    bits[np.isnan(column)] = np.uint64(_NONE_BITS)
-    return bits
 
 
 @functools.lru_cache(maxsize=1024)
@@ -175,23 +148,17 @@ def _scenario_values(scenario: Scenario) -> list[int]:
     return values
 
 
-def _fold_values(lo: int, hi: int, values: list[int]) -> tuple[int, int]:
-    for value in values:
-        lo = _mix_scalar(lo, value)
-        hi = _mix_scalar(hi, value)
-    return lo, hi
-
-
 def pair_digest(comparator: PlatformComparator, scenario: Scenario) -> tuple[int, int]:
     """128-bit digest of one assessment, as ``(lo, hi)`` Python ints.
 
-    Folds the normalised scenario fields over the comparator seeds in
-    the same order :func:`batch_digests` folds the batch columns, so a
-    scenario digests identically either way (and scalar vs
-    per-application lifetime spellings collide on purpose).
+    Folds the normalised scenario fields over the comparator seeds, so
+    scalar vs per-application lifetime spellings collide on purpose.
     """
     lo, hi = comparator_digest(comparator)
-    return _fold_values(lo, hi, _scenario_values(scenario))
+    for value in _scenario_values(scenario):
+        lo = _mix_scalar(lo, value)
+        hi = _mix_scalar(hi, value)
+    return lo, hi
 
 
 def uniform_lifetime_rows(lifetime: np.ndarray) -> np.ndarray:
@@ -205,181 +172,19 @@ def uniform_lifetime_rows(lifetime: np.ndarray) -> np.ndarray:
     return (lifetime == lifetime[:, :1]).all(axis=1)
 
 
-def _fold_scenario_columns(
-    lo: np.ndarray, hi: np.ndarray, batch: ScenarioBatch
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fold the scenario columns into ``(lo, hi)``, vectorised.
-
-    The column twin of :func:`pair_digest`, shared by the scenario-space
-    and parameter-space batch digests so the fold order can never drift
-    between them.  Rows with heterogeneous lifetimes or a fractional
-    volume fold a different number of words; those rows are refolded
-    from their own seeds, column-wise, in groups that share one word
-    layout (a tiled batch is one group).
-    """
-    n = batch.size
-    block = batch.lifetime.reshape(n, -1)
-    apps = batch.num_apps
-    tail = (
-        _optional_column_bits(batch.evaluation_years),
-        _optional_column_bits(batch.app_size_mgates),
-        batch.enforce_chip_lifetime.astype(np.uint64),
-    )
-    seed_lo, seed_hi = lo, hi
-    for column in (
-        apps.astype(np.uint64), _bits(block[:, 0]),
-        batch.volume.astype(np.uint64), *tail,
-    ):
-        lo = _mix_columns(lo, column)
-        hi = _mix_columns(hi, column)
-    fractional = batch.volume != np.floor(batch.volume)
-    heterogeneous = np.zeros(n, dtype=bool)
-    if block.shape[1] > 1:
-        # A row's lifetimes are its first num_apps applications' columns.
-        heterogeneous = (
-            (block != block[:, :1]) & (np.arange(block.shape[1]) < apps[:, None])
-        ).any(axis=1)
-    irregular = np.flatnonzero(fractional | heterogeneous)
-    if irregular.size == 0:
-        return lo, hi
-    # Word layout: per-application lifetime words (0: one shared
-    # lifetime word) and the fractional-volume tag.
-    layout = np.where(heterogeneous, apps, 0)[irregular] * 2 + fractional[irregular]
-    for key in np.unique(layout).tolist():
-        rows = irregular[layout == key]
-        width, tagged = divmod(key, 2)
-        words = [apps[rows].astype(np.uint64)]
-        words += [
-            _bits(block[rows, min(j, block.shape[1] - 1)])
-            for j in range(max(width, 1))
-        ]
-        if tagged:
-            words += [
-                np.full(rows.size, _FRACTIONAL_VOLUME_TAG, dtype=np.uint64),
-                _bits(batch.volume[rows]),
-            ]
-        else:
-            words.append(batch.volume[rows].astype(np.uint64))
-        words += [column[rows] for column in tail]
-        group_lo, group_hi = seed_lo[rows], seed_hi[rows]
-        for word in words:
-            group_lo = _mix_columns(group_lo, word)
-            group_hi = _mix_columns(group_hi, word)
-        lo[rows] = group_lo
-        hi[rows] = group_hi
-    return lo, hi
-
-
 def batch_digests(
     comparator: PlatformComparator, batch: ScenarioBatch
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`pair_digest` over a whole scenario batch.
+    """:func:`pair_digest` of every row of a scenario batch, as uint64 columns.
 
-    Every row's digest agrees with the object path bit-for-bit, so
-    in-batch deduplication and store keys are exact for any row.
+    No engine path digests array batches (they are computed, not
+    cached); this per-row form serves tests and tracing.
     """
-    n = batch.size
-    seed_lo, seed_hi = comparator_digest(comparator)
-    lo = np.full(n, seed_lo, dtype=np.uint64)
-    hi = np.full(n, seed_hi, dtype=np.uint64)
-    return _fold_scenario_columns(lo, hi, batch)
-
-
-# ----------------------------------------------------------------------
-# Parameter-space digests (the ParameterBatch key contract)
-# ----------------------------------------------------------------------
-
-#: Namespace seed of extraction-mode parameter rows (no base comparator
-#: to seed from); BLAKE2b of a fixed tag, stable across processes.
-_PARAM_SEED_RAW = hashlib.blake2b(
-    b"repro-param-space-v1", digest_size=16
-).digest()
-PARAM_SPACE_SEED = (
-    int.from_bytes(_PARAM_SEED_RAW[:8], "little"),
-    int.from_bytes(_PARAM_SEED_RAW[8:], "little"),
-)
-
-
-def param_digest(
-    base: PlatformComparator,
-    scenario: Scenario,
-    overrides: "dict[int, float]",
-) -> tuple[int, int]:
-    """Scalar digest of one base-mode parameter row.
-
-    Seeds from :func:`pair_digest` of the *base* comparator and folds
-    each overridden column as ``(column index, value bits)`` in index
-    order — so a row with *no* overrides digests identically to the
-    plain scenario-space key of ``(base, scenario)`` and shares its
-    cached result on purpose.  The vectorised twin is
-    :func:`param_batch_digests`; this scalar fold bit-reproduces it.
-    """
-    lo, hi = pair_digest(base, scenario)
-    for index in sorted(overrides):
-        for value in (int(index), _float_bits(float(overrides[index]))):
-            lo = _mix_scalar(lo, value)
-            hi = _mix_scalar(hi, value)
-    return lo, hi
-
-
-def param_row_digest(
-    row: "tuple[float, ...] | np.ndarray", scenario: Scenario
-) -> tuple[int, int]:
-    """Scalar digest of one extraction-mode parameter row.
-
-    Folds the scenario fields then every model-parameter column in
-    registry order over the fixed :data:`PARAM_SPACE_SEED`; the
-    vectorised twin is :func:`param_batch_digests`.
-    """
-    lo, hi = _fold_values(*PARAM_SPACE_SEED, _scenario_values(scenario))
-    return _fold_values(lo, hi, [_float_bits(float(v)) for v in row])
-
-
-def param_batch_digests(
-    params: "ParameterBatch", batch: ScenarioBatch
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised 128-bit digests of parameter-space rows.
-
-    One splitmix-style fold per *column* — zero per-row hashing work —
-    bit-reproduced by the scalar folds:
-
-    * base-mode batches (:meth:`ParameterBatch.from_comparator`) seed
-      from the base comparator's digest, fold the scenario columns,
-      then fold each override column as ``(index, bits)`` in index
-      order — the twin of :func:`param_digest`;
-    * extraction-mode batches (:meth:`ParameterBatch.from_comparators`)
-      seed from :data:`PARAM_SPACE_SEED` and fold every parameter
-      column in registry order — the twin of :func:`param_row_digest`.
-    """
-    from repro.engine.vector.params import N_PARAM_COLS
-
-    if params.size != batch.size:
-        raise ParameterError(
-            f"parameter batch has {params.size} rows, "
-            f"scenario batch has {batch.size}"
-        )
-    n = batch.size
-    if params.base is not None:
-        seed_lo, seed_hi = comparator_digest(params.base)
-        folds: list[np.ndarray] = []
-        for index in sorted(params.overrides):
-            folds.append(np.full(1, index, dtype=np.uint64))
-            folds.append(_bits(params.overrides[index]))
-    elif len(params.columns) == N_PARAM_COLS:
-        seed_lo, seed_hi = PARAM_SPACE_SEED
-        folds = [_bits(params.col(i)) for i in range(N_PARAM_COLS)]
-    else:
-        raise ParameterError(
-            "parameter batch is not digestable: needs a base comparator "
-            "or a full column set"
-        )
-    lo = np.full(n, seed_lo, dtype=np.uint64)
-    hi = np.full(n, seed_hi, dtype=np.uint64)
-    lo, hi = _fold_scenario_columns(lo, hi, batch)
-    for bits in folds:
-        lo = _mix_columns(lo, bits)
-        hi = _mix_columns(hi, bits)
-    return lo, hi
+    digests = np.array(
+        [pair_digest(comparator, batch.scenario_at(i)) for i in range(batch.size)],
+        dtype=np.uint64,
+    ).reshape(batch.size, 2)
+    return digests[:, 0].copy(), digests[:, 1].copy()
 
 
 # ----------------------------------------------------------------------

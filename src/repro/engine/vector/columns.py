@@ -139,7 +139,7 @@ class ScenarioBatch:
         # streaming hot path should not pay n-element allocation and
         # page-fault cost per chunk for seven constant columns.  The
         # views are read-only, which every consumer (kernels, the shm
-        # packer, concat/take — both of which copy) already respects,
+        # packer and concat, which copy) already respects,
         # and rank-aware evaluators can detect the uniformity in O(1)
         # from ``strides[0] == 0``.
         def const(value, dtype) -> np.ndarray:
@@ -309,10 +309,6 @@ class ScenarioBatch:
         Used by the engine's chunked parameter-batch dispatch to hand
         each worker its own column slices of one huge batch.
         """
-        return self.take(slice(start, stop))
-
-    def take(self, indices: "np.ndarray | slice") -> "ScenarioBatch":
-        """Row subset (used to evaluate a batch's store misses)."""
         return ScenarioBatch(**{
-            name: getattr(self, name)[indices] for name, _ in self.COLUMNS
+            name: getattr(self, name)[start:stop] for name, _ in self.COLUMNS
         })

@@ -20,9 +20,9 @@ two regimes:
 The composition mirrors the scalar models' operation order — including
 the per-application left-folds via :class:`FoldPlan` — so the
 same-comparator path reproduces the scalar results bit-for-bit, which is
-what lets the engine fast path share its result store with scalar
-callers.  :meth:`VectorizedEvaluator.reduce_batch` runs the same model
-on the fused tier's deferred interpreter instead.
+what lets the engine's object path pack kernel results into its result
+store for scalar callers.  :meth:`VectorizedEvaluator.reduce_batch`
+runs the same model on the fused tier's deferred interpreter instead.
 """
 
 from __future__ import annotations

@@ -254,7 +254,7 @@ def chip_generations(years: float, chip_lifetime_years: float) -> int:
     """:func:`generations` of one scalar row, as an ``int``.
 
     Shared by the store's packing and :meth:`BatchResult.from_results`,
-    so warm gathers can never drift from cold kernel runs.
+    so store hits can never drift from cold kernel runs.
     """
     return int(generations(EAGER, years, chip_lifetime_years))
 

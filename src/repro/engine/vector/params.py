@@ -12,8 +12,8 @@ holds the parameter space as columns:
 
 * **canonical column registry** — every number the vector kernels
   consume is one of :data:`N_PARAM_COLS` named columns (``OP_CI``,
-  ``MFG_RHO``, ``F_AREA``...), shared by the extraction path, the
-  kernels and the digest folds;
+  ``MFG_RHO``, ``F_AREA``...), shared by the extraction path and the
+  kernels;
 * **base + overrides** (:meth:`ParameterBatch.from_comparator`) — one
   base comparator extracted *once*, with perturbed columns written
   directly from vectorised distribution draws.  Unperturbed columns
@@ -23,13 +23,9 @@ holds the parameter space as columns:
 * **per-row extraction** (:meth:`ParameterBatch.from_comparators`) —
   the compatibility spelling for callers that already hold perturbed
   comparator objects (DSE grids, tornado, the object-path engine API);
-* **zero-copy slicing** (:meth:`ParameterBatch.slice_rows` /
-  :meth:`ParameterBatch.take`) — chunked multi-core dispatch splits a
-  huge batch into per-worker column views without copying row data.
-
-Digesting parameter rows for the result store lives in
-:mod:`repro.engine.store` (:func:`~repro.engine.store.param_batch_digests`),
-next to the scenario fold it extends.
+* **zero-copy slicing** (:meth:`ParameterBatch.slice_rows`) — chunked
+  multi-core dispatch splits a huge batch into per-worker column views
+  without copying row data.
 """
 
 from __future__ import annotations
@@ -56,8 +52,7 @@ from repro.units import gwh_to_kwh, watts_to_kw
 #: Column indices of the model-parameter space (one row per comparator).
 #: Shared suite knobs first, then the FPGA and ASIC sides.  These are
 #: *the* public names: distribution ``apply_column`` callbacks, the
-#: kernels' side-constant builder and the store's digest folds all
-#: address columns through them.
+#: kernels' side-constant builder address columns through them.
 (
     MFG_FAB_CI, MFG_ABATE, MFG_EDGE, MFG_SCRIBE, MFG_RHO,
     MFG_YIELD_CODE, MFG_CHARGE,
@@ -477,22 +472,6 @@ class ParameterBatch:
             )
         self.columns[index] = column
 
-    @property
-    def overrides(self) -> dict[int, np.ndarray]:
-        """The explicitly written columns (digest material in base mode)."""
-        return self.columns
-
-    @property
-    def digestable(self) -> bool:
-        """Whether the store can key these rows without per-row hashing.
-
-        Base-mode batches fold the base comparator's digest with the
-        override columns; extraction-mode batches fold all columns from
-        a fixed namespace seed.  Both are vectorised in
-        :func:`repro.engine.store.param_batch_digests`.
-        """
-        return self.base is not None or len(self.columns) == N_PARAM_COLS
-
     # -- row subsetting (zero-copy) ------------------------------------
 
     def slice_rows(self, start: int, stop: int) -> "ParameterBatch":
@@ -510,26 +489,6 @@ class ParameterBatch:
         )
         return ParameterBatch(
             stop - start,
-            base=self.base,
-            base_row=self.base_row,
-            columns=columns,
-            comparators=comparators,
-        )
-
-    def take(self, rows: np.ndarray) -> "ParameterBatch":
-        """Row subset by index array (used to split store hits/misses)."""
-        rows = np.asarray(rows)
-        columns = {
-            i: (c if c.shape[0] == 1 else c[rows])
-            for i, c in self.columns.items()
-        }
-        comparators = (
-            None
-            if self.comparators is None
-            else tuple(self.comparators[int(i)] for i in rows)
-        )
-        return ParameterBatch(
-            int(rows.size),
             base=self.base,
             base_row=self.base_row,
             columns=columns,

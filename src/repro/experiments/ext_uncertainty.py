@@ -154,7 +154,7 @@ def run(suite: ModelSuite | None = None) -> ExperimentReport:
 
     # The Monte-Carlo study runs through the vector kernel's
     # multi-comparator path (every draw is one model-parameter row); the
-    # small tornado sweep shares the default engine's result cache.
+    # small tornado sweep runs on the same default engine.
     engine = resolve_engine(None)
     mc = monte_carlo_batch(
         comparator, BASELINE, dists, n_samples=N_SAMPLES, engine=engine

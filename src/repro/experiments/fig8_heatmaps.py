@@ -42,10 +42,9 @@ def panel(
     Each panel is one vector-kernel batch (array-land end to end): the
     grid's scenario axes become NumPy columns and no per-cell objects
     are materialised, so dense panels cost milliseconds instead of a
-    grid's worth of lifecycle walks.  Panels share the engine's
-    result store, so the baseline row/column of cells the three Fig. 8
-    panels have in common is computed once and gathered thereafter —
-    and survives to later runs when the engine has a ``cache_file``.
+    grid's worth of lifecycle walks.  Every cell is computed: the
+    kernel is cheaper than a result-store lookup, so the few cells the
+    three Fig. 8 panels share are simply computed again.
     """
     for held, x_axis, x_values, y_axis, y_values in PANELS:
         if held == held_axis:

@@ -154,8 +154,9 @@ def test_serve_bench_rejects_the_removed_window_flag(capsys):
 
 
 def test_serve_bench_persists_to_cache_file(tmp_path, capsys):
-    """--cache-file must hold the benchmark's warm store, not get
-    clobbered by an end-of-run save of the untouched default engine."""
+    """--cache-file with serve-bench writes back the store the file held:
+    serving computes array batches and adds no entries, and the
+    end-of-run save neither drops nor replaces the earlier ones."""
     from repro.engine import ShardedResultStore, reset_default_engine
 
     cache = tmp_path / "bench-warm.npz"
@@ -163,12 +164,18 @@ def test_serve_bench_persists_to_cache_file(tmp_path, capsys):
     try:
         assert main([
             "--cache-file", str(cache),
+            "compare", "--domain", "dnn", "--apps", "3", "--lifetime", "2",
+            "--volume", "1e5",
+        ]) == 0
+        reset_default_engine()
+        assert main([
+            "--cache-file", str(cache),
             "serve-bench", "--clients", "2", "--requests", "8",
             "--cells", "10",
         ]) == 0
         capsys.readouterr()
         store = ShardedResultStore(capacity=4096)
-        assert store.load(cache) == 8 * 10  # the benchmark's cell universe
+        assert store.load(cache) == 1  # the earlier compare's result
     finally:
         reset_default_engine()
 

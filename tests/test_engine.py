@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,32 +419,26 @@ def test_configure_default_engine_replaces_and_applies_options():
         reset_default_engine()  # restore a pristine default for other tests
 
 
-def test_default_engine_close_is_registered_at_exit():
+def test_default_engine_close_is_registered_at_exit(monkeypatch):
     """Importing the engine module must register the atexit reset hook.
 
-    Reloads the module with ``atexit.register`` instrumented: deleting
-    the ``atexit.register(reset_default_engine)`` line makes this fail.
-    The duplicate registration the reload leaves behind is harmless —
-    ``reset_default_engine`` is idempotent.
+    Runs the module's source into a throwaway module with
+    ``atexit.register`` recording instead of registering: deleting the
+    ``atexit.register(reset_default_engine)`` line makes this fail.  The
+    shared ``repro.engine.engine`` module is never reloaded, so names
+    other tests imported from it keep naming the live classes.
     """
     import atexit
-    import importlib
+    import types
 
     from repro.engine import engine as engine_module
 
     recorded = []
-    real_register = atexit.register
-
-    def recording_register(fn, *args, **kwargs):
-        recorded.append(fn)
-        return real_register(fn, *args, **kwargs)
-
-    atexit.register = recording_register
-    try:
-        importlib.reload(engine_module)
-    finally:
-        atexit.register = real_register
-    assert engine_module.reset_default_engine in recorded
+    monkeypatch.setattr(atexit, "register", recorded.append)
+    probe = types.ModuleType("engine_registration_probe")
+    source = Path(engine_module.__file__).read_text()
+    exec(compile(source, engine_module.__file__, "exec"), probe.__dict__)
+    assert probe.reset_default_engine in recorded
 
 
 # ----------------------------------------------------------------------

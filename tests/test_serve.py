@@ -23,11 +23,7 @@ from repro.engine import container
 from repro.engine.engine import EvaluationEngine
 from repro.engine.serve import protocol
 from repro.engine.serve.backoff import JitteredBackoff
-from repro.engine.serve.bench import (
-    _reference_columns,
-    _request_batches,
-    latency_benchmark,
-)
+from repro.engine.serve.bench import latency_benchmark
 from repro.engine.serve.client import ServeClient
 from repro.engine.serve.faults import FaultPlan
 from repro.engine.serve.protocol import (
@@ -430,34 +426,6 @@ def test_zero_worker_server_degrades_in_process_bit_identically():
     assert stats.responses_ok >= 1
 
 
-def test_worker_periodic_snapshot_rewarms_a_restarted_server(tmp_path):
-    """With ``snapshot_every_s`` set, workers re-dump their warm store
-    to ``cache_file`` after replies — so a *new* server (a restart)
-    starts with the previous fleet's warmth instead of a cold store."""
-    cache = tmp_path / "warm.npz"
-    batch = _batch(10)
-
-    async def serve_once():
-        async with BatchServer(
-            workers=1, cache_file=str(cache), snapshot_every_s=0.0,
-        ) as server:
-            async with ServeClient(server.host, server.port) as client:
-                await client.evaluate("dnn", batch, deadline_s=30.0)
-            # The snapshot lands after the reply; give the worker loop a
-            # beat to write it before the server tears the fleet down.
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and not cache.exists():
-                await asyncio.sleep(0.01)
-
-    asyncio.run(serve_once())
-    assert cache.exists(), "worker never snapshotted its warm store"
-    warm = EvaluationEngine()
-    try:
-        assert warm.load_cache(cache) > 0
-    finally:
-        warm.close()
-
-
 class _HungUpConn:
     """A worker pipe whose server end is gone: sends break the pipe."""
 
@@ -672,29 +640,3 @@ def test_latency_benchmark_kill_that_never_fires_is_a_serve_error():
         )
     assert "--requests" in str(info.value)
     assert "--clients" in str(info.value)
-
-
-def test_reference_columns_keep_the_store_the_cache_file_held(tmp_path):
-    """``serve-bench --cache-file PATH`` adds its cells to PATH's store
-    instead of replacing it."""
-    comparator = PlatformComparator.for_domain("dnn")
-    earlier = [
-        ScenarioBatch.from_arrays(
-            num_apps=np.arange(1, 13, dtype=np.int64),
-            lifetime=lifetime, volume=2_000_000,
-        )
-        for lifetime in (4.0, 5.0, 6.0, 7.0)
-    ]
-    path = tmp_path / "warm.npz"
-    warm = EvaluationEngine(cache_size=4096)
-    for batch in earlier:
-        warm.evaluate_batch(comparator, batch)
-    warm.save_cache(path)
-
-    _reference_columns("dnn", _request_batches(2, 10), path)
-
-    reloaded = EvaluationEngine(cache_size=4096)
-    assert reloaded.load_cache(path) == 48 + 20
-    for batch in earlier:
-        reloaded.evaluate_batch(comparator, batch)
-    assert reloaded.rows_computed == 0

@@ -1,14 +1,16 @@
 """Tests for the array-backed, set-associative result store.
 
-Covers digest stability (the scalar fold must agree with the vectorised
-column fold bit-for-bit, and with itself across processes), get/put
-sequences and eviction against a dict reference model, hit/miss
-accounting, snapshot persistence round-trips, and the engine-level
-guarantee that store-served batches are bit-identical to freshly
-computed ones.
+Covers digest stability (per-row batch digests agree with the scalar
+fold, and the fold with itself across processes), get/put sequences and
+eviction against a dict reference model, hit/miss accounting, snapshot
+persistence round-trips, and the engine-level contract: object results
+are cached and served bit-identically, array batches are computed and
+never touch the store.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -73,8 +75,6 @@ def test_digest_accepts_float_volumes_like_the_scalar_models(dnn_comparator):
     without raising, treat integral floats as their int spelling, and
     keep *fractional* volumes distinct, so they never collide in the
     store."""
-    import dataclasses
-
     base = Scenario(num_apps=5, app_lifetime_years=2.0, volume=1_000_000)
     integral_float = dataclasses.replace(base, volume=1.0e6)
     assert pair_digest(dnn_comparator, integral_float) == pair_digest(
@@ -98,10 +98,8 @@ def test_digest_accepts_float_volumes_like_the_scalar_models(dnn_comparator):
 
 def test_fractional_volume_is_exact_on_the_kernel(dnn_comparator):
     """The float64 volume column keeps 1000.7 (an int column would
-    truncate it to 1000): batch rows equal the scalar model bit for bit,
-    cold and warm."""
-    import dataclasses
-
+    truncate it to 1000): batch rows equal the scalar model bit for bit
+    on every call, and the object path caches the row exactly."""
     fractional = dataclasses.replace(
         Scenario(num_apps=2, app_lifetime_years=1.0, volume=1000), volume=1000.7
     )
@@ -113,7 +111,11 @@ def test_fractional_volume_is_exact_on_the_kernel(dnn_comparator):
         result = engine.evaluate_batch(dnn_comparator, batch)
         assert result.comparison(0, fractional) == direct
         assert float(result.ratios[0]) == direct.ratio
-    assert engine.cache_stats.hits == 2  # uniform rows are cached
+    assert engine.cache_stats.hits == engine.cache_stats.misses == 0
+    assert engine.rows_computed == 4
+    for _ in range(2):
+        assert engine.evaluate(dnn_comparator, fractional) == direct
+    assert engine.cache_stats.hits == 1  # the object path caches it
 
 
 def test_row_digests_are_pinned(dnn_comparator):
@@ -146,8 +148,6 @@ def test_digest_normalises_lifetime_spellings(dnn_comparator):
 
 
 def test_digest_distinguishes_fields(dnn_comparator, small_scenario):
-    import dataclasses
-
     base = pair_digest(dnn_comparator, small_scenario)
     for changed in (
         small_scenario.with_num_apps(small_scenario.num_apps + 1),
@@ -167,8 +167,6 @@ def test_comparator_digest_is_stable_and_distinct(dnn_comparator):
     not.  The constant below was produced by an independent Python
     process — a digest change means persisted caches silently go cold.
     """
-    import dataclasses
-
     from repro.operation.model import OperationModel
 
     a = comparator_digest(dnn_comparator)
@@ -731,6 +729,8 @@ def test_pack_comparison_rejects_ragged_lifetimes(dnn_comparator):
 
 
 def test_engine_warm_batch_bit_identical_to_cold(dnn_comparator):
+    """A batch repeated on the same engine is computed again, never
+    gathered from the store, and matches the first run bit for bit."""
     from repro.analysis.heatmap import pairwise_heatmap_batch
 
     engine = EvaluationEngine()
@@ -740,14 +740,15 @@ def test_engine_warm_batch_bit_identical_to_cold(dnn_comparator):
         "num_apps", tuple(range(1, 13)), "lifetime", (0.5, 1.0, 2.0, 3.0),
     )
     cold = pairwise_heatmap_batch(*args, engine=engine)
-    computed = engine.rows_computed
     warm = pairwise_heatmap_batch(*args, engine=engine)
     np.testing.assert_array_equal(warm.ratios, cold.ratios)
-    assert engine.rows_computed == computed  # warm run recomputed nothing
-    assert engine.cache_stats.hits >= 48
+    reference = pairwise_heatmap_batch(*args, engine=EvaluationEngine(cache_size=0))
+    np.testing.assert_array_equal(warm.ratios, reference.ratios)
+    assert engine.rows_computed == 2 * 48
+    assert engine.cache_stats == EvaluationEngine().cache_stats
 
 
-def test_engine_batch_path_deduplicates_within_batch(dnn_comparator):
+def test_engine_batch_path_computes_duplicate_rows_identically(dnn_comparator):
     engine = EvaluationEngine()
     scenarios = tuple(
         Scenario(num_apps=n, app_lifetime_years=1.0, volume=1_000)
@@ -755,42 +756,43 @@ def test_engine_batch_path_deduplicates_within_batch(dnn_comparator):
     )
     result = engine.evaluate_batch(dnn_comparator, scenarios)
     assert result.size == 9
-    assert engine.rows_computed == 3
+    assert engine.rows_computed == 9
     np.testing.assert_array_equal(result.ratios[:3], result.ratios[3:6])
+    np.testing.assert_array_equal(result.ratios[:3], result.ratios[6:])
 
 
-def test_engine_object_and_batch_paths_share_warmth(dnn_comparator):
+def test_engine_batch_path_recomputes_what_the_object_path_cached(dnn_comparator):
     scenarios = [
         Scenario(num_apps=n, app_lifetime_years=1.0, volume=5_000)
         for n in range(1, 13)
     ]
     engine = EvaluationEngine()
     objects = engine.evaluate_many(dnn_comparator, scenarios)  # object path
-    computed = engine.rows_computed
+    computed, stats = engine.rows_computed, engine.cache_stats
     batch = engine.evaluate_batch(dnn_comparator, scenarios)  # batch path
-    assert engine.rows_computed == computed  # served from shared warmth
+    assert engine.rows_computed == computed + len(scenarios)
+    assert engine.cache_stats == stats  # the batch path never looks
     for i, (scenario, obj) in enumerate(zip(scenarios, objects)):
         assert batch.comparison(i, scenario) == obj
 
 
 def test_engine_cache_file_round_trip(tmp_path, dnn_comparator):
-    from repro.analysis.sweep import sweep_batch
+    from repro.analysis.sweep import sweep
 
     base = Scenario(num_apps=5, app_lifetime_years=2.0, volume=1_000_000)
     values = list(range(1, 33))
     path = tmp_path / "engine-warmth.npz"
 
     first = EvaluationEngine(cache_file=path)  # file absent: starts cold
-    cold = sweep_batch(dnn_comparator, base, "num_apps", values, engine=first)
+    cold = sweep(dnn_comparator, base, "num_apps", values, engine=first)
     assert first.rows_computed == len(values)
     first.save_cache()
 
     second = EvaluationEngine(cache_file=path)  # warm from disk
-    warm = sweep_batch(dnn_comparator, base, "num_apps", values, engine=second)
+    warm = sweep(dnn_comparator, base, "num_apps", values, engine=second)
     assert second.rows_computed == 0
-    np.testing.assert_array_equal(warm.ratios, cold.ratios)
-    np.testing.assert_array_equal(warm.fpga_totals, cold.fpga_totals)
-    np.testing.assert_array_equal(warm.asic_totals, cold.asic_totals)
+    assert warm.comparisons == cold.comparisons
+    assert [c.ratio for c in warm.comparisons] == [c.ratio for c in cold.comparisons]
     # Object callers materialise from the persisted columns bit-identically.
     direct = dnn_comparator.compare(base.with_num_apps(7))
     assert second.evaluate(dnn_comparator, base.with_num_apps(7)) == direct
@@ -814,4 +816,90 @@ def test_engine_ragged_scenarios_are_evaluated_not_cached(dnn_comparator):
     assert batch.comparison(8, ragged) == first
     stats = engine.cache_stats
     assert stats.hits == 0 and stats.size == 0
-    assert engine.rows_computed == 3  # in-batch duplicates computed once
+    assert engine.rows_computed == 2 + 9
+
+
+def _result_columns(result) -> list:
+    """Every array a batch result (or a serving reply tuple) carries."""
+    if isinstance(result, tuple):
+        return [np.asarray(part) for part in result[1:]]
+    columns = []
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        if isinstance(value, dict):
+            columns += [np.asarray(value[key]) for key in sorted(value)]
+        else:
+            columns.append(np.asarray(value))
+    return columns
+
+
+def test_array_batches_are_computed_and_object_results_cached(dnn_comparator):
+    """The engine's one caching policy.  Every array batch leaves the
+    store's counters alone, adds its size to ``rows_computed`` (also
+    when repeated) and matches a ``cache_size=0`` engine bit for bit;
+    a repeated object ``evaluate`` is still served by the store."""
+    from repro.core.comparison import PlatformComparator
+    from repro.devices.catalog import DOMAIN_NAMES
+    from repro.engine import ParameterBatch
+    from repro.engine.serve.worker import evaluate_job
+    from repro.engine.vector import params as pcols
+
+    uniform = ScenarioBatch.from_scenarios([
+        Scenario(num_apps=n, app_lifetime_years=0.5 * n, volume=1_000 * n)
+        for n in range(1, 13)
+    ])
+    blocks = ScenarioBatch.from_scenarios([
+        Scenario(num_apps=3, app_lifetime_years=[1.0, 2.0, 3.0], volume=100),
+        Scenario(num_apps=2, app_lifetime_years=[0.5, 4.0], volume=10_000),
+        Scenario(num_apps=1, app_lifetime_years=2.0, volume=7),
+    ])
+    assert blocks.lifetime.ndim == 2
+    fractional = ScenarioBatch.from_scenarios([
+        dataclasses.replace(
+            Scenario(num_apps=n, app_lifetime_years=1.0, volume=1000),
+            volume=1000.7 + n,
+        )
+        for n in range(1, 5)
+    ])
+    base = ParameterBatch.from_comparator(dnn_comparator, uniform.size)
+    base.set_col(pcols.OP_CI, np.linspace(0.05, 0.6, uniform.size))
+    comparators = [PlatformComparator.for_domain(d) for d in DOMAIN_NAMES]
+    extraction = ParameterBatch.from_comparators(comparators)
+    extraction_rows = ScenarioBatch.tile(uniform.scenario_at(2), len(comparators))
+    pairs = [(c, uniform.scenario_at(i)) for i, c in enumerate(comparators)]
+    calls = {
+        "uniform": (lambda e: e.evaluate_batch(dnn_comparator, uniform), uniform.size),
+        "(n, w)": (lambda e: e.evaluate_batch(dnn_comparator, blocks), blocks.size),
+        "fractional": (
+            lambda e: e.evaluate_batch(dnn_comparator, fractional), fractional.size
+        ),
+        "param base": (lambda e: e.evaluate_param_batch(base, uniform), base.size),
+        "param extraction": (
+            lambda e: e.evaluate_param_batch(extraction, extraction_rows),
+            extraction.size,
+        ),
+        "pairs": (lambda e: e.evaluate_pairs_batch(pairs), len(pairs)),
+        "serving job": (
+            lambda e: evaluate_job(e, {}, "dnn", uniform.columns(), None),
+            uniform.size,
+        ),
+    }
+    engine = EvaluationEngine()
+    reference = EvaluationEngine(cache_size=0)
+    for name, (call, size) in calls.items():
+        for _ in range(2):  # a repeated batch is computed again
+            stats, computed = engine.cache_stats, engine.rows_computed
+            got = call(engine)
+            assert engine.cache_stats == stats, name
+            assert engine.rows_computed == computed + size, name
+            want = _result_columns(call(reference))
+            assert [c.tobytes() for c in _result_columns(got)] == [
+                c.tobytes() for c in want
+            ], name
+
+    scenario = uniform.scenario_at(4)
+    first = engine.evaluate(dnn_comparator, scenario)
+    hits, computed = engine.cache_stats.hits, engine.rows_computed
+    assert engine.evaluate(dnn_comparator, scenario) == first
+    assert engine.cache_stats.hits == hits + 1
+    assert engine.rows_computed == computed
